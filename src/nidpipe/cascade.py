@@ -30,10 +30,12 @@ from .polyhedral import (
 )
 from .polynomials import PolySystem, make_poly, variable_poly
 from .systems import EmbeddedSystem
-from .tracker import (
+from .tracker import (  # noqa: F401  (``track`` stays a module attribute for tracing tools)
     AT_INFINITY,
+    FAILED,
     NONZERO_SLACK,
     ZERO_SLACK,
+    Homotopy,
     LinearHomotopy,
     PathResult,
     Solution,
@@ -41,6 +43,7 @@ from .tracker import (
     classify,
     newton_refine,
     track,
+    track_paths,
 )
 
 
@@ -170,6 +173,7 @@ def _pipelined_cells(lifted, g, supports, p, params, mode, stats, cell_log=None)
 
     hand: _q.Queue = _q.Queue(maxsize=64)
     error: list = []
+    stop = _t.Event()  # set once the pipeline is over: a search still running stops at its next cell
 
     def run_enum():
         try:
@@ -180,7 +184,7 @@ def _pipelined_cells(lifted, g, supports, p, params, mode, stats, cell_log=None)
                 if cell_log is not None:
                     cell_log.append(cell)
                 hand.put(cell)
-                return True
+                return not stop.is_set()
 
             enumerate_cells(lifted, emit)
         except BaseException as exc:  # noqa: BLE001 - forwarded to consumer side
@@ -199,8 +203,17 @@ def _pipelined_cells(lifted, g, supports, p, params, mode, stats, cell_log=None)
             yield cell
 
     cfg = PipelineConfig(p=p, queue_capacity=64, mode=mode)
-    pairs, pstats = pipeline_run(stream(), lambda cell: solve_cell(cell, g, supports, params), cfg)
-    th.join()
+    try:
+        pairs, pstats = pipeline_run(stream(), lambda cell: solve_cell(cell, g, supports, params), cfg)
+    finally:
+        stop.set()
+        th.join(timeout=0.1)
+        while th.is_alive():  # unblock a search waiting on a full handoff queue
+            try:
+                hand.get_nowait()
+            except _q.Empty:
+                pass
+            th.join(timeout=0.1)
     if error:
         raise error[0]
     results = []
@@ -209,6 +222,26 @@ def _pipelined_cells(lifted, g, supports, p, params, mode, stats, cell_log=None)
             raise RuntimeError(f"cell worker failed: {out.message}")
         results.extend(out)
     return results, pstats
+
+
+def track_on_crew(
+    h: Homotopy,
+    starts: list[np.ndarray],
+    p: int,
+    params: TrackParams,
+    mode: str,
+) -> list[PathResult]:
+    """Track one stage's paths on p workers: worker i takes the strided
+    chunk starts[i::p] as one batch.  Results come back in the order of
+    starts; every path of a chunk whose job failed counts as failed."""
+    chunks = [np.array(starts[i::p]) for i in range(min(p, len(starts)))]
+    tracked = work_crew(chunks, p, lambda chunk: track_paths(h, chunk, params), mode=mode)
+    results: list = [None] * len(starts)
+    for i, (chunk, out) in enumerate(zip(chunks, tracked)):
+        if isinstance(out, JobFailure):
+            out = [PathResult(FAILED, None, 0, 0.0)] * len(chunk)
+        results[i::p] = out
+    return results
 
 
 def solve_top(
@@ -226,13 +259,10 @@ def solve_top(
     gamma = complex(rngmod.unit_complex(rngmod.stream(seed, rngmod.GAMMA)))
     h = LinearHomotopy(g, system, gamma)
     t0 = time.perf_counter()
-    jobs = [s.coordinates for s in g_sols]
-    results = work_crew(jobs, p, lambda x0: track(h, x0, params), mode=mode)
+    results = track_on_crew(h, [s.coordinates for s in g_sols], p, params, mode)
     stats.time_continuation = time.perf_counter() - t0
     out = []
     for r in results:
-        if isinstance(r, JobFailure):
-            r = PathResult("failed", None, 0, 0.0)
         stats.continuation_paths += 1
         if r.status == AT_INFINITY:
             stats.at_infinity += 1
@@ -308,12 +338,8 @@ def cascade_step(
         return CascadeLevel(level.dimension - 1, next_emb, starts=0, at_infinity=0)
     gamma = complex(rngmod.unit_complex(rngmod.stream(emb.seed, rngmod.GAMMA, level.dimension)))
     h = _slack_removal_homotopy(emb, gamma)
-    jobs = [s.coordinates for s in level.nonzero_slack]
-    tracked = work_crew(jobs, p, lambda x0: track(h, x0, params), mode=mode)
     results = []
-    for r in tracked:
-        if isinstance(r, JobFailure):
-            r = PathResult("failed", None, 0, 0.0)
+    for r in track_on_crew(h, [s.coordinates for s in level.nonzero_slack], p, params, mode):
         if r.succeeded and r.endpoint is not None:
             # the target row pins z_d = 0: drop that coordinate
             coords = r.endpoint.coordinates[:-1]

@@ -8,6 +8,10 @@ dimension, survivors with a regular restricted Jacobian form the
 dimension-d witness set, and dimension-0 candidates split into regular
 isolated solutions and singular suspects that run the same membership
 chain.
+
+Each (candidate level, witness set) pair is one stage: a work crew runs
+the stage's membership tests with the candidates as jobs, and each test
+tracks the witness set's generic points as one batch.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .linalg import condition_and_rank
 from .parallel import JobFailure, work_crew
 from .polynomials import jacobian, residual
 from .systems import EmbeddedSystem, slice_to_zero
-from .tracker import (
+from .tracker import (  # noqa: F401  (``track`` stays a module attribute for tracing tools)
     ZERO_SLACK,
     LinearHomotopy,
     Solution,
@@ -29,6 +33,7 @@ from .tracker import (
     newton_refine,
     refine_dd,
     track,
+    track_paths,
 )
 
 MATCH_TOL = 1e-6
@@ -92,12 +97,10 @@ def membership_targets(w: WitnessSet, q) -> EmbeddedSystem:
 def membership_test(
     w: WitnessSet,
     q,
-    p: int = 1,
     params: TrackParams = TrackParams(),
-    mode: str = "thread",
 ) -> bool:
-    """Track one path per generic point of w toward hyperplanes through
-    q; membership holds iff some endpoint coincides with q.
+    """Track the generic points of w, as one batch, toward hyperplanes
+    through q; membership holds iff some endpoint coincides with q.
 
     Candidates that already sit on a witness point short-circuit to
     True without tracking (zero-length deformation).
@@ -111,20 +114,51 @@ def membership_test(
             return True
     target = membership_targets(w, q).system
     h = LinearHomotopy(w.embedding.system, target)
-    jobs = [s.coordinates for s in w.points]
-    results = work_crew(jobs, p, lambda x0: track(h, x0, params), mode=mode)
+    results = track_paths(h, np.array([s.coordinates for s in w.points]), params)
     any_success = False
     for r in results:
-        if isinstance(r, JobFailure) or not r.succeeded or r.endpoint is None:
+        if not r.succeeded or r.endpoint is None:
             continue
         any_success = True
         if points_match(r.endpoint.coordinates[:n], q):
             return True
     if not any_success:
         raise MembershipIndeterminate(
-            f"all {len(jobs)} membership paths failed for dimension {w.dimension}"
+            f"all {len(results)} membership paths failed for dimension {w.dimension}"
         )
     return False
+
+
+def _membership_stage(
+    w: WitnessSet,
+    candidates: list[Solution],
+    candidate_dimension: int,
+    p: int,
+    params: TrackParams,
+    mode: str,
+) -> tuple[list[Solution], FilterStage]:
+    """Test every candidate against w on one crew; returns the
+    candidates not on w's component and the stage's bookkeeping.
+    Indeterminate or failed tests keep the candidate (a false positive
+    only adds a suspect later; a false negative would lose a
+    component)."""
+    n = w.embedding.n_original
+    queries = [c.coordinates[:n] for c in candidates]
+
+    def test(q) -> bool:
+        try:
+            return membership_test(w, q, params)
+        except MembershipIndeterminate:
+            return False
+
+    verdicts = work_crew(queries, p, test, mode=mode)
+    kept = [c for c, member in zip(candidates, verdicts) if member is not True]
+    tracked = w.degree * sum(
+        1 for q in queries if not any(points_match(s.coordinates[:n], q) for s in w.points)
+    )
+    stage = FilterStage(candidate_dimension, w.dimension, len(candidates), w.degree, tracked,
+                        len(candidates) - len(kept))
+    return kept, stage
 
 
 def _restricted_regular(emb: EmbeddedSystem, sol: Solution) -> bool:
@@ -175,30 +209,30 @@ def filter_junk(
         for w in witness_sets:
             if not candidates:
                 break
-            kept = []
-            tracked = 0
-            for cand in candidates:
-                q = cand.coordinates[:n]
-                shortcut = any(points_match(s.coordinates[:n], q) for s in w.points)
-                if not shortcut:
-                    tracked += w.degree
-                try:
-                    member = membership_test(w, q, p, params, mode)
-                except MembershipIndeterminate:
-                    member = False
-                if not member:
-                    kept.append(cand)
-            stages.append(
-                FilterStage(d, w.dimension, len(candidates), w.degree, tracked,
-                            len(candidates) - len(kept))
-            )
-            candidates = kept
+            candidates, stage = _membership_stage(w, candidates, d, p, params, mode)
+            stages.append(stage)
         survivors = [c for c in candidates if _restricted_regular(level.embedding, c)]
         if survivors:
             witness_sets.append(
                 WitnessSet(d, level.embedding, survivors, label=f"dimension-{d}")
             )
     return witness_sets, stages
+
+
+def _refine_isolated(base_system, cand: Solution) -> tuple[Solution, bool]:
+    """Refine a dimension-0 candidate against the base system; True when
+    its Jacobian there has full rank."""
+    refined = newton_refine(base_system, cand.coordinates, tol=1e-13, max_iters=8)
+    # points on multiple components stall at ~sqrt(eps) in double
+    # precision, right at the rank threshold; double-double Newton
+    # settles the regularity question (linear rate needs the extra
+    # iterations to push a 1e-7 defect decisively below 1e-8)
+    polished = refine_dd(base_system, refined.coordinates, steps=12)
+    remeasured = newton_refine(base_system, polished, tol=0.0, max_iters=0)
+    if remeasured.residual <= max(refined.residual * 10, 1e-12):
+        refined = remeasured
+    _, rank = condition_and_rank(jacobian(base_system, refined.coordinates))
+    return refined, rank == base_system.nvars
 
 
 def classify_isolated(
@@ -211,46 +245,20 @@ def classify_isolated(
 ) -> tuple[list[Solution], list[Solution], list[FilterStage]]:
     """Split dimension-0 candidates into regular isolated solutions and
     singular suspects, running singular candidates through membership
-    tests against each witness set from the highest dimension down."""
+    tests against each witness set from the highest dimension down.
+    The candidates are refined on one crew, as jobs."""
     regular: list[Solution] = []
     singular: list[Solution] = []
-    for cand in candidates:
-        refined = newton_refine(base_system, cand.coordinates, tol=1e-13, max_iters=8)
-        # points on multiple components stall at ~sqrt(eps) in double
-        # precision, right at the rank threshold; double-double Newton
-        # settles the regularity question (linear rate needs the extra
-        # iterations to push a 1e-7 defect decisively below 1e-8)
-        polished = refine_dd(base_system, refined.coordinates, steps=12)
-        remeasured = newton_refine(base_system, polished, tol=0.0, max_iters=0)
-        if remeasured.residual <= max(refined.residual * 10, 1e-12):
-            refined = remeasured
-        _, rank = condition_and_rank(jacobian(base_system, refined.coordinates))
-        if rank == base_system.nvars:
-            regular.append(refined)
-        else:
-            singular.append(refined)
+    refine = lambda cand: _refine_isolated(base_system, cand)  # noqa: E731
+    for out in work_crew(candidates, p, refine, mode=mode):
+        if isinstance(out, JobFailure):
+            raise RuntimeError(f"refining a dimension-0 candidate failed: {out.message}")
+        refined, is_regular = out
+        (regular if is_regular else singular).append(refined)
     regular = _dedup(regular)
     singular = _dedup(singular)
     stages: list[FilterStage] = []
     for w in sorted(witness_sets, key=lambda w: -w.dimension):
-        if not singular:
-            stages.append(FilterStage(0, w.dimension, 0, w.degree, 0, 0))
-            continue
-        kept = []
-        tracked = 0
-        for cand in singular:
-            q = cand.coordinates
-            shortcut = any(points_match(s.coordinates[: len(q)], q) for s in w.points)
-            if not shortcut:
-                tracked += w.degree
-            try:
-                member = membership_test(w, q, p, params, mode)
-            except MembershipIndeterminate:
-                member = False
-            if not member:
-                kept.append(cand)
-        stages.append(
-            FilterStage(0, w.dimension, len(singular), w.degree, tracked, len(singular) - len(kept))
-        )
-        singular = kept
+        singular, stage = _membership_stage(w, singular, 0, p, params, mode)
+        stages.append(stage)
     return regular, singular, stages

@@ -6,6 +6,11 @@ job the moment they finish one, so load balances dynamically.  Thread
 workers are enough for I/O- or sleep-bound jobs; CPU-bound path
 tracking uses forked processes (jobs are inherited, results travel back
 through a queue tagged with job ids so reports stay deterministic).
+The solver hands a crew p chunks of a stage's paths, each tracked as
+one batch, rather than one job per path; membership filtering runs one
+crew per stage with the candidates as jobs.  A forked worker that dies
+fails the run with a RuntimeError instead of leaving the parent
+waiting for its results.
 
 The speedup models compute exact rational T_1, T_p, S_p for the
 pipeline, for a single stage of paths, for a cascade of stages, and for
@@ -109,6 +114,45 @@ def work_crew(
     raise ValueError(f"unknown work crew mode {mode!r}")
 
 
+_POLL_S = 0.1  # how often a parent waiting on forked workers checks that they live
+
+
+def _check_alive(procs) -> None:
+    """Raise RuntimeError, after terminating the others, once a worker
+    process has died (nonzero exit code)."""
+    dead = [pr for pr in procs if pr.exitcode not in (None, 0)]
+    if dead:
+        for pr in procs:
+            if pr.is_alive():
+                pr.terminate()
+            pr.join()
+        raise RuntimeError(f"worker process {dead[0].pid} died with exit code {dead[0].exitcode}")
+
+
+def _get(q, procs):
+    """Next item from a result queue, polling the workers while waiting."""
+    while True:
+        try:
+            return q.get(timeout=_POLL_S)
+        except queue.Empty:
+            _check_alive(procs)
+            if all(pr.exitcode is not None for pr in procs):
+                try:  # all exited cleanly: anything they sent is readable now
+                    return q.get(timeout=_POLL_S)
+                except queue.Empty:
+                    raise RuntimeError("worker processes exited with results missing") from None
+
+
+def _put(q, item, procs) -> None:
+    """Put onto a bounded work queue, polling the workers while it is full."""
+    while True:
+        try:
+            q.put(item, timeout=_POLL_S)
+            return
+        except queue.Full:
+            _check_alive(procs)
+
+
 def _process_crew(jobs: list, p: int, worker: Callable) -> list:
     ctx = mp.get_context("fork")
     claim_q: mp.Queue = ctx.Queue()
@@ -130,7 +174,7 @@ def _process_crew(jobs: list, p: int, worker: Callable) -> list:
         pr.start()
     results: list = [None] * len(jobs)
     for _ in range(len(jobs)):
-        i, res = result_q.get()
+        i, res = _get(result_q, procs)
         results[i] = res
     for pr in procs:
         pr.join()
@@ -233,7 +277,10 @@ def pipeline_run(
 
 def _pipeline_process(producer, consumer, cfg: PipelineConfig, stats: PipelineStats):
     """Fork-based pipeline: the producer runs in the calling thread and
-    blocks when the bounded queue is full (that is the back-pressure)."""
+    blocks when the bounded queue is full (that is the back-pressure).
+    Each consumer sends the ``perf_counter`` time at which it started an
+    item with the item's result; on Linux that clock is system-wide, so
+    it compares with the parent's end of production."""
     ctx = mp.get_context("fork")
     buf: mp.Queue = ctx.Queue(maxsize=cfg.queue_capacity)
     out_q: mp.Queue = ctx.Queue()
@@ -244,53 +291,39 @@ def _pipeline_process(producer, consumer, cfg: PipelineConfig, stats: PipelineSt
             if got is None:
                 break
             i, item = got
-            out_q.put((i, _run_job(consumer, i, item)))
+            started = time.perf_counter()
+            out_q.put((i, _run_job(consumer, i, item), started))
 
     workers = [ctx.Process(target=child) for _ in range(cfg.p - 1)]
     for w in workers:
         w.start()
 
-    results: list = []
-    collected = 0
-
-    def collect_available():
-        nonlocal collected
-        while True:
-            try:
-                results.append(out_q.get_nowait())
-                collected += 1
-            except queue.Empty:
-                return
-
     t_start = time.perf_counter()
     idx = 0
-    try:
-        for item in producer:
-            t0 = time.perf_counter()
-            while True:
-                try:
-                    buf.put((idx, item), timeout=0.05)
-                    break
-                except queue.Full:
-                    collect_available()
-            stats.producer_blocked += time.perf_counter() - t0
-            idx += 1
-            collect_available()
-    except Exception:
-        stats.producer_error = traceback.format_exc(limit=4)
+    items = iter(producer)
+    while True:
+        try:
+            item = next(items)
+        except StopIteration:
+            break
+        except Exception:
+            stats.producer_error = traceback.format_exc(limit=4)
+            break
+        t0 = time.perf_counter()
+        _put(buf, (idx, item), workers)
+        stats.producer_blocked += time.perf_counter() - t0
+        idx += 1
     stats.produced = idx
     produce_done = time.perf_counter()
     for _ in range(cfg.p - 1):
-        buf.put(None)
-    while collected < idx:
-        results.append(out_q.get())
-        collected += 1
+        _put(buf, None, workers)
+    received = [_get(out_q, workers) for _ in range(idx)]
     for w in workers:
         w.join()
     stats.makespan = time.perf_counter() - t_start
-    stats.consumed = collected
-    stats.first_consume_before_last_produce = bool(results) and stats.produced > 1
-    results.sort(key=lambda pair: pair[0])
+    stats.consumed = len(received)
+    stats.first_consume_before_last_produce = any(started < produce_done for _, _, started in received)
+    results = sorted(((i, out) for i, out, _ in received), key=lambda pair: pair[0])
     return results, stats
 
 

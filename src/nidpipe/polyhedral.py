@@ -25,7 +25,8 @@ from scipy.optimize import linprog
 
 from . import rng as rngmod
 from .polynomials import PolySystem, _StackedEvaluator, eval_system_generic, jacobian_generic, make_poly
-from .tracker import PathResult, TrackParams, track
+# ``track`` stays a module attribute: tracing tools wrap this module's names
+from .tracker import PathResult, TrackParams, track, track_paths  # noqa: F401
 
 SLACK_MARGIN = 1e-9
 MAX_RELIFTS = 5
@@ -768,17 +769,16 @@ class PolyhedralHomotopy:
         jraw = np.array(jtexps, dtype=float)
         self._jtexp = np.where(jraw > SLACK_MARGIN, jraw * scale, 0.0)
 
-    def eval(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self._ev(np.asarray(x, dtype=np.complex128), weights=t**self._texp)
+    def eval(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return self._ev(x, weights=t[:, None] ** self._texp)
 
-    def jac(self, x: np.ndarray, t: float) -> np.ndarray:
-        flat = self._jev(np.asarray(x, dtype=np.complex128), weights=t**self._jtexp)
-        return flat.reshape(self.dim, self.dim)
+    def jac(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        flat = self._jev(x, weights=t[:, None] ** self._jtexp)
+        return flat.reshape(len(x), self.dim, self.dim)
 
-    def eval_scale(self, x: np.ndarray, t: float) -> float:
-        xa = np.abs(np.asarray(x, dtype=np.complex128)).astype(np.complex128)
-        v = self._aev(xa, weights=t**self._texp)
-        return float(np.max(v.real)) if v.size else 0.0
+    def eval_scale(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        v = self._aev(np.abs(x).astype(np.complex128), weights=t[:, None] ** self._texp)
+        return np.max(v.real, axis=1)
 
     # double-double refinement only ever evaluates at t=1, where the
     # weights all equal 1 and the homotopy is the plain start system
@@ -808,4 +808,4 @@ def solve_cell(
         beta.append(-ca / cb)
     starts = binomial_solutions(V, beta)
     h = PolyhedralHomotopy(g, cell, supports)
-    return [track(h, y0, params) for y0 in starts]
+    return track_paths(h, np.array(starts), params)

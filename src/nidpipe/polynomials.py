@@ -202,74 +202,95 @@ class PolySystem:
 class _StackedEvaluator:
     """All terms of several polynomials in one numpy block.
 
-    Evaluation builds a per-variable power table up to the max degree,
-    gathers monomial factors, and segment-sums with reduceat.
+    Evaluation at P points builds a per-point power table up to the max
+    degree, gathers each term's factors, multiplies them left to right
+    over the variables, and segment-sums each row with reduceat.  Every
+    operation is elementwise or reduces within one point's row, so a
+    point's values are bit-identical for every P (a reduction across
+    the gathered factors, such as ``prod``, is not: its order depends
+    on the array's shape).
     """
 
     def __init__(self, rows: Sequence[tuple], nvars: int):
+        expos = [e for terms in rows for e, _ in terms]
+        coefs = [c for terms in rows for _, c in terms]
+        self._setup(
+            np.array(expos, dtype=np.intp).reshape(len(expos), nvars),
+            np.array(coefs, dtype=np.complex128),
+            np.array([len(terms) for terms in rows], dtype=np.intp),
+            nvars,
+        )
+
+    @classmethod
+    def stack(cls, first: "_StackedEvaluator", second: "_StackedEvaluator") -> "_StackedEvaluator":
+        """One evaluator for the rows of ``first`` followed by those of ``second``."""
+        ev = cls.__new__(cls)
+        ev._setup(
+            np.concatenate([first.expo, second.expo]),
+            np.concatenate([first.coef, second.coef]),
+            np.concatenate([first.sizes, second.sizes]),
+            first.nvars,
+        )
+        return ev
+
+    def _setup(self, expo: np.ndarray, coef: np.ndarray, sizes: np.ndarray, nvars: int):
         self.nvars = nvars
-        self.nrows = len(rows)
-        expos = []
-        coefs = []
-        offsets = [0]
-        for terms in rows:
-            for e, c in terms:
-                expos.append(e)
-                coefs.append(c)
-            offsets.append(len(coefs))
-        self.offsets = np.array(offsets[:-1], dtype=np.intp)
-        self.sizes = np.diff(offsets)
-        if expos:
-            self.expo = np.array(expos, dtype=np.intp)
-            self.coef = np.array(coefs, dtype=np.complex128)
-            self.maxdeg = int(self.expo.max())
-        else:
-            self.expo = np.zeros((0, nvars), dtype=np.intp)
-            self.coef = np.zeros(0, dtype=np.complex128)
-            self.maxdeg = 0
+        self.nrows = len(sizes)
+        self.expo, self.coef, self.sizes = expo, coef, sizes
+        self.offsets = np.cumsum(sizes) - sizes
+        self.maxdeg = int(expo.max()) if expo.size else 0
+        # index of each term's factor x_j^e in a point's flattened power table
+        self.factor_index = expo.T * nvars + np.arange(nvars)[:, None]
         # reduceat cannot take offsets at the end of the array (empty
         # trailing rows); sum only the nonempty rows and scatter back
-        self.nonempty = np.nonzero(self.sizes > 0)[0]
+        self.nonempty = np.nonzero(sizes > 0)[0]
         self.nonempty_offsets = self.offsets[self.nonempty]
         self.all_nonempty = len(self.nonempty) == self.nrows
 
     def powers(self, x: np.ndarray) -> np.ndarray:
-        tab = np.empty((self.nvars, self.maxdeg + 1), dtype=np.complex128)
+        """(P, maxdeg + 1, nvars) table of x[p, j] ** k."""
+        tab = np.empty((len(x), self.maxdeg + 1, self.nvars), dtype=np.complex128)
         tab[:, 0] = 1.0
         for k in range(1, self.maxdeg + 1):
-            tab[:, k] = tab[:, k - 1] * x
+            np.multiply(tab[:, k - 1], x, out=tab[:, k])
         return tab
 
     def __call__(self, x: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-        """Row sums; optional per-term multiplicative weights."""
+        """Row sums at the points x of shape (P, nvars), as (P, nrows);
+        optional multiplicative term weights of shape (T,) or (P, T)."""
+        npts = len(x)
         if self.coef.size == 0:
-            return np.zeros(self.nrows, dtype=np.complex128)
-        tab = self.powers(x)
-        monos = tab[np.arange(self.nvars), self.expo].prod(axis=1)
+            return np.zeros((npts, self.nrows), dtype=np.complex128)
+        factors = self.powers(x).reshape(npts, -1)[:, self.factor_index]
+        monos = factors[:, 0]
+        for j in range(1, self.nvars):
+            monos = monos * factors[:, j]
         vals = self.coef * monos
         if weights is not None:
             vals = vals * weights
         if self.all_nonempty:
-            return np.add.reduceat(vals, self.offsets)
-        out = np.zeros(self.nrows, dtype=np.complex128)
-        out[self.nonempty] = np.add.reduceat(vals, self.nonempty_offsets)
+            return np.add.reduceat(vals, self.offsets, axis=1)
+        out = np.zeros((npts, self.nrows), dtype=np.complex128)
+        out[:, self.nonempty] = np.add.reduceat(vals, self.nonempty_offsets, axis=1)
         return out
+
+
+def _point(f: PolySystem, x) -> np.ndarray:
+    """One point as a (1, n) batch."""
+    x = np.asarray(x, dtype=np.complex128)
+    if x.shape != (f.nvars,):
+        raise DimensionMismatch(f"point has dim {x.shape}, system has {f.nvars} vars")
+    return x[None]
 
 
 def eval_system(f: PolySystem, x: Sequence[complex]) -> np.ndarray:
     """Componentwise evaluation, as a complex vector."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape != (f.nvars,):
-        raise DimensionMismatch(f"point has dim {x.shape}, system has {f.nvars} vars")
-    return f._evaluator()(x)
+    return f._evaluator()(_point(f, x))[0]
 
 
 def jacobian(f: PolySystem, x: Sequence[complex]) -> np.ndarray:
     """Matrix of exact partial derivatives at x (rows = polys)."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape != (f.nvars,):
-        raise DimensionMismatch(f"point has dim {x.shape}, system has {f.nvars} vars")
-    flat = f._jac_evaluator()(x)
+    flat = f._jac_evaluator()(_point(f, x))[0]
     return flat.reshape(len(f.polys), f.nvars)
 
 
@@ -277,14 +298,6 @@ def residual(f: PolySystem, x: Sequence[complex]) -> float:
     """Infinity norm of the system value."""
     v = eval_system(f, x)
     return float(np.max(np.abs(v))) if v.size else 0.0
-
-
-def eval_magnitude(f: PolySystem, x) -> float:
-    """Largest row sum of absolute term values: the scale against which
-    cancellation noise in eval_system must be judged."""
-    xa = np.abs(np.asarray(x, dtype=np.complex128)).astype(np.complex128)
-    v = f._abs_evaluator()(xa)
-    return float(np.max(v.real)) if v.size else 0.0
 
 
 # -- generic (double-double capable) evaluation ---------------------------

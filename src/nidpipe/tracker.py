@@ -1,16 +1,29 @@
 """Predictor-corrector path tracking for polynomial homotopies.
 
-A secant predictor with adaptive step control feeds a Newton corrector;
-the corrector is the accuracy authority (a step is accepted only when
+``track_paths`` advances a batch of P paths together.  Each path keeps
+its own t, step size, previous point, endgame flag and step count in
+arrays; one stepping loop runs the secant predictor and the Newton
+corrector on the paths still active, evaluating them as one stacked
+call and solving their (P, n, n) Jacobians with one ``np.linalg.solve``.
+Step control, the noise-floor tolerance and the endpoint classification
+are decided path by path, as for a single path.  Every operation on a
+path's data is elementwise, per row or per matrix, so a path's result
+is bit-identical whether it is tracked alone, in a chunk or in the full
+batch: reports do not depend on how the paths of a stage are split
+among workers.
+
+The corrector is the accuracy authority (a step is accepted only when
 it converges within its iteration budget).  Endpoints are polished at
 t=1 with a damped least-squares Newton so that paths running into
-singular endpoints still return usable solutions, and optionally
-re-polished in double-double arithmetic.
+singular endpoints still return usable solutions.  In double-double
+precision the paths are tracked in double and every endpoint is then
+polished in double-double arithmetic at t=1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Protocol
 
 import numpy as np
@@ -19,8 +32,7 @@ from .dd import CDD
 from .linalg import SINGULARITY_TOL, condition_and_rank, newton_step, solve_dd
 from .polynomials import (
     PolySystem,
-    eval_magnitude,
-    eval_system,
+    _StackedEvaluator,
     eval_system_generic,
     jacobian,
     jacobian_generic,
@@ -47,11 +59,15 @@ CONVERGED_RESIDUAL = 1e-8
 
 
 class Homotopy(Protocol):
+    """h(x, t) at P points x of shape (P, n), each at its own t of shape (P,)."""
+
     dim: int
 
-    def eval(self, x: np.ndarray, t: float) -> np.ndarray: ...
+    def eval(self, x: np.ndarray, t: np.ndarray) -> np.ndarray: ...
 
-    def jac(self, x: np.ndarray, t: float) -> np.ndarray: ...
+    def jac(self, x: np.ndarray, t: np.ndarray) -> np.ndarray: ...
+
+    def eval_scale(self, x: np.ndarray, t: np.ndarray) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -78,18 +94,31 @@ class LinearHomotopy:
     def dim(self) -> int:
         return self.start.nvars
 
-    def eval(self, x: np.ndarray, t: float) -> np.ndarray:
-        a = eval_system(self.start, x)
-        b = eval_system(self.target, x)
-        return (1.0 - t) * self.gamma * a + t * b
+    @cached_property
+    def _stacked(self) -> tuple[_StackedEvaluator, ...]:
+        """Value, Jacobian and magnitude evaluators with the rows of start
+        followed by those of target: one call evaluates both systems."""
+        s, g = self.start, self.target
+        return (
+            _StackedEvaluator.stack(s._evaluator(), g._evaluator()),
+            _StackedEvaluator.stack(s._jac_evaluator(), g._jac_evaluator()),
+            _StackedEvaluator.stack(s._abs_evaluator(), g._abs_evaluator()),
+        )
 
-    def jac(self, x: np.ndarray, t: float) -> np.ndarray:
-        a = jacobian(self.start, x)
-        b = jacobian(self.target, x)
-        return (1.0 - t) * self.gamma * a + t * b
+    def eval(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        v = self._stacked[0](x).reshape(len(x), 2, -1)
+        return ((1.0 - t) * self.gamma)[:, None] * v[:, 0] + t[:, None] * v[:, 1]
 
-    def eval_scale(self, x: np.ndarray, t: float) -> float:
-        return (1.0 - t) * eval_magnitude(self.start, x) + t * eval_magnitude(self.target, x)
+    def jac(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        v = self._stacked[1](x).reshape(len(x), 2, len(self.start.polys), self.dim)
+        return ((1.0 - t) * self.gamma)[:, None, None] * v[:, 0] + t[:, None, None] * v[:, 1]
+
+    def eval_scale(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Largest row sum of absolute term values of each system, blended
+        like the values: the scale against which cancellation noise in
+        eval must be judged."""
+        v = self._stacked[2](np.abs(x).astype(np.complex128)).real.reshape(len(x), 2, -1)
+        return (1.0 - t) * v[:, 0].max(axis=1) + t * v[:, 1].max(axis=1)
 
     def eval_generic(self, x: list[CDD], t: float) -> list[CDD]:
         a = eval_system_generic(self.start, x)
@@ -123,7 +152,7 @@ class TrackParams:
     snap_remaining: float = 2e-8  # jump to t=1 once this close
     final_newton_iters: int = 40
     soft_infinity: float = 1e4  # failed final polish + coords above this => at infinity
-    precision: str = "double"  # "double" | "double_double"
+    precision: str = "double"  # "double" | "double_double" (double-double endpoint polish)
     dd_refine_singular: int = 3  # extra double-double steps on singular endpoints
 
     def __post_init__(self):
@@ -174,58 +203,99 @@ def _res_norm(v: np.ndarray) -> float:
     return float(np.max(np.abs(v))) if v.size else 0.0
 
 
-def _effective_tol(h: Homotopy, x: np.ndarray, t: float, tol: float) -> float:
-    scale_fn = getattr(h, "eval_scale", None)
-    if scale_fn is None:
-        return tol
-    return max(tol, _NOISE_ULPS * scale_fn(x, t))
+def _row_max_abs(v: np.ndarray) -> np.ndarray:
+    """Infinity norm of each row of a (P, m) array."""
+    return np.max(np.abs(v), axis=1)
 
 
-def _correct(h: Homotopy, x: np.ndarray, t: float, tol: float, iters: int):
-    """Newton iteration at fixed t.  Returns (x, residual, iterations, ok).
+# single-point evaluation through the batched interface (P = 1)
 
-    Convergence is judged against the larger of the requested tolerance
-    and the evaluation noise floor at the current point; an absolute
-    tolerance alone stalls as soon as coordinates grow.
+
+def _eval1(h: Homotopy, x: np.ndarray, t: float) -> np.ndarray:
+    return h.eval(x[None], np.array([t]))[0]
+
+
+def _jac1(h: Homotopy, x: np.ndarray, t: float) -> np.ndarray:
+    return h.jac(x[None], np.array([t]))[0]
+
+
+def _effective_tol(h: Homotopy, x: np.ndarray, t: np.ndarray, tol: float) -> np.ndarray:
+    return np.fmax(tol, _NOISE_ULPS * h.eval_scale(x, t))
+
+
+def _newton_steps(J: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Newton corrections -J^{-1} r for a stack of P systems: one stacked
+    solve; a row whose solve fails or is not finite falls back to
+    ``newton_step`` (least squares) on its own."""
+    try:
+        dx = np.linalg.solve(J, -r[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        return np.array([newton_step(Ji, ri) for Ji, ri in zip(J, r)])
+    for i in np.flatnonzero(~np.isfinite(dx).all(axis=1)):
+        dx[i] = newton_step(J[i], r[i])
+    return dx
+
+
+def _correct(h: Homotopy, x: np.ndarray, t: np.ndarray, tol: float, iters: int):
+    """Newton iteration of each row of x (P, n) at its own fixed t (P,).
+
+    Returns arrays (x, residual, iterations, ok).  A row stops once it
+    converges or turns non-finite; only the rows still iterating are
+    evaluated.  Convergence is judged against the larger of the
+    requested tolerance and the evaluation noise floor at the row's
+    point; an absolute tolerance alone stalls as soon as coordinates
+    grow.
     """
+    x = x.copy()
     r = h.eval(x, t)
-    resid = _res_norm(r)
+    resid = _row_max_abs(r)
     tol_eff = _effective_tol(h, x, t, tol)
+    its = np.full(len(x), iters)
+    ok = np.zeros(len(x), dtype=bool)
+    live = np.arange(len(x))
     for it in range(iters):
-        if not np.isfinite(resid):
-            return x, resid, it, False
-        if resid <= tol_eff:
-            return x, resid, it, True
-        J = h.jac(x, t)
-        dx = newton_step(J, r)
-        x = x + dx
-        if not _finite(x):
-            return x, float("inf"), it + 1, False
-        r = h.eval(x, t)
-        resid = _res_norm(r)
-    tol_eff = _effective_tol(h, x, t, tol)
-    return x, resid, iters, resid <= tol_eff
+        rl = resid[live]
+        bad = ~np.isfinite(rl)
+        good = ~bad & (rl <= tol_eff[live])
+        stop = bad | good
+        its[live[stop]] = it
+        ok[live[good]] = True
+        live = live[~stop]
+        if not live.size:
+            break
+        xl, tl = x[live], t[live]
+        xl = xl + _newton_steps(h.jac(xl, tl), r[live])
+        x[live] = xl
+        blown = ~np.isfinite(xl).all(axis=1)
+        resid[live[blown]] = np.inf
+        its[live[blown]] = it + 1
+        live, xl, tl = live[~blown], xl[~blown], tl[~blown]
+        if live.size:
+            r[live] = h.eval(xl, tl)
+            resid[live] = _row_max_abs(r[live])
+    if live.size:  # out of iterations
+        ok[live] = resid[live] <= _effective_tol(h, x[live], t[live], tol)
+    return x, resid, its, ok
 
 
 def _damped_newton(h: Homotopy, x: np.ndarray, t: float, tol: float, iters: int):
-    """Damped Newton that never accepts a residual increase.
+    """Damped Newton on one point that never accepts a residual increase.
 
     Uses least-squares steps so rank-deficient Jacobians (singular
     endpoints, points on positive dimensional sets) stay tame.
     """
-    r = h.eval(x, t)
+    r = _eval1(h, x, t)
     resid = _res_norm(r)
     done = 0
     for _ in range(iters):
         if not np.isfinite(resid) or resid <= tol:
             break
-        J = h.jac(x, t)
-        dx = newton_step(J, r)
+        dx = newton_step(_jac1(h, x, t), r)
         lam = 1.0
         improved = False
         for _ in range(8):
             x_try = x + lam * dx
-            r_try = h.eval(x_try, t)
+            r_try = _eval1(h, x_try, t)
             res_try = _res_norm(r_try)
             if np.isfinite(res_try) and res_try < resid:
                 x, r, resid = x_try, r_try, res_try
@@ -238,23 +308,8 @@ def _damped_newton(h: Homotopy, x: np.ndarray, t: float, tol: float, iters: int)
     return x, resid, done
 
 
-class _SystemHomotopy:
-    """Adapter presenting a plain PolySystem as a (constant) homotopy."""
-
-    def __init__(self, f: PolySystem):
-        self.f = f
-        self.dim = f.nvars
-
-    def eval(self, x, t):
-        return eval_system(self.f, x)
-
-    def jac(self, x, t):
-        return jacobian(self.f, x)
-
-
 def _endpoint_solution(h: Homotopy, x: np.ndarray, resid: float) -> Solution:
-    J = h.jac(x, 1.0)
-    cond, _ = condition_and_rank(J)
+    cond, _ = condition_and_rank(_jac1(h, x, 1.0))
     reg = REGULAR if cond < 1.0 / SINGULARITY_TOL else SINGULAR
     return Solution(x, resid, cond, reg)
 
@@ -302,8 +357,20 @@ def _dd_polish(h, x: np.ndarray, steps: int) -> np.ndarray | None:
     return out if _finite(out) else None
 
 
+def _dd_polished(h, sol: Solution, steps: int, floor: float = 0.0) -> Solution:
+    """The endpoint after a double-double polish at t=1, when that does
+    not raise the residual above max(4 x the old one, floor)."""
+    better = _dd_polish(h, sol.coordinates, steps)
+    if better is None:
+        return sol
+    resid = _res_norm(_eval1(h, better, 1.0))
+    if np.isfinite(resid) and resid <= max(sol.residual * 4, floor):
+        return _endpoint_solution(h, better, resid)
+    return sol
+
+
 def _finish(h, x, t_from, steps_used, params: TrackParams, entry_norm: float) -> PathResult:
-    """Final correction at t=1 and endpoint classification.
+    """Final correction at t=1 and endpoint classification of one path.
 
     The t=1 Newton polish is a *correction*: an endpoint that moved far
     from the tracked point is not this path's limit (diverging paths
@@ -317,25 +384,119 @@ def _finish(h, x, t_from, steps_used, params: TrackParams, entry_norm: float) ->
     x1, resid, _ = _damped_newton(h, x, 1.0, params.corrector_tol, params.final_newton_iters)
     moved = float(np.max(np.abs(x1 - x))) if _finite(x1) else float("inf")
     if np.isfinite(resid) and resid <= CONVERGED_RESIDUAL and moved <= move_cap:
-        sol = _endpoint_solution(h, x1, resid)
+        status, sol, t_reached = CONVERGED, _endpoint_solution(h, x1, resid), 1.0
         if sol.condition > 1e4 and params.dd_refine_singular > 0:
             # near-multiple endpoints converge at linear rate 1/2, so a
             # handful of double-double steps must become a dozen to pull
             # a 1e-4 endpoint defect safely under the match tolerances
-            steps = max(params.dd_refine_singular, 14)
-            better = _dd_polish(h, x1, steps)
-            if better is not None:
-                res2 = _res_norm(h.eval(better, 1.0))
-                if np.isfinite(res2) and res2 <= max(resid * 4, 1e-14):
-                    sol = _endpoint_solution(h, better, res2)
-        return PathResult(CONVERGED, sol, steps_used, 1.0)
-    growth = (norm_now + 1e-6) / (entry_norm + 1e-6)
-    if norm_now > params.soft_infinity or growth >= 8.0:
-        return PathResult(AT_INFINITY, None, steps_used, t_from)
-    if np.isfinite(resid) and resid <= 1e-4 and moved <= move_cap:
-        sol = _endpoint_solution(h, x1, resid)
-        return PathResult(SINGULAR_ENDPOINT, sol, steps_used, t_from)
-    return PathResult(FAILED, None, steps_used, t_from)
+            sol = _dd_polished(h, sol, max(params.dd_refine_singular, 14), 1e-14)
+    else:
+        growth = (norm_now + 1e-6) / (entry_norm + 1e-6)
+        if norm_now > params.soft_infinity or growth >= 8.0:
+            return PathResult(AT_INFINITY, None, steps_used, t_from)
+        if not (np.isfinite(resid) and resid <= 1e-4 and moved <= move_cap):
+            return PathResult(FAILED, None, steps_used, t_from)
+        status, sol, t_reached = SINGULAR_ENDPOINT, _endpoint_solution(h, x1, resid), t_from
+    if params.precision == "double_double":
+        sol = _dd_polished(h, sol, max(3, params.dd_refine_singular))
+    return PathResult(status, sol, steps_used, t_reached)
+
+
+def track_paths(
+    h: Homotopy,
+    x0: np.ndarray,
+    params: TrackParams = TrackParams(),
+    traces: list[list] | None = None,
+) -> list[PathResult]:
+    """Track the P paths of h that start at the rows of x0 (P, n) from
+    t=0 to t=1, all together; results come in row order.
+
+    Each start point must satisfy h(x0, 0) = 0 (a correction at t=0 is
+    applied first).  When given, ``traces`` holds one list per path,
+    which receives (t, step, corrector_iterations) per accepted step.
+    """
+    x0 = np.asarray(x0, dtype=np.complex128)
+    npaths = len(x0)
+    if not npaths:
+        return []
+    results: list[PathResult | None] = [None] * npaths
+    x, _, _, ok = _correct(h, x0, np.zeros(npaths), params.corrector_tol * 10, 3)
+    for i in np.flatnonzero(~ok):
+        results[i] = PathResult(FAILED, None, 0, 0.0)
+
+    t = np.zeros(npaths)
+    step = np.full(npaths, params.initial_step)
+    prev_x = x.copy()
+    prev_step = np.zeros(npaths)  # 0 until a step was accepted: no secant yet
+    steps = np.zeros(npaths, dtype=int)
+    entry_norm = _row_max_abs(x)
+    in_endgame = np.zeros(npaths, dtype=bool)
+
+    def finish(i):
+        results[i] = _finish(h, x[i].copy(), float(t[i]), int(steps[i]), params, float(entry_norm[i]))
+
+    def end(i):
+        if in_endgame[i]:
+            finish(i)
+        else:
+            results[i] = PathResult(FAILED, None, int(steps[i]), float(t[i]))
+
+    active = np.flatnonzero(ok)
+    while active.size:
+        spent = steps[active] >= params.max_steps
+        for i in active[spent]:
+            end(i)
+        active = active[~spent]
+        entering = active[~in_endgame[active] & (t[active] >= params.endgame_start)]
+        in_endgame[entering] = True
+        entry_norm[entering] = _row_max_abs(x[entering])
+        remaining = 1.0 - t[active]
+        snap = remaining <= params.snap_remaining
+        for i in active[snap]:
+            finish(i)
+        active, remaining = active[~snap], remaining[~snap]
+        if not active.size:
+            break
+
+        steps[active] += 1
+        hstep = np.minimum(np.minimum(step[active], params.max_step), remaining)
+        hstep = np.where(
+            in_endgame[active], np.minimum(hstep, params.endgame_contraction * remaining), hstep
+        )
+        t_try = t[active] + hstep
+        t_try[1.0 - t_try < 1e-14] = 1.0
+        xa, pa = x[active], prev_step[active]
+        secant = pa > 0
+        ratio = np.divide(hstep, pa, out=np.zeros_like(hstep), where=secant)
+        x_pred = np.where(secant[:, None], xa + (xa - prev_x[active]) * ratio[:, None], xa)
+        x_new, _, iters, ok = _correct(
+            h, x_pred, t_try, params.corrector_tol, params.max_corrector_iters
+        )
+
+        far = ok.copy()
+        far[ok] = _row_max_abs(x_new[ok]) > params.infinity_threshold
+        for i, tt in zip(active[far], t_try[far]):
+            results[i] = PathResult(AT_INFINITY, None, int(steps[i]), float(tt))
+        accepted = ok & ~far
+        acc = active[accepted]
+        prev_x[acc], prev_step[acc] = xa[accepted], hstep[accepted]
+        x[acc], t[acc] = x_new[accepted], t_try[accepted]
+        if traces is not None:
+            for i, hs, it in zip(acc, hstep[accepted], iters[accepted]):
+                traces[i].append((float(t[i]), float(hs), int(it)))
+        arrived = t[acc] >= 1.0
+        for i in acc[arrived]:
+            finish(i)
+        grow = acc[~arrived & (iters[accepted] <= 2)]
+        step[grow] = np.minimum(step[grow] * 2.0, params.max_step)
+
+        rej = active[~ok]
+        step[rej] = hstep[~ok] * 0.5
+        stalled = step[rej] < params.min_step
+        for i in rej[stalled]:
+            end(i)
+        active = np.sort(np.concatenate([acc[~arrived], rej[~stalled]]))
+    return results
 
 
 def track(
@@ -344,67 +505,8 @@ def track(
     params: TrackParams = TrackParams(),
     trace: list | None = None,
 ) -> PathResult:
-    """Track one path of h from t=0 to t=1.
-
-    The start point must satisfy h(x0, 0) = 0 (a correction at t=0 is
-    applied first).  A trace list, when given, receives
-    (t, step, corrector_iterations) tuples per accepted step.
-    """
-    if params.precision == "double_double":
-        return _track_dd(h, x0, params, trace)
-    x = np.asarray(x0, dtype=np.complex128)
-    x, resid, _, ok = _correct(h, x, 0.0, params.corrector_tol * 10, 3)
-    if not ok:
-        return PathResult(FAILED, None, 0, 0.0)
-
-    t = 0.0
-    step = params.initial_step
-    prev_x = None
-    prev_step = 0.0
-    steps_used = 0
-    entry_norm = float(np.max(np.abs(x))) if x.size else 0.0
-    in_endgame = False
-    while steps_used < params.max_steps:
-        remaining = 1.0 - t
-        if not in_endgame and t >= params.endgame_start:
-            in_endgame = True
-            entry_norm = float(np.max(np.abs(x)))
-        if remaining <= params.snap_remaining:
-            return _finish(h, x, t, steps_used, params, entry_norm)
-        steps_used += 1
-        hstep = min(step, params.max_step, remaining)
-        if in_endgame:
-            hstep = min(hstep, params.endgame_contraction * remaining)
-        t_try = t + hstep
-        if 1.0 - t_try < 1e-14:
-            t_try = 1.0
-        if prev_x is not None and prev_step > 0:
-            x_pred = x + (x - prev_x) * (hstep / prev_step)
-        else:
-            x_pred = x
-        x_new, resid, iters, ok = _correct(
-            h, x_pred, t_try, params.corrector_tol, params.max_corrector_iters
-        )
-        if ok:
-            if float(np.max(np.abs(x_new))) > params.infinity_threshold:
-                return PathResult(AT_INFINITY, None, steps_used, t_try)
-            prev_x, prev_step = x, hstep
-            x, t = x_new, t_try
-            if trace is not None:
-                trace.append((t, hstep, iters))
-            if t >= 1.0:
-                return _finish(h, x, t, steps_used, params, entry_norm)
-            if iters <= 2:
-                step = min(step * 2.0, params.max_step)
-        else:
-            step = hstep * 0.5
-            if step < params.min_step:
-                if in_endgame:
-                    return _finish(h, x, t, steps_used, params, entry_norm)
-                return PathResult(FAILED, None, steps_used, t)
-    if in_endgame:
-        return _finish(h, x, t, steps_used, params, entry_norm)
-    return PathResult(FAILED, None, steps_used, t)
+    """Track one path: ``track_paths`` with a batch of one."""
+    return track_paths(h, np.asarray(x0)[None], params, None if trace is None else [trace])[0]
 
 
 def newton_refine(
@@ -419,11 +521,9 @@ def newton_refine(
     damping attempts count as growth) the input point is returned with
     its measures recomputed rather than a worse point.
     """
-    h = _SystemHomotopy(f)
     x = np.asarray(x, dtype=np.complex128)
-    best, resid, _ = _damped_newton(h, x, 1.0, tol, max_iters)
-    J = jacobian(f, best)
-    cond, _ = condition_and_rank(J)
+    best, resid, _ = _damped_newton(LinearHomotopy(f, f), x, 1.0, tol, max_iters)
+    cond, _ = condition_and_rank(jacobian(f, best))
     reg = REGULAR if cond < 1.0 / SINGULARITY_TOL else SINGULAR
     return Solution(best, resid, cond, reg)
 
@@ -453,45 +553,3 @@ def classify(
     if slacks.size == 0 or float(np.max(np.abs(slacks))) < zero_tol:
         return ZERO_SLACK
     return NONZERO_SLACK
-
-
-# -- double-double tracking ------------------------------------------------
-
-
-class _DDView:
-    """Presents generic (CDD) evaluation through the double interface
-    so the same stepping loop can run in double-double precision."""
-
-    def __init__(self, h):
-        self.h = h
-        self.dim = h.dim
-
-    def eval(self, x, t):
-        pt = [CDD.from_complex(complex(c)) for c in x]
-        return np.array([v.to_complex() for v in self.h.eval_generic(pt, t)])
-
-    def jac(self, x, t):
-        pt = [CDD.from_complex(complex(c)) for c in x]
-        rows = self.h.jac_generic(pt, t)
-        return np.array([[v.to_complex() for v in row] for row in rows])
-
-
-def _track_dd(h, x0, params: TrackParams, trace):
-    """Double-double tracking: the stepping logic runs unchanged, but
-    every evaluation/Jacobian passes through CDD arithmetic (correction
-    steps are still solved in double, which bounds the achievable
-    accuracy by the final double-double polish)."""
-    if not hasattr(h, "eval_generic"):
-        inner = h
-    else:
-        inner = _DDView(h)
-    p = replace(params, precision="double")
-    res = track(inner if inner is not h else h, x0, p, trace)
-    if res.endpoint is not None and hasattr(h, "eval_generic"):
-        better = _dd_polish(h, res.endpoint.coordinates, max(3, params.dd_refine_singular))
-        if better is not None:
-            resid = _res_norm(h.eval(better, 1.0)) if hasattr(h, "eval") else res.endpoint.residual
-            if np.isfinite(resid) and resid <= res.endpoint.residual * 4:
-                sol = _endpoint_solution(h, better, resid)
-                res = PathResult(res.status, sol, res.steps_used, res.t_reached)
-    return res

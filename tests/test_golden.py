@@ -1,0 +1,74 @@
+"""Golden end-to-end cases: decompositions with known answers.
+
+The fast cases run by default; the ones marked ``slow`` run with
+``pytest -m slow``.
+"""
+
+import numpy as np
+import pytest
+
+from nidpipe.blackbox import decompose
+from nidpipe.cli import EXIT_OK, main
+from nidpipe.polytext import parse_system
+from nidpipe.report import report_to_json
+from nidpipe.systems import cyclic, demo_system
+
+CIRCLE_AND_LINE = "2 2\nx1^2 + x2^2 - 1;\nx1 - x2;\n"
+
+
+@pytest.fixture(scope="module")
+def cyclic5_dim0():
+    return decompose(cyclic(5), top_dimension=0, seed=7, tasks=1)
+
+
+def test_cyclic5_dim0_has_70_isolated_points(cyclic5_dim0):
+    assert cyclic5_dim0.degrees == {}
+    assert len(cyclic5_dim0.isolated) == 70
+    assert not cyclic5_dim0.suspects
+
+
+def test_report_is_byte_identical_across_task_counts(cyclic5_dim0):
+    two = decompose(cyclic(5), top_dimension=0, seed=7, tasks=2, mode="process")
+    one_json = report_to_json(cyclic5_dim0)
+    two_json = report_to_json(two)
+    assert '"tasks": 1' in one_json and '"tasks": 2' in two_json
+    assert two_json.replace('"tasks": 2', '"tasks": 1') == one_json
+
+
+def test_double_double_precision_solves_circle_and_line():
+    rep = decompose(parse_system(CIRCLE_AND_LINE), top_dimension=0, seed=1, precision="dd")
+    assert rep.precision == "dd"
+    points = sorted((s.coordinates for s in rep.isolated), key=lambda c: c[0].real)
+    r = np.sqrt(0.5)
+    assert len(points) == 2 and not rep.suspects
+    assert np.allclose(points, [[-r, -r], [r, r]], atol=1e-12)
+
+
+def test_cli_double_double_precision_exits_ok(tmp_path, capsys):
+    path = tmp_path / "circle.txt"
+    path.write_text(CIRCLE_AND_LINE)
+    code = main(["solve", str(path), "--dim", "0", "--precision", "dd", "--seed", "1"])
+    assert code == EXIT_OK
+    assert "isolated solutions: 2" in capsys.readouterr().out
+
+
+@pytest.mark.slow
+def test_cyclic4_dim1_is_one_curve_of_degree_4():
+    rep = decompose(cyclic(4), top_dimension=1, seed=7, tasks=1)
+    assert rep.degrees == {1: 4}
+    assert not rep.isolated and not rep.suspects
+
+
+@pytest.mark.slow
+def test_demo_dim3_components():
+    rep = decompose(demo_system(), top_dimension=3, seed=7, tasks=1)
+    assert rep.degrees == {3: 1, 2: 1, 1: 12}
+    assert len(rep.isolated) == 4
+    assert not rep.suspects
+
+
+@pytest.mark.slow
+def test_cyclic6_dim0_has_156_isolated_points():
+    rep = decompose(cyclic(6), top_dimension=0, seed=7, tasks=1)
+    assert len(rep.isolated) == 156
+    assert not rep.suspects

@@ -1,5 +1,6 @@
 """Work crew, pipeline, and the analytic speedup models."""
 
+import os
 import time
 from fractions import Fraction
 
@@ -89,6 +90,27 @@ def test_work_crew_process_mode_failure():
     out = work_crew(list(range(5)), 2, worker, mode="process")
     assert isinstance(out[2], JobFailure)
     assert out[0] == 0 and out[4] == -4
+
+
+def _die_on_one(x):
+    if x == 1:
+        os._exit(3)
+    return x
+
+
+def test_work_crew_process_mode_dead_worker_raises():
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="exit code 3"):
+        work_crew(list(range(6)), 2, _die_on_one, mode="process")
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_pipeline_process_mode_dead_worker_raises():
+    cfg = PipelineConfig(p=3, queue_capacity=2, mode="process")
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="exit code 3"):
+        pipeline_run(iter(range(20)), _die_on_one, cfg)
+    assert time.perf_counter() - t0 < 5.0
 
 
 # -- analytic models ----------------------------------------------------------
@@ -270,6 +292,27 @@ def test_pipeline_overlaps_production_and_consumption():
     assert stats.first_consume_before_last_produce
     # sequential would be 6*unit + 6*3*unit = 24 units; the pipeline
     # needs about 9; allow generous scheduling noise
+    assert elapsed < 20 * unit
+
+
+def test_pipeline_process_mode_overlaps_production_and_consumption():
+    unit = 0.05
+
+    def producer():
+        for i in range(6):
+            time.sleep(unit)
+            yield i
+
+    def consumer(i):
+        time.sleep(3 * unit)
+        return i
+
+    cfg = PipelineConfig(p=4, queue_capacity=64, mode="process")
+    t0 = time.perf_counter()
+    results, stats = pipeline_run(producer(), consumer, cfg)
+    elapsed = time.perf_counter() - t0
+    assert [v for _, v in results] == list(range(6))
+    assert stats.first_consume_before_last_produce
     assert elapsed < 20 * unit
 
 

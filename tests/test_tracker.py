@@ -8,6 +8,7 @@ from nidpipe.systems import cyclic, demo_system, embed
 from nidpipe.tracker import (
     AT_INFINITY,
     CONVERGED,
+    FAILED,
     NONZERO_SLACK,
     SINGULAR,
     ZERO_SLACK,
@@ -17,6 +18,7 @@ from nidpipe.tracker import (
     newton_refine,
     refine_dd,
     track,
+    track_paths,
 )
 
 
@@ -181,3 +183,79 @@ def test_double_double_mode_tracks_small_system():
     assert r.status == CONVERGED
     direct = np.linalg.solve([[1, 4], [2, -1]], [3, -5])
     assert np.max(np.abs(r.endpoint.coordinates - direct)) < 1e-10
+
+
+# -- batches ------------------------------------------------------------------
+
+
+def _bits(r):
+    """Everything a path result reports, exactly."""
+    e = r.endpoint
+    point = None if e is None else (e.coordinates.tobytes(), e.residual, e.condition, e.regularity)
+    return r.status, r.steps_used, r.t_reached, point
+
+
+def test_mixed_batch_matches_paths_tracked_alone():
+    # x^2 - 1 deforms to x - 2: one root converges to 2, the other
+    # escapes to infinity, 100 is no root of the start system, and at 0
+    # the Jacobian is singular, so the stacked solve has to fall back
+    g = PolySystem(1, (make_poly(1, [((2,), 1), ((0,), -1)]),))
+    f = PolySystem(1, (make_poly(1, [((1,), 1), ((0,), -2)]),))
+    h = LinearHomotopy(g, f, gamma=0.6 + 0.8j)
+    starts = np.array([[1.0], [-1.0], [100.0], [0.0]], dtype=complex)
+    batch = track_paths(h, starts)
+    alone = [track(h, x0) for x0 in starts]
+    assert sorted(r.status for r in batch) == sorted([CONVERGED, AT_INFINITY, FAILED, FAILED])
+    assert [_bits(r) for r in batch] == [_bits(r) for r in alone]
+    (good,) = [r for r in batch if r.status == CONVERGED]
+    assert abs(good.endpoint.coordinates[0] - 2.0) < 1e-10
+
+
+def _assert_batch_size_independent(h, starts):
+    everything = [_bits(r) for r in track_paths(h, starts)]
+    for size in (1, 2):
+        chunked = []
+        for i in range(0, len(starts), size):
+            chunked.extend(_bits(r) for r in track_paths(h, starts[i : i + size]))
+        assert chunked == everything
+    # strided chunks, the way a work crew splits a stage
+    strided = [None] * len(starts)
+    for i in range(3):
+        strided[i::3] = [_bits(r) for r in track_paths(h, starts[i::3])]
+    assert strided == everything
+
+
+def test_linear_homotopy_results_independent_of_batch_size():
+    from nidpipe import rng as rngmod
+    from nidpipe.cascade import solve_start_system
+
+    e = embed(cyclic(4), 1, 11)
+    g, sols, _ = solve_start_system(e.system, 11)
+    gamma = complex(rngmod.unit_complex(rngmod.stream(11, rngmod.GAMMA)))
+    h = LinearHomotopy(g, e.system, gamma)
+    starts = np.array([s.coordinates for s in sols[:8]])
+    _assert_batch_size_independent(h, starts)
+
+
+def test_polyhedral_cell_results_independent_of_batch_size():
+    from nidpipe.polyhedral import (
+        PolyhedralHomotopy,
+        binomial_solutions,
+        enumerate_cells,
+        lift_supports,
+        random_coefficient_system,
+        supports_of,
+    )
+
+    system = embed(cyclic(4), 1, 11).system
+    supports = supports_of(system)
+    g = random_coefficient_system(supports, system.nvars, 11)
+    cells = []
+    enumerate_cells(lift_supports(supports, 11), lambda c: cells.append(c) or c.volume < 4)
+    cell = cells[-1]
+    assert cell.volume >= 4
+    coeff_of = [dict(p.terms) for p in g.polys]
+    V = [[b[j] - a[j] for j in range(g.nvars)] for a, b in cell.pairs]
+    beta = [-coeff_of[i][a] / coeff_of[i][b] for i, (a, b) in enumerate(cell.pairs)]
+    starts = np.array(binomial_solutions(V, beta))
+    _assert_batch_size_independent(PolyhedralHomotopy(g, cell, supports), starts)
