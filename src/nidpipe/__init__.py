@@ -8,7 +8,6 @@ path-tracking stages on many workers, with analytic speedup models for
 each stage.
 """
 
-from .dd import CDD, DD
 from .polynomials import (
     PolySystem,
     SparsePolynomial,
@@ -24,8 +23,6 @@ from .systems import EmbeddedSystem, SquaringRecord, cyclic, demo_system, embed,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CDD",
-    "DD",
     "PolySystem",
     "SparsePolynomial",
     "EmbeddedSystem",

@@ -4,7 +4,7 @@ filter, report.  One required input: the expected top dimension."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cascade import run_cascade, solve_top
 from .filtering import classify_isolated, filter_junk
@@ -23,9 +23,7 @@ class RunConfig:
     seed: int | None = None  # None -> time-derived, echoed in the report
     out: str | None = None
     cell_log: str | None = None
-    stage_table: str | None = None
     mode: str = "process"  # worker backend for tasks > 1
-    extra_warnings: list[str] = field(default_factory=list)
 
     def resolve_seed(self) -> int:
         if self.seed is None:

@@ -192,10 +192,12 @@ def _pipelined_cells(lifted, g, supports, p, params, mode, stats, cell_log=None)
         finally:
             hand.put(None)
 
+    # started by the first pull on the stream, which in process mode
+    # comes after the consumers were forked: no fork with a live thread
     th = _t.Thread(target=run_enum)
-    th.start()
 
     def stream():
+        th.start()
         while True:
             cell = hand.get()
             if cell is None:
@@ -207,8 +209,9 @@ def _pipelined_cells(lifted, g, supports, p, params, mode, stats, cell_log=None)
         pairs, pstats = pipeline_run(stream(), lambda cell: solve_cell(cell, g, supports, params), cfg)
     finally:
         stop.set()
-        th.join(timeout=0.1)
-        while th.is_alive():  # unblock a search waiting on a full handoff queue
+        # unblock a search waiting on a full handoff queue; a thread
+        # that never started is not alive
+        while th.is_alive():
             try:
                 hand.get_nowait()
             except _q.Empty:

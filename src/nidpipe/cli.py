@@ -109,7 +109,23 @@ def _write_cell_log(path: str, cells: list[MixedCell]) -> None:
             }) + "\n")
 
 
+def _rejects_input(system, dim) -> bool:
+    """True, after one line on stderr saying why, when the solver cannot
+    take this system and top dimension."""
+    zero = [i + 1 for i, p in enumerate(system.polys) if p.is_zero]
+    if zero:
+        problem = f"polynomial {zero[0]} is zero"
+    elif dim is not None and not 0 <= int(dim) < system.nvars:
+        problem = f"--dim must be in 0..{system.nvars - 1}, got {dim}"
+    else:
+        return False
+    print(f"bad input: {problem}", file=sys.stderr)
+    return True
+
+
 def _run_solve(system, args, input_path=None) -> int:
+    if _rejects_input(system, args.dim):
+        return EXIT_PARSE
     cfg = RunConfig(
         input_path=input_path,
         top_dimension=None if args.dim is None else int(args.dim),
@@ -190,6 +206,8 @@ def _run_model(args) -> int:
 
 def _run_bench(args) -> int:
     f = cyclic(args.n)
+    if _rejects_input(f, args.dim):
+        return EXIT_PARSE
     seed = int(args.seed) if args.seed is not None else int(time.time()) & 0x7FFFFFFF
     budget = float(args.budget_seconds) if args.budget_seconds else None
     max_cells = int(args.max_cells) if args.max_cells else None

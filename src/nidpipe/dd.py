@@ -1,19 +1,27 @@
-"""Double-double arithmetic: unevaluated pairs of 64-bit floats.
+"""Double-double arithmetic on numpy arrays: unevaluated pairs of doubles.
 
 A value is stored as (hi, lo) with |lo| <= ulp(hi)/2, giving roughly
-106 bits of significand.  Built from the classic error-free
-transformations (two_sum, two_prod with Dekker splitting, since
-math.fma is unavailable before 3.13).
+106 bits of significand.  Everything is built from the classic
+error-free transformations (two_sum, two_prod with Dekker splitting,
+since math.fma is unavailable before 3.13; Hida-Li-Bailey, ARITH 2001).
+They are written with plain arithmetic, so they work elementwise on
+float arrays and on Python floats alike.
+
+A complex double-double array is a pair of complex arrays (hi, lo)
+whose real parts form one double-double and whose imaginary parts form
+another.  Addition acts on real and imaginary parts separately, so the
+real transformations apply to complex arrays as they are; ``cdd_mul``
+spells the complex product out in real double-double pieces.
 """
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 _SPLITTER = 134217729.0  # 2^27 + 1, exact in double
 
 
-def two_sum(a: float, b: float) -> tuple[float, float]:
+def two_sum(a, b):
     """s + err == a + b exactly, s = fl(a+b)."""
     s = a + b
     bb = s - a
@@ -21,21 +29,21 @@ def two_sum(a: float, b: float) -> tuple[float, float]:
     return s, err
 
 
-def quick_two_sum(a: float, b: float) -> tuple[float, float]:
+def quick_two_sum(a, b):
     """Like two_sum but requires |a| >= |b|."""
     s = a + b
     err = b - (s - a)
     return s, err
 
 
-def _split(a: float) -> tuple[float, float]:
+def _split(a):
     c = _SPLITTER * a
     abig = c - a
     ahi = c - abig
     return ahi, a - ahi
 
 
-def two_prod(a: float, b: float) -> tuple[float, float]:
+def two_prod(a, b):
     """p + err == a * b exactly, p = fl(a*b)."""
     p = a * b
     ahi, alo = _split(a)
@@ -44,221 +52,35 @@ def two_prod(a: float, b: float) -> tuple[float, float]:
     return p, err
 
 
-class DD:
-    """A double-double scalar.  Immutable."""
-
-    __slots__ = ("hi", "lo")
-
-    def __init__(self, hi: float = 0.0, lo: float = 0.0):
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "lo", lo)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DD is immutable")
-
-    @staticmethod
-    def from_float(a: float) -> "DD":
-        return DD(float(a), 0.0)
-
-    def to_float(self) -> float:
-        return self.hi + self.lo
-
-    def __repr__(self) -> str:
-        return f"DD({self.hi!r}, {self.lo!r})"
-
-    def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.hi == other.hi and self.lo == other.lo
-
-    def __hash__(self):
-        return hash((self.hi, self.lo))
-
-    def __neg__(self) -> "DD":
-        return DD(-self.hi, -self.lo)
-
-    def __abs__(self) -> "DD":
-        return -self if self.hi < 0 or (self.hi == 0 and self.lo < 0) else self
-
-    def __add__(self, other) -> "DD":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        s, e = two_sum(self.hi, other.hi)
-        t, f = two_sum(self.lo, other.lo)
-        e += t
-        s, e = quick_two_sum(s, e)
-        e += f
-        hi, lo = quick_two_sum(s, e)
-        return DD(hi, lo)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "DD":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "DD":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other) -> "DD":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p, e = two_prod(self.hi, other.hi)
-        e += self.hi * other.lo + self.lo * other.hi
-        hi, lo = quick_two_sum(p, e)
-        return DD(hi, lo)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "DD":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        q1 = self.hi / other.hi
-        r = self - other * DD(q1)
-        q2 = r.hi / other.hi
-        r = r - other * DD(q2)
-        q3 = r.hi / other.hi
-        s, e = quick_two_sum(q1, q2)
-        e += q3
-        hi, lo = quick_two_sum(s, e)
-        return DD(hi, lo)
-
-    def __rtruediv__(self, other) -> "DD":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __lt__(self, other) -> bool:
-        other = _coerce(other)
-        return (self.hi, self.lo) < (other.hi, other.lo)
-
-    def __le__(self, other) -> bool:
-        other = _coerce(other)
-        return (self.hi, self.lo) <= (other.hi, other.lo)
-
-    def sqrt(self) -> "DD":
-        # One Newton step on 1/sqrt doubles the accuracy of the double seed.
-        if self.hi == 0 and self.lo == 0:
-            return DD(0.0)
-        if self.hi < 0:
-            raise ValueError("sqrt of negative double-double")
-        x = math.sqrt(self.hi)
-        xdd = DD(x)
-        return xdd + (self - xdd * xdd) / (2.0 * x)
+def cdd_add(ahi, alo, bhi, blo):
+    """(a + b) for complex double-double arrays a = (ahi, alo), b = (bhi, blo)."""
+    s, e = two_sum(ahi, bhi)
+    t, f = two_sum(alo, blo)
+    s, e = quick_two_sum(s, e + t)
+    return quick_two_sum(s, e + f)
 
 
-def _coerce(v):
-    if isinstance(v, DD):
-        return v
-    if isinstance(v, (int, float)):
-        return DD(float(v))
-    return NotImplemented
+def cdd_mul(ahi, alo, bhi, blo):
+    """(a * b) for complex double-double arrays; the leading products
+    are exact, the cross terms with the low words are rounded once.
+    The final renormalisation is a full two_sum: after cancellation in
+    p1 - p2 the error term can outgrow the rounded sum."""
+    ar, ai, br, bi = ahi.real, ahi.imag, bhi.real, bhi.imag
+    lr, li, mr, mi = alo.real, alo.imag, blo.real, blo.imag
+    p1, e1 = two_prod(ar, br)
+    p2, e2 = two_prod(ai, bi)
+    p3, e3 = two_prod(ar, bi)
+    p4, e4 = two_prod(ai, br)
+    re, ere = two_sum(p1, -p2)
+    im, eim = two_sum(p3, p4)
+    ere = ere + ((e1 - e2) + ((ar * mr + lr * br) - (ai * mi + li * bi)))
+    eim = eim + ((e3 + e4) + ((ar * mi + lr * bi) + (ai * mr + li * br)))
+    re, ere = two_sum(re, ere)
+    im, eim = two_sum(im, eim)
+    return _complex(re, im), _complex(ere, eim)
 
 
-ZERO = DD(0.0)
-ONE = DD(1.0)
-
-
-class CDD:
-    """Complex number with double-double real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: DD | float = 0.0, im: DD | float = 0.0):
-        object.__setattr__(self, "re", re if isinstance(re, DD) else DD(float(re)))
-        object.__setattr__(self, "im", im if isinstance(im, DD) else DD(float(im)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CDD is immutable")
-
-    @staticmethod
-    def from_complex(z: complex) -> "CDD":
-        return CDD(z.real, z.imag)
-
-    def to_complex(self) -> complex:
-        return complex(self.re.to_float(), self.im.to_float())
-
-    def __repr__(self) -> str:
-        return f"CDD({self.re!r}, {self.im!r})"
-
-    def __neg__(self) -> "CDD":
-        return CDD(-self.re, -self.im)
-
-    def __add__(self, other) -> "CDD":
-        other = _coerce_c(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CDD(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "CDD":
-        other = _coerce_c(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CDD(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other) -> "CDD":
-        other = _coerce_c(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other) -> "CDD":
-        other = _coerce_c(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CDD(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "CDD":
-        other = _coerce_c(other)
-        if other is NotImplemented:
-            return NotImplemented
-        # Smith's formula avoids overflow on badly scaled denominators.
-        ar, ai, br, bi = self.re, self.im, other.re, other.im
-        if abs(br.hi) >= abs(bi.hi):
-            r = bi / br
-            den = br + bi * r
-            return CDD((ar + ai * r) / den, (ai - ar * r) / den)
-        r = br / bi
-        den = bi + br * r
-        return CDD((ar * r + ai) / den, (ai * r - ar) / den)
-
-    def __rtruediv__(self, other) -> "CDD":
-        other = _coerce_c(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def abs2(self) -> DD:
-        return self.re * self.re + self.im * self.im
-
-    def __abs__(self) -> float:
-        return math.hypot(self.re.to_float(), self.im.to_float())
-
-
-def _coerce_c(v):
-    if isinstance(v, CDD):
-        return v
-    if isinstance(v, complex):
-        return CDD(v.real, v.imag)
-    if isinstance(v, (int, float)):
-        return CDD(float(v), 0.0)
-    if isinstance(v, DD):
-        return CDD(v, DD(0.0))
-    return NotImplemented
+def _complex(re, im) -> np.ndarray:
+    out = np.empty(np.shape(re), dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out

@@ -1,11 +1,9 @@
-"""Dense linear algebra helpers: condition/rank estimates and a
-double-double Gaussian elimination used by high-precision refinement."""
+"""Dense linear algebra helpers: condition/rank estimates and the
+Newton correction solve, all in double precision."""
 
 from __future__ import annotations
 
 import numpy as np
-
-from .dd import CDD
 
 SINGULARITY_TOL = 1e-8
 
@@ -50,27 +48,3 @@ def newton_step(J: np.ndarray, r: np.ndarray) -> np.ndarray:
     dx, *_ = np.linalg.lstsq(J, -r, rcond=1e-14)
     return dx
 
-
-def solve_dd(A: list[list[CDD]], b: list[CDD]) -> list[CDD]:
-    """Gaussian elimination with partial pivoting in CDD arithmetic."""
-    n = len(b)
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    for k in range(n):
-        piv = max(range(k, n), key=lambda i: abs(M[i][k]))
-        if abs(M[piv][k]) == 0.0:
-            raise ZeroDivisionError("singular matrix in double-double solve")
-        M[k], M[piv] = M[piv], M[k]
-        inv = M[k][k]
-        for i in range(k + 1, n):
-            f = M[i][k] / inv
-            if f.re.hi == 0.0 and f.im.hi == 0.0:
-                continue
-            for j in range(k, n + 1):
-                M[i][j] = M[i][j] - f * M[k][j]
-    x: list[CDD] = [CDD(0.0, 0.0)] * n
-    for k in range(n - 1, -1, -1):
-        s = M[k][n]
-        for j in range(k + 1, n):
-            s = s - M[k][j] * x[j]
-        x[k] = s / M[k][k]
-    return x

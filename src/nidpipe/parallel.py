@@ -49,7 +49,6 @@ class JobQueue:
         self._jobs = list(jobs)
         self._cursor = 0
         self._lock = threading.Lock()
-        self.claims = 0
 
     def claim(self):
         with self._lock:
@@ -57,7 +56,6 @@ class JobQueue:
                 return None
             i = self._cursor
             self._cursor += 1
-            self.claims += 1
             return i, self._jobs[i]
 
     def __len__(self):

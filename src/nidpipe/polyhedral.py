@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import rng as rngmod
-from .polynomials import PolySystem, _StackedEvaluator, eval_system_generic, jacobian_generic, make_poly
+from .polynomials import PolySystem, _StackedEvaluator, make_poly
 # ``track`` stays a module attribute: tracing tools wrap this module's names
 from .tracker import PathResult, TrackParams, track, track_paths  # noqa: F401
 
@@ -366,12 +366,6 @@ class _CellSearch:
             elif eps > 0.0:
                 raise TieDetected(f"support {sup} point {a} minimality at the margin")
         return out
-
-    def _verdict_point(self, alpha, inA, inb) -> int:
-        slack = float(np.min(inb - inA @ alpha)) if len(inb) else 1.0
-        if slack > SLACK_MARGIN:
-            return _FEASIBLE
-        return _PRUNE if slack <= 0.0 else _TIE
 
     def _verdict_line(self, alpha, direction, inA, inb) -> int:
         """Feasibility of the inequalities on a parameterized line."""
@@ -731,10 +725,11 @@ def binomial_solutions(V: list[list[int]], beta: Sequence[complex]) -> list[np.n
 class PolyhedralHomotopy:
     """Per-cell continuation: coefficients weighted by t raised to the
     (rescaled) lifted slacks.  At t=0 only the cell's binomial survives;
-    at t=1 every weight is 1 and the system is the start system itself."""
+    at t=1 every weight is 1 and the system is the start system g itself,
+    which is the homotopy's ``target``."""
 
     def __init__(self, g: PolySystem, cell: MixedCell, supports: Support):
-        self.g = g
+        self.target = g
         self.dim = g.nvars
         rows = []
         texps = []
@@ -779,16 +774,6 @@ class PolyhedralHomotopy:
     def eval_scale(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         v = self._aev(np.abs(x).astype(np.complex128), weights=t[:, None] ** self._texp)
         return np.max(v.real, axis=1)
-
-    # double-double refinement only ever evaluates at t=1, where the
-    # weights all equal 1 and the homotopy is the plain start system
-    def eval_generic(self, x, t):
-        assert t == 1.0
-        return eval_system_generic(self.g, x)
-
-    def jac_generic(self, x, t):
-        assert t == 1.0
-        return jacobian_generic(self.g, x)
 
 
 def solve_cell(

@@ -10,11 +10,12 @@ on first use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dd import CDD
+from .dd import cdd_add, cdd_mul
 
 
 class DimensionMismatch(ValueError):
@@ -274,6 +275,41 @@ class _StackedEvaluator:
         out[:, self.nonempty] = np.add.reduceat(vals, self.nonempty_offsets, axis=1)
         return out
 
+    @cached_property
+    def _padded_rows(self) -> np.ndarray:
+        """(nrows, width) term indices of each row, padded with the index
+        one past the last term up to a power-of-two width."""
+        width = 1 << max(int(self.sizes.max(initial=0)) - 1, 0).bit_length()
+        k = np.arange(width)
+        return np.where(k < self.sizes[:, None], self.offsets[:, None] + k, len(self.coef))
+
+    def eval_dd(self, hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row sums at the complex double-double points (hi, lo), each of
+        shape (P, nvars), as a double-double pair of (P, nrows) arrays.
+
+        The power table, the monomials and the coefficient products are
+        formed as in ``__call__``, in double-double; each row is then
+        summed pairwise over its terms, padded with zeros.
+        """
+        npts = len(hi)
+        th = np.empty((npts, self.maxdeg + 1, self.nvars), dtype=np.complex128)
+        tl = np.empty_like(th)
+        th[:, 0], tl[:, 0] = 1.0, 0.0
+        for k in range(1, self.maxdeg + 1):
+            th[:, k], tl[:, k] = cdd_mul(th[:, k - 1], tl[:, k - 1], hi, lo)
+        fh = th.reshape(npts, -1)[:, self.factor_index]
+        fl = tl.reshape(npts, -1)[:, self.factor_index]
+        mh, ml = fh[:, 0], fl[:, 0]
+        for j in range(1, self.nvars):
+            mh, ml = cdd_mul(mh, ml, fh[:, j], fl[:, j])
+        vh, vl = cdd_mul(mh, ml, self.coef, np.zeros_like(self.coef))
+        pad = np.zeros((npts, 1), dtype=np.complex128)
+        vh = np.concatenate([vh, pad], axis=1)[:, self._padded_rows]
+        vl = np.concatenate([vl, pad], axis=1)[:, self._padded_rows]
+        while vh.shape[2] > 1:
+            vh, vl = cdd_add(vh[..., ::2], vl[..., ::2], vh[..., 1::2], vl[..., 1::2])
+        return vh[..., 0], vl[..., 0]
+
 
 def _point(f: PolySystem, x) -> np.ndarray:
     """One point as a (1, n) batch."""
@@ -298,30 +334,3 @@ def residual(f: PolySystem, x: Sequence[complex]) -> float:
     """Infinity norm of the system value."""
     v = eval_system(f, x)
     return float(np.max(np.abs(v))) if v.size else 0.0
-
-
-# -- generic (double-double capable) evaluation ---------------------------
-
-
-def eval_poly_generic(p: SparsePolynomial, x: Sequence[CDD]) -> CDD:
-    """Term-by-term evaluation with CDD arithmetic."""
-    total = CDD(0.0, 0.0)
-    for expo, coef in p.terms:
-        v = CDD.from_complex(coef)
-        for xi, e in zip(x, expo):
-            for _ in range(e):
-                v = v * xi
-        total = total + v
-    return total
-
-
-def eval_system_generic(f: PolySystem, x: Sequence[CDD]) -> list[CDD]:
-    return [eval_poly_generic(p, x) for p in f.polys]
-
-
-def jacobian_generic(f: PolySystem, x: Sequence[CDD]) -> list[list[CDD]]:
-    dpolys = f._cache.get("dpolys")
-    if dpolys is None:
-        dpolys = [[poly_diff(p, j) for j in range(f.nvars)] for p in f.polys]
-        f._cache["dpolys"] = dpolys
-    return [[eval_poly_generic(dp, x) for dp in row] for row in dpolys]

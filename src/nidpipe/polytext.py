@@ -163,7 +163,3 @@ def load_system(path) -> PolySystem:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_system(fh.read())
 
-
-def save_system(f: PolySystem, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_system(f))

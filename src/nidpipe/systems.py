@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import rng as rngmod
 from .polynomials import (
     PolySystem,
@@ -262,16 +260,3 @@ def slice_to_zero(e: EmbeddedSystem) -> PolySystem:
         polys.append(make_poly(n, terms))
     return PolySystem(n, tuple(polys), e.base.names)
 
-
-def strip_embedding(sys: PolySystem, k: int) -> PolySystem:
-    """Drop the slack columns and hyperplane rows of an embedded system."""
-    n = sys.nvars - k
-    polys = []
-    for p in sys.polys[: len(sys.polys) - k]:
-        terms = [(e[:n], c) for e, c in p.terms if not any(e[n:])]
-        polys.append(make_poly(n, terms))
-    return PolySystem(n, tuple(polys), sys.names[:n])
-
-
-def drop_last_coordinate(x: np.ndarray) -> np.ndarray:
-    return np.asarray(x)[:-1]

@@ -15,9 +15,14 @@ among workers.
 The corrector is the accuracy authority (a step is accepted only when
 it converges within its iteration budget).  Endpoints are polished at
 t=1 with a damped least-squares Newton so that paths running into
-singular endpoints still return usable solutions.  In double-double
-precision the paths are tracked in double and every endpoint is then
-polished in double-double arithmetic at t=1.
+singular endpoints still return usable solutions.
+
+Paths are always tracked in double.  ``refine_dd`` is the one
+double-double code path: mixed-precision Newton on the target system
+h(., 1), with the residual evaluated in double-double, the correction
+solved in double and the point accumulated in double-double.  It
+polishes ill-conditioned endpoints (condition above 1e4) and, in
+double-double precision, every endpoint.
 """
 
 from __future__ import annotations
@@ -28,15 +33,9 @@ from typing import Protocol
 
 import numpy as np
 
-from .dd import CDD
-from .linalg import SINGULARITY_TOL, condition_and_rank, newton_step, solve_dd
-from .polynomials import (
-    PolySystem,
-    _StackedEvaluator,
-    eval_system_generic,
-    jacobian,
-    jacobian_generic,
-)
+from .dd import cdd_add
+from .linalg import SINGULARITY_TOL, condition_and_rank, newton_step
+from .polynomials import PolySystem, _StackedEvaluator, jacobian
 
 # residuals are meaningful only down to the cancellation noise of the
 # evaluation; 50 ulps of the absolute-term scale is the practical floor
@@ -57,11 +56,17 @@ NOT_APPLICABLE = "not_applicable"
 ZERO_SLACK_TOL = 1e-8
 CONVERGED_RESIDUAL = 1e-8
 
+# a double-double Newton correction this far below the point's size
+# is past the working precision: the iteration has converged
+DD_CORRECTION_TOL = 2.0**-100
+
 
 class Homotopy(Protocol):
-    """h(x, t) at P points x of shape (P, n), each at its own t of shape (P,)."""
+    """h(x, t) at P points x of shape (P, n), each at its own t of shape (P,);
+    ``target`` is the system h(., 1)."""
 
     dim: int
+    target: PolySystem
 
     def eval(self, x: np.ndarray, t: np.ndarray) -> np.ndarray: ...
 
@@ -120,20 +125,6 @@ class LinearHomotopy:
         v = self._stacked[2](np.abs(x).astype(np.complex128)).real.reshape(len(x), 2, -1)
         return (1.0 - t) * v[:, 0].max(axis=1) + t * v[:, 1].max(axis=1)
 
-    def eval_generic(self, x: list[CDD], t: float) -> list[CDD]:
-        a = eval_system_generic(self.start, x)
-        b = eval_system_generic(self.target, x)
-        g = CDD.from_complex(self.gamma * (1.0 - t))
-        return [g * ai + t * bi for ai, bi in zip(a, b)]
-
-    def jac_generic(self, x: list[CDD], t: float) -> list[list[CDD]]:
-        a = jacobian_generic(self.start, x)
-        b = jacobian_generic(self.target, x)
-        g = CDD.from_complex(self.gamma * (1.0 - t))
-        return [
-            [g * aij + t * bij for aij, bij in zip(ra, rb)] for ra, rb in zip(a, b)
-        ]
-
 
 @dataclass(frozen=True)
 class TrackParams:
@@ -153,7 +144,6 @@ class TrackParams:
     final_newton_iters: int = 40
     soft_infinity: float = 1e4  # failed final polish + coords above this => at infinity
     precision: str = "double"  # "double" | "double_double" (double-double endpoint polish)
-    dd_refine_singular: int = 3  # extra double-double steps on singular endpoints
 
     def __post_init__(self):
         if not (self.min_step < self.initial_step <= self.max_step):
@@ -314,55 +304,10 @@ def _endpoint_solution(h: Homotopy, x: np.ndarray, resid: float) -> Solution:
     return Solution(x, resid, cond, reg)
 
 
-def _dd_polish(h, x: np.ndarray, steps: int) -> np.ndarray | None:
-    """A few double-double Newton steps (normal equations with a whiff
-    of Tikhonov so rank-deficient Jacobians cannot blow the step up)."""
-    if not hasattr(h, "eval_generic"):
-        return None
-    pt = [CDD.from_complex(complex(c)) for c in x]
-    n = len(pt)
-    scale = 1.0 + max(abs(c) for c in pt) if pt else 1.0
-    for _ in range(steps):
-        try:
-            r = h.eval_generic(pt, 1.0)
-            J = h.jac_generic(pt, 1.0)
-            # normal equations: (J^H J + lam I) dx = -J^H r
-            JH = [[J[i][j] for i in range(len(J))] for j in range(n)]
-            conj = lambda z: CDD(z.re, -z.im)
-            A = [
-                [
-                    sum(
-                        (conj(JH[i][k]) * JH[j][k] for k in range(len(J))),
-                        CDD(0.0, 0.0),
-                    )
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-            scale = max(abs(A[i][i]) for i in range(n)) or 1.0
-            lam = 1e-26 * scale
-            for i in range(n):
-                A[i][i] = A[i][i] + lam
-            b = [
-                -sum((conj(JH[i][k]) * r[k] for k in range(len(J))), CDD(0.0, 0.0))
-                for i in range(n)
-            ]
-            dx = solve_dd(A, b)
-        except ZeroDivisionError:
-            return None
-        pt = [p + d for p, d in zip(pt, dx)]
-        if max(abs(d) for d in dx) < 1e-14 * scale:
-            break
-    out = np.array([p.to_complex() for p in pt], dtype=np.complex128)
-    return out if _finite(out) else None
-
-
-def _dd_polished(h, sol: Solution, steps: int, floor: float = 0.0) -> Solution:
+def _dd_polished(h: Homotopy, sol: Solution, steps: int, floor: float = 0.0) -> Solution:
     """The endpoint after a double-double polish at t=1, when that does
     not raise the residual above max(4 x the old one, floor)."""
-    better = _dd_polish(h, sol.coordinates, steps)
-    if better is None:
-        return sol
+    better = refine_dd(h.target, sol.coordinates, steps)
     resid = _res_norm(_eval1(h, better, 1.0))
     if np.isfinite(resid) and resid <= max(sol.residual * 4, floor):
         return _endpoint_solution(h, better, resid)
@@ -385,11 +330,11 @@ def _finish(h, x, t_from, steps_used, params: TrackParams, entry_norm: float) ->
     moved = float(np.max(np.abs(x1 - x))) if _finite(x1) else float("inf")
     if np.isfinite(resid) and resid <= CONVERGED_RESIDUAL and moved <= move_cap:
         status, sol, t_reached = CONVERGED, _endpoint_solution(h, x1, resid), 1.0
-        if sol.condition > 1e4 and params.dd_refine_singular > 0:
+        if sol.condition > 1e4:
             # near-multiple endpoints converge at linear rate 1/2, so a
             # handful of double-double steps must become a dozen to pull
             # a 1e-4 endpoint defect safely under the match tolerances
-            sol = _dd_polished(h, sol, max(params.dd_refine_singular, 14), 1e-14)
+            sol = _dd_polished(h, sol, 14, 1e-14)
     else:
         growth = (norm_now + 1e-6) / (entry_norm + 1e-6)
         if norm_now > params.soft_infinity or growth >= 8.0:
@@ -398,7 +343,7 @@ def _finish(h, x, t_from, steps_used, params: TrackParams, entry_norm: float) ->
             return PathResult(FAILED, None, steps_used, t_from)
         status, sol, t_reached = SINGULAR_ENDPOINT, _endpoint_solution(h, x1, resid), t_from
     if params.precision == "double_double":
-        sol = _dd_polished(h, sol, max(3, params.dd_refine_singular))
+        sol = _dd_polished(h, sol, 3)
     return PathResult(status, sol, steps_used, t_reached)
 
 
@@ -529,10 +474,29 @@ def newton_refine(
 
 
 def refine_dd(f: PolySystem, x, steps: int = 3) -> np.ndarray:
-    """Double-double Newton polish of a (possibly singular) root."""
-    h = LinearHomotopy(f, f)
-    out = _dd_polish(h, np.asarray(x, dtype=np.complex128), steps)
-    return np.asarray(x, dtype=np.complex128) if out is None else out
+    """Mixed-precision Newton polish of a (possibly singular) root of f.
+
+    The point is kept in double-double as (hi, lo).  Each step evaluates
+    f there in double-double, rounds the residual to double, solves for
+    the correction against the Jacobian at hi in double and adds it to
+    (hi, lo) in double-double (Bates, Hauenstein, Sommese and Wampler,
+    "Adaptive multiprecision path tracking", SIAM J. Numer. Anal. 2008).
+    The residual is accurate although the solve is not, so the point
+    converges past double precision.  Stops early once the correction
+    falls below ``DD_CORRECTION_TOL`` of the point's size.  Returns the
+    point rounded to double, or x itself when a step is not finite.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    hi, lo = x[None], np.zeros((1, len(x)), dtype=np.complex128)
+    for _ in range(steps):
+        r, _ = f._evaluator().eval_dd(hi, lo)
+        if not _finite(r):
+            return x
+        dx = newton_step(jacobian(f, hi[0]), r[0])
+        hi, lo = cdd_add(hi, lo, dx[None], np.zeros_like(lo))
+        if np.max(np.abs(dx)) <= DD_CORRECTION_TOL * np.max(np.abs(hi)):
+            break
+    return hi[0] if _finite(hi) else x
 
 
 def classify(

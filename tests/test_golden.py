@@ -52,7 +52,13 @@ def test_cli_double_double_precision_exits_ok(tmp_path, capsys):
     assert "isolated solutions: 2" in capsys.readouterr().out
 
 
-@pytest.mark.slow
+def test_cyclic5_dim0_seed3_has_70_isolated_points():
+    rep = decompose(cyclic(5), top_dimension=0, seed=3, tasks=1)
+    assert rep.degrees == {}
+    assert len(rep.isolated) == 70
+    assert not rep.suspects
+
+
 def test_cyclic4_dim1_is_one_curve_of_degree_4():
     rep = decompose(cyclic(4), top_dimension=1, seed=7, tasks=1)
     assert rep.degrees == {1: 4}
@@ -71,4 +77,12 @@ def test_demo_dim3_components():
 def test_cyclic6_dim0_has_156_isolated_points():
     rep = decompose(cyclic(6), top_dimension=0, seed=7, tasks=1)
     assert len(rep.isolated) == 156
+    assert not rep.suspects
+
+
+@pytest.mark.slow
+def test_cyclic5_dim1_has_70_isolated_points_and_no_components():
+    rep = decompose(cyclic(5), top_dimension=1, seed=7, tasks=1)
+    assert rep.degrees == {}
+    assert len(rep.isolated) == 70
     assert not rep.suspects

@@ -14,7 +14,6 @@ from nidpipe.systems import (
     embed,
     slice_to_zero,
     square_up,
-    strip_embedding,
 )
 
 
@@ -162,13 +161,6 @@ def test_embed_deterministic_and_seed_sensitive():
     flat_a = [g for row in a.gammas for g in row] + [v for row in a.hyper_coeffs for v in row]
     flat_c = [g for row in c.gammas for g in row] + [v for row in c.hyper_coeffs for v in row]
     assert all(x != y for x, y in zip(flat_a, flat_c))
-
-
-def test_embed_strip_round_trip():
-    f = demo_system()
-    e = embed(f, 2, 11)
-    back = strip_embedding(e.system, 2)
-    assert back.polys == f.polys
 
 
 @given(st.integers(0, 1000))
