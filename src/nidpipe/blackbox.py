@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 from .cascade import run_cascade, solve_top
 from .filtering import classify_isolated, filter_junk
+from .parallel import check_backend
 from .polynomials import PolySystem
 from .report import DecompositionReport, Timings
 from .systems import embed, square_up
@@ -23,12 +24,19 @@ class RunConfig:
     seed: int | None = None  # None -> time-derived, echoed in the report
     out: str | None = None
     cell_log: str | None = None
-    mode: str = "process"  # worker backend for tasks > 1
 
     def resolve_seed(self) -> int:
         if self.seed is None:
             return int(time.time()) & 0x7FFFFFFF
         return int(self.seed)
+
+
+def reject_zero_polynomials(f: PolySystem) -> None:
+    """Raise ValueError naming the first polynomial of f that is zero:
+    such a row carries no equation, and the solver would answer wrongly."""
+    zero = [i + 1 for i, p in enumerate(f.polys) if p.is_zero]
+    if zero:
+        raise ValueError(f"polynomial {zero[0]} is zero")
 
 
 def decompose(
@@ -41,7 +49,13 @@ def decompose(
     cell_log: list | None = None,
     input_path: str | None = None,
 ) -> DecompositionReport:
-    """Full numerical irreducible decomposition of a polynomial system."""
+    """Full numerical irreducible decomposition of a polynomial system.
+
+    ``mode`` names the worker backend for tasks > 1; forked processes
+    are the only one.
+    """
+    check_backend(mode)
+    reject_zero_polynomials(f)
     warnings: list[str] = []
     square, record = square_up(f, seed)
     if record.kind != "already-square":
@@ -61,18 +75,18 @@ def decompose(
     timings = Timings()
 
     emb = embed(square, top_dimension, seed)
-    top_results, top_stats = solve_top(emb, tasks, params=params, mode=mode, cell_log=cell_log)
+    top_results, top_stats = solve_top(emb, tasks, params=params, cell_log=cell_log)
     timings.start_system = top_stats.time_start_system
     timings.continuation = top_stats.time_continuation
 
     t0 = time.perf_counter()
-    superset = run_cascade(top_results, emb, tasks, params, mode)
+    superset = run_cascade(top_results, emb, tasks, params)
     timings.cascade = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    witness_sets, stages = filter_junk(superset, tasks, params, mode)
+    witness_sets, stages = filter_junk(superset, tasks, params)
     isolated, suspects, iso_stages = classify_isolated(
-        superset.candidates(0), witness_sets, square, tasks, params, mode
+        superset.candidates(0), witness_sets, square, tasks, params
     )
     timings.filtering = time.perf_counter() - t0
 

@@ -115,7 +115,6 @@ def solve_start_system(
     seed: int,
     p: int = 1,
     params: TrackParams = TrackParams(),
-    mode: str = "thread",
     cell_log: list | None = None,
 ) -> tuple[PolySystem, list[Solution], TopStats]:
     """Polyhedral solve of the random-coefficient system sharing the
@@ -130,7 +129,7 @@ def solve_start_system(
         stats.lifting_attempt = attempt
         try:
             if p >= 2:
-                results, _ = _pipelined_cells(lifted, g, supports, p, params, mode, stats, cell_log)
+                results, _ = _pipelined_cells(lifted, g, supports, p, params, stats, cell_log)
             else:
                 results = []
 
@@ -163,7 +162,7 @@ def solve_start_system(
     return g, sols, stats
 
 
-def _pipelined_cells(lifted, g, supports, p, params, mode, stats, cell_log=None):
+def _pipelined_cells(lifted, g, supports, p, params, stats, cell_log=None):
     """Bounded-queue pipeline: one producer enumerating cells, p-1
     consumers running the per-cell polyhedral homotopies.  The
     enumeration callback feeds a small handoff queue that the pipeline
@@ -192,8 +191,8 @@ def _pipelined_cells(lifted, g, supports, p, params, mode, stats, cell_log=None)
         finally:
             hand.put(None)
 
-    # started by the first pull on the stream, which in process mode
-    # comes after the consumers were forked: no fork with a live thread
+    # started by the first pull on the stream, which comes after the
+    # consumers were forked: no fork with a live thread
     th = _t.Thread(target=run_enum)
 
     def stream():
@@ -204,7 +203,7 @@ def _pipelined_cells(lifted, g, supports, p, params, mode, stats, cell_log=None)
                 break
             yield cell
 
-    cfg = PipelineConfig(p=p, queue_capacity=64, mode=mode)
+    cfg = PipelineConfig(p=p, queue_capacity=64)
     try:
         pairs, pstats = pipeline_run(stream(), lambda cell: solve_cell(cell, g, supports, params), cfg)
     finally:
@@ -232,13 +231,12 @@ def track_on_crew(
     starts: list[np.ndarray],
     p: int,
     params: TrackParams,
-    mode: str,
 ) -> list[PathResult]:
     """Track one stage's paths on p workers: worker i takes the strided
     chunk starts[i::p] as one batch.  Results come back in the order of
     starts; every path of a chunk whose job failed counts as failed."""
     chunks = [np.array(starts[i::p]) for i in range(min(p, len(starts)))]
-    tracked = work_crew(chunks, p, lambda chunk: track_paths(h, chunk, params), mode=mode)
+    tracked = work_crew(chunks, p, lambda chunk: track_paths(h, chunk, params))
     results: list = [None] * len(starts)
     for i, (chunk, out) in enumerate(zip(chunks, tracked)):
         if isinstance(out, JobFailure):
@@ -252,17 +250,16 @@ def solve_top(
     p: int = 1,
     seed: int | None = None,
     params: TrackParams = TrackParams(),
-    mode: str = "thread",
     cell_log: list | None = None,
 ) -> tuple[list[PathResult], TopStats]:
     """Solve the embedded system: polyhedral start, then continuation."""
     seed = emb.seed if seed is None else seed
     system = emb.system if emb.k > 0 else emb.base
-    g, g_sols, stats = solve_start_system(system, seed, p, params, mode, cell_log)
+    g, g_sols, stats = solve_start_system(system, seed, p, params, cell_log)
     gamma = complex(rngmod.unit_complex(rngmod.stream(seed, rngmod.GAMMA)))
     h = LinearHomotopy(g, system, gamma)
     t0 = time.perf_counter()
-    results = track_on_crew(h, [s.coordinates for s in g_sols], p, params, mode)
+    results = track_on_crew(h, [s.coordinates for s in g_sols], p, params)
     stats.time_continuation = time.perf_counter() - t0
     out = []
     for r in results:
@@ -330,7 +327,6 @@ def cascade_step(
     level: CascadeLevel,
     p: int = 1,
     params: TrackParams = TrackParams(),
-    mode: str = "thread",
 ) -> CascadeLevel:
     """Track the level's nonzero-slack solutions one dimension down."""
     if level.dimension < 1:
@@ -342,7 +338,7 @@ def cascade_step(
     gamma = complex(rngmod.unit_complex(rngmod.stream(emb.seed, rngmod.GAMMA, level.dimension)))
     h = _slack_removal_homotopy(emb, gamma)
     results = []
-    for r in track_on_crew(h, [s.coordinates for s in level.nonzero_slack], p, params, mode):
+    for r in track_on_crew(h, [s.coordinates for s in level.nonzero_slack], p, params):
         if r.succeeded and r.endpoint is not None:
             # the target row pins z_d = 0: drop that coordinate
             coords = r.endpoint.coordinates[:-1]
@@ -356,11 +352,10 @@ def run_cascade(
     emb: EmbeddedSystem,
     p: int = 1,
     params: TrackParams = TrackParams(),
-    mode: str = "thread",
 ) -> WitnessSuperset:
     """Iterate cascade steps from the top dimension down to zero."""
     top_level = _classify_level(top_results, emb, emb.k, params)
     levels = [top_level]
     while levels[-1].dimension > 0:
-        levels.append(cascade_step(levels[-1], p, params, mode))
+        levels.append(cascade_step(levels[-1], p, params))
     return WitnessSuperset(levels, emb, emb.seed)

@@ -15,7 +15,7 @@ import os
 import sys
 import time
 
-from .blackbox import RunConfig, decompose
+from .blackbox import RunConfig, decompose, reject_zero_polynomials
 from .parallel import (
     cascade_speedup,
     filter_speedup,
@@ -50,8 +50,6 @@ def _add_run_flags(sp: argparse.ArgumentParser, default_dim=None):
     sp.add_argument("--out", default=_env("OUT"), help="write the JSON report here")
     sp.add_argument("--cell-log", default=_env("CELL_LOG"),
                     help="write one JSON line per mixed cell here")
-    sp.add_argument("--mode", choices=("thread", "process"), default=_env("MODE", "process"),
-                    help="worker backend for tasks > 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,15 +110,14 @@ def _write_cell_log(path: str, cells: list[MixedCell]) -> None:
 def _rejects_input(system, dim) -> bool:
     """True, after one line on stderr saying why, when the solver cannot
     take this system and top dimension."""
-    zero = [i + 1 for i, p in enumerate(system.polys) if p.is_zero]
-    if zero:
-        problem = f"polynomial {zero[0]} is zero"
-    elif dim is not None and not 0 <= int(dim) < system.nvars:
-        problem = f"--dim must be in 0..{system.nvars - 1}, got {dim}"
-    else:
-        return False
-    print(f"bad input: {problem}", file=sys.stderr)
-    return True
+    try:
+        reject_zero_polynomials(system)
+        if dim is not None and not 0 <= int(dim) < system.nvars:
+            raise ValueError(f"--dim must be in 0..{system.nvars - 1}, got {dim}")
+    except ValueError as exc:
+        print(f"bad input: {exc}", file=sys.stderr)
+        return True
+    return False
 
 
 def _run_solve(system, args, input_path=None) -> int:
@@ -134,7 +131,6 @@ def _run_solve(system, args, input_path=None) -> int:
         seed=args.seed,
         out=args.out,
         cell_log=args.cell_log,
-        mode=args.mode,
     )
     seed = cfg.resolve_seed()
     cells: list[MixedCell] = []
@@ -145,7 +141,6 @@ def _run_solve(system, args, input_path=None) -> int:
             seed=seed,
             tasks=cfg.tasks,
             precision=cfg.precision,
-            mode=cfg.mode,
             cell_log=cells if cfg.cell_log else None,
             input_path=input_path,
         )

@@ -135,7 +135,6 @@ def _membership_stage(
     candidate_dimension: int,
     p: int,
     params: TrackParams,
-    mode: str,
 ) -> tuple[list[Solution], FilterStage]:
     """Test every candidate against w on one crew; returns the
     candidates not on w's component and the stage's bookkeeping.
@@ -151,7 +150,7 @@ def _membership_stage(
         except MembershipIndeterminate:
             return False
 
-    verdicts = work_crew(queries, p, test, mode=mode)
+    verdicts = work_crew(queries, p, test)
     kept = [c for c, member in zip(candidates, verdicts) if member is not True]
     tracked = w.degree * sum(
         1 for q in queries if not any(points_match(s.coordinates[:n], q) for s in w.points)
@@ -188,7 +187,6 @@ def filter_junk(
     superset: WitnessSuperset,
     p: int = 1,
     params: TrackParams = TrackParams(),
-    mode: str = "thread",
 ) -> tuple[list[WitnessSet], list[FilterStage]]:
     """Remove candidates lying on higher dimensional components.
 
@@ -209,7 +207,7 @@ def filter_junk(
         for w in witness_sets:
             if not candidates:
                 break
-            candidates, stage = _membership_stage(w, candidates, d, p, params, mode)
+            candidates, stage = _membership_stage(w, candidates, d, p, params)
             stages.append(stage)
         survivors = [c for c in candidates if _restricted_regular(level.embedding, c)]
         if survivors:
@@ -241,7 +239,6 @@ def classify_isolated(
     base_system,
     p: int = 1,
     params: TrackParams = TrackParams(),
-    mode: str = "thread",
 ) -> tuple[list[Solution], list[Solution], list[FilterStage]]:
     """Split dimension-0 candidates into regular isolated solutions and
     singular suspects, running singular candidates through membership
@@ -250,7 +247,7 @@ def classify_isolated(
     regular: list[Solution] = []
     singular: list[Solution] = []
     refine = lambda cand: _refine_isolated(base_system, cand)  # noqa: E731
-    for out in work_crew(candidates, p, refine, mode=mode):
+    for out in work_crew(candidates, p, refine):
         if isinstance(out, JobFailure):
             raise RuntimeError(f"refining a dimension-0 candidate failed: {out.message}")
         refined, is_regular = out
@@ -259,6 +256,6 @@ def classify_isolated(
     singular = _dedup(singular)
     stages: list[FilterStage] = []
     for w in sorted(witness_sets, key=lambda w: -w.dimension):
-        singular, stage = _membership_stage(w, singular, 0, p, params, mode)
+        singular, stage = _membership_stage(w, singular, 0, p, params)
         stages.append(stage)
     return regular, singular, stages

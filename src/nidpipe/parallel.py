@@ -1,16 +1,16 @@
 """Work-crew scheduling, the 2-stage cell pipeline, and the analytic
 speedup models for every stage of the solver.
 
-The work crew is a claim-guarded job queue: idle workers grab the next
-job the moment they finish one, so load balances dynamically.  Thread
-workers are enough for I/O- or sleep-bound jobs; CPU-bound path
-tracking uses forked processes (jobs are inherited, results travel back
-through a queue tagged with job ids so reports stay deterministic).
-The solver hands a crew p chunks of a stage's paths, each tracked as
-one batch, rather than one job per path; membership filtering runs one
-crew per stage with the candidates as jobs.  A forked worker that dies
-fails the run with a RuntimeError instead of leaving the parent
-waiting for its results.
+Both the work crew and the pipeline run on one loop, ``_forked``: the
+calling thread forks the workers, then streams (index, item) pairs to
+them through a bounded queue, and each worker sends back its results
+tagged with the index, so reports stay deterministic.  An idle worker
+takes the next item the moment it finishes one, so load balances
+dynamically.  The solver hands a crew p chunks of a stage's paths, each
+tracked as one batch, rather than one job per path; membership
+filtering runs one crew per stage with the candidates as jobs.  A
+forked worker that dies fails the run with a RuntimeError instead of
+leaving the parent waiting for its results.
 
 The speedup models compute exact rational T_1, T_p, S_p for the
 pipeline, for a single stage of paths, for a cascade of stages, and for
@@ -23,10 +23,9 @@ from __future__ import annotations
 import heapq
 import multiprocessing as mp
 import queue
-import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -39,29 +38,6 @@ class JobFailure:
     message: str
 
 
-class JobQueue:
-    """A list of jobs with a lock-guarded claim cursor.
-
-    Each claim returns a distinct (index, job) pair exactly once.
-    """
-
-    def __init__(self, jobs: Sequence):
-        self._jobs = list(jobs)
-        self._cursor = 0
-        self._lock = threading.Lock()
-
-    def claim(self):
-        with self._lock:
-            if self._cursor >= len(self._jobs):
-                return None
-            i = self._cursor
-            self._cursor += 1
-            return i, self._jobs[i]
-
-    def __len__(self):
-        return len(self._jobs)
-
-
 def _run_job(worker, i, job):
     try:
         return worker(job)
@@ -69,19 +45,27 @@ def _run_job(worker, i, job):
         return JobFailure(i, traceback.format_exc(limit=4))
 
 
+def check_backend(mode: str) -> None:
+    """Forked processes are the one worker backend; ``mode`` survives
+    only so that callers naming it keep working."""
+    if mode != "process":
+        raise ValueError(f"unknown worker backend {mode!r}: only 'process' exists")
+
+
 def work_crew(
     jobs: Sequence,
     p: int,
     worker: Callable,
-    mode: str = "thread",
+    mode: str = "process",
 ) -> list:
-    """Run all jobs on p workers; results align with job order.
+    """Run all jobs on p forked workers; results align with job order.
 
-    mode "thread" uses the claim-guarded queue directly (fine for jobs
-    that release the GIL or for correctness tests); mode "process"
-    forks p workers that inherit the job list and claim indices through
-    a shared queue, giving real CPU parallelism for pure-Python jobs.
+    A job that raises yields a JobFailure in its place.  With p = 1 or a
+    single job the jobs run in order in the calling process.  Jobs and
+    results travel between the processes by pickling; the worker itself
+    is inherited through the fork, so it may be a closure.
     """
+    check_backend(mode)
     jobs = list(jobs)
     if p < 1:
         raise ValueError("need at least one worker")
@@ -89,27 +73,8 @@ def work_crew(
         return []
     if p == 1 or len(jobs) == 1:
         return [_run_job(worker, i, job) for i, job in enumerate(jobs)]
-    if mode == "thread":
-        q = JobQueue(jobs)
-        results: list = [None] * len(jobs)
-
-        def loop():
-            while True:
-                claimed = q.claim()
-                if claimed is None:
-                    return
-                i, job = claimed
-                results[i] = _run_job(worker, i, job)
-
-        threads = [threading.Thread(target=loop) for _ in range(p)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        return results
-    if mode == "process":
-        return _process_crew(jobs, p, worker)
-    raise ValueError(f"unknown work crew mode {mode!r}")
+    pairs = _forked(jobs, worker, min(p, len(jobs)), len(jobs), PipelineStats())
+    return [out for _, out in pairs]
 
 
 _POLL_S = 0.1  # how often a parent waiting on forked workers checks that they live
@@ -151,32 +116,65 @@ def _put(q, item, procs) -> None:
             _check_alive(procs)
 
 
-def _process_crew(jobs: list, p: int, worker: Callable) -> list:
+def _forked(items: Iterable, worker: Callable, workers: int, capacity: int,
+            stats: PipelineStats) -> list:
+    """Run worker on every item in ``workers`` forked processes; returns
+    (index, result) pairs sorted by index.
+
+    The workers are forked before the first item is pulled, so a
+    producer that starts a thread on its first pull never forks with
+    that thread alive.  The calling thread then streams (index, item)
+    through a queue of ``capacity`` slots and blocks while it is full
+    (that is the back-pressure).  An error raised by the producer ends
+    the stream; what was produced is still consumed and the error is
+    recorded in the stats.  Each worker sends the ``perf_counter`` time
+    at which it started an item with the item's result; on Linux that
+    clock is system-wide, so it compares with the end of production.
+    """
     ctx = mp.get_context("fork")
-    claim_q: mp.Queue = ctx.Queue()
-    result_q: mp.Queue = ctx.Queue()
-    for i in range(len(jobs)):
-        claim_q.put(i)
-    for _ in range(p):
-        claim_q.put(None)  # one stop token per worker
+    buf: mp.Queue = ctx.Queue(maxsize=capacity)
+    out_q: mp.Queue = ctx.Queue()
 
     def child():
         while True:
-            i = claim_q.get()
-            if i is None:
+            got = buf.get()
+            if got is None:
                 break
-            result_q.put((i, _run_job(worker, i, jobs[i])))
+            i, item = got
+            started = time.perf_counter()
+            out_q.put((i, _run_job(worker, i, item), started))
 
-    procs = [ctx.Process(target=child) for _ in range(min(p, len(jobs)))]
+    procs = [ctx.Process(target=child) for _ in range(workers)]
     for pr in procs:
         pr.start()
-    results: list = [None] * len(jobs)
-    for _ in range(len(jobs)):
-        i, res = _get(result_q, procs)
-        results[i] = res
+
+    n = 0
+    stream = iter(items)
+    while True:
+        try:
+            item = next(stream)
+        except StopIteration:
+            break
+        except Exception:
+            stats.producer_error = traceback.format_exc(limit=4)
+            break
+        t0 = time.perf_counter()
+        _put(buf, (n, item), procs)
+        stats.producer_blocked += time.perf_counter() - t0
+        n += 1
+    stats.produced = n
+    produce_done = time.perf_counter()
+    for _ in procs:
+        _put(buf, None, procs)  # one stop token per worker
+    received = [_get(out_q, procs) for _ in range(n)]
     for pr in procs:
         pr.join()
-    return results
+    # end this queue's feeder thread now, so the next fork sees no thread
+    buf.close()
+    buf.join_thread()
+    stats.consumed = len(received)
+    stats.first_consume_before_last_produce = any(started < produce_done for _, _, started in received)
+    return sorted(((i, out) for i, out, _ in received), key=lambda pair: pair[0])
 
 
 @dataclass(frozen=True)
@@ -185,9 +183,10 @@ class PipelineConfig:
 
     p: int
     queue_capacity: int = 64
-    mode: str = "thread"
+    mode: str = "process"
 
     def __post_init__(self):
+        check_backend(self.mode)
         if self.p < 2:
             raise ValueError("pipeline mode needs p >= 2 (one producer, one consumer)")
         if self.queue_capacity < 1:
@@ -198,9 +197,7 @@ class PipelineConfig:
 class PipelineStats:
     produced: int = 0
     consumed: int = 0
-    makespan: float = 0.0
     producer_blocked: float = 0.0
-    consumer_idle: float = 0.0
     first_consume_before_last_produce: bool = False
     producer_error: str | None = None
 
@@ -210,119 +207,15 @@ def pipeline_run(
     consumer: Callable,
     cfg: PipelineConfig,
 ) -> tuple[list, PipelineStats]:
-    """Stream items from the producer through a bounded queue to p-1
-    consumer workers; results are (index, value) sorted by index.
+    """Stream items from the producer, which runs in the calling thread,
+    to p-1 forked consumers; results are (index, value) sorted by index.
 
     Consumption starts as soon as the first item is queued.  A producer
-    error closes the queue; consumers drain what was produced and the
+    error ends the stream; consumers drain what was produced and the
     error is reported in the stats.
     """
     stats = PipelineStats()
-    if cfg.mode == "process":
-        return _pipeline_process(producer, consumer, cfg, stats)
-    buf: queue.Queue = queue.Queue(maxsize=cfg.queue_capacity)
-    results: list = []
-    rlock = threading.Lock()
-    produce_done_at = [None]
-    first_consume_at = [None]
-
-    def produce():
-        idx = 0
-        try:
-            for item in producer:
-                t0 = time.perf_counter()
-                buf.put((idx, item))
-                stats.producer_blocked += time.perf_counter() - t0
-                idx += 1
-        except Exception:
-            stats.producer_error = traceback.format_exc(limit=4)
-        finally:
-            stats.produced = idx
-            produce_done_at[0] = time.perf_counter()
-            for _ in range(cfg.p - 1):
-                buf.put(None)
-
-    def consume():
-        while True:
-            t0 = time.perf_counter()
-            got = buf.get()
-            stats.consumer_idle += time.perf_counter() - t0
-            if got is None:
-                return
-            i, item = got
-            if first_consume_at[0] is None:
-                first_consume_at[0] = time.perf_counter()
-            out = _run_job(consumer, i, item)
-            with rlock:
-                results.append((i, out))
-
-    t_start = time.perf_counter()
-    pt = threading.Thread(target=produce)
-    ct = [threading.Thread(target=consume) for _ in range(cfg.p - 1)]
-    pt.start()
-    for t in ct:
-        t.start()
-    pt.join()
-    for t in ct:
-        t.join()
-    stats.makespan = time.perf_counter() - t_start
-    stats.consumed = len(results)
-    if first_consume_at[0] is not None and produce_done_at[0] is not None:
-        stats.first_consume_before_last_produce = first_consume_at[0] < produce_done_at[0]
-    results.sort(key=lambda pair: pair[0])
-    return results, stats
-
-
-def _pipeline_process(producer, consumer, cfg: PipelineConfig, stats: PipelineStats):
-    """Fork-based pipeline: the producer runs in the calling thread and
-    blocks when the bounded queue is full (that is the back-pressure).
-    Each consumer sends the ``perf_counter`` time at which it started an
-    item with the item's result; on Linux that clock is system-wide, so
-    it compares with the parent's end of production."""
-    ctx = mp.get_context("fork")
-    buf: mp.Queue = ctx.Queue(maxsize=cfg.queue_capacity)
-    out_q: mp.Queue = ctx.Queue()
-
-    def child():
-        while True:
-            got = buf.get()
-            if got is None:
-                break
-            i, item = got
-            started = time.perf_counter()
-            out_q.put((i, _run_job(consumer, i, item), started))
-
-    workers = [ctx.Process(target=child) for _ in range(cfg.p - 1)]
-    for w in workers:
-        w.start()
-
-    t_start = time.perf_counter()
-    idx = 0
-    items = iter(producer)
-    while True:
-        try:
-            item = next(items)
-        except StopIteration:
-            break
-        except Exception:
-            stats.producer_error = traceback.format_exc(limit=4)
-            break
-        t0 = time.perf_counter()
-        _put(buf, (idx, item), workers)
-        stats.producer_blocked += time.perf_counter() - t0
-        idx += 1
-    stats.produced = idx
-    produce_done = time.perf_counter()
-    for _ in range(cfg.p - 1):
-        _put(buf, None, workers)
-    received = [_get(out_q, workers) for _ in range(idx)]
-    for w in workers:
-        w.join()
-    stats.makespan = time.perf_counter() - t_start
-    stats.consumed = len(received)
-    stats.first_consume_before_last_produce = any(started < produce_done for _, _, started in received)
-    results = sorted(((i, out) for i, out, _ in received), key=lambda pair: pair[0])
-    return results, stats
+    return _forked(producer, consumer, cfg.p - 1, cfg.queue_capacity, stats), stats
 
 
 # -- analytic speedup models ------------------------------------------------

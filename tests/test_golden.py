@@ -35,6 +35,12 @@ def test_report_is_byte_identical_across_task_counts(cyclic5_dim0):
     assert two_json.replace('"tasks": 2', '"tasks": 1') == one_json
 
 
+def test_zero_polynomial_is_rejected_not_answered():
+    # the solution set is the line x1 + x2 = 1; solving would report nothing
+    with pytest.raises(ValueError, match="polynomial 1 is zero"):
+        decompose(parse_system("2 2\nx1 - x1;\nx1 + x2 - 1;\n"), top_dimension=1, seed=1)
+
+
 def test_double_double_precision_solves_circle_and_line():
     rep = decompose(parse_system(CIRCLE_AND_LINE), top_dimension=0, seed=1, precision="dd")
     assert rep.precision == "dd"

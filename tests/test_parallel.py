@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nidpipe.blackbox import decompose
 from nidpipe.cascade import solve_start_system
 from nidpipe.parallel import (
     JobFailure,
-    JobQueue,
     PipelineConfig,
     cascade_speedup,
     filter_speedup,
@@ -27,37 +27,29 @@ from nidpipe.parallel import (
 from nidpipe.systems import cyclic, embed
 
 
-def test_job_queue_single_claim():
-    q = JobQueue(range(50))
-    seen = []
-    while True:
-        got = q.claim()
-        if got is None:
-            break
-        seen.append(got[0])
-    assert seen == list(range(50))
-
-
 def test_work_crew_results_align_with_jobs():
     jobs = list(range(100))
     out = work_crew(jobs, 4, lambda x: x * x)
     assert out == [x * x for x in jobs]
 
 
-def test_work_crew_single_claim_under_contention():
-    import threading
+def test_work_crew_runs_jobs_in_forked_processes():
+    pids = work_crew(list(range(4)), 2, lambda _: os.getpid())
+    assert os.getpid() not in pids
 
-    claimed = []
-    lock = threading.Lock()
 
-    def worker(job):
-        with lock:
-            claimed.append(job)
-        return job
-
-    out = work_crew(list(range(1000)), 8, worker)
-    assert sorted(claimed) == list(range(1000))
-    assert out == list(range(1000))
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: work_crew([0, 1], 2, lambda x: x, mode="thread"),
+        lambda: PipelineConfig(p=2, mode="thread"),
+        lambda: decompose(cyclic(3), top_dimension=0, seed=1, tasks=2, mode="thread"),
+    ],
+    ids=["work_crew", "PipelineConfig", "decompose"],
+)
+def test_thread_backend_is_rejected(call):
+    with pytest.raises(ValueError, match="'thread'"):
+        call()
 
 
 def test_work_crew_p1_runs_in_order():
@@ -275,29 +267,6 @@ def test_pipeline_run_collects_everything_in_order():
     assert stats.produced == stats.consumed == 20
 
 
-def test_pipeline_overlaps_production_and_consumption():
-    unit = 0.02
-
-    def producer():
-        for i in range(6):
-            time.sleep(unit)
-            yield i
-
-    def consumer(i):
-        time.sleep(3 * unit)
-        return i
-
-    cfg = PipelineConfig(p=4, queue_capacity=64)
-    t0 = time.perf_counter()
-    results, stats = pipeline_run(producer(), consumer, cfg)
-    elapsed = time.perf_counter() - t0
-    assert len(results) == 6
-    assert stats.first_consume_before_last_produce
-    # sequential would be 6*unit + 6*3*unit = 24 units; the pipeline
-    # needs about 9; allow generous scheduling noise
-    assert elapsed < 20 * unit
-
-
 def test_pipeline_process_mode_overlaps_production_and_consumption():
     unit = 0.05
 
@@ -338,17 +307,30 @@ def test_pipeline_process_mode():
     assert stats.produced == 15
 
 
-def test_start_system_pipeline_forks_before_its_enumeration_thread(monkeypatch):
+@pytest.fixture
+def alive_at_fork(monkeypatch):
+    """The threads alive at each fork of a worker process."""
     ctx = mp.get_context("fork")
-    alive_at_fork = []
+    alive = []
     start = ctx.Process.start
 
     def recording_start(self):
-        alive_at_fork.append(threading.enumerate())
+        alive.append(threading.enumerate())
         return start(self)
 
     monkeypatch.setattr(ctx.Process, "start", recording_start)
-    _, sols, stats = solve_start_system(embed(cyclic(4), 1, 7).system, 7, p=2, mode="process")
+    return alive
+
+
+def test_consecutive_crews_fork_with_no_thread_alive(alive_at_fork):
+    for _ in range(3):
+        assert work_crew(list(range(8)), 2, lambda x: x) == list(range(8))
+    assert len(alive_at_fork) == 6
+    assert all(threads == [threading.main_thread()] for threads in alive_at_fork)
+
+
+def test_start_system_pipeline_forks_before_its_enumeration_thread(alive_at_fork):
+    _, sols, stats = solve_start_system(embed(cyclic(4), 1, 7).system, 7, p=2)
     assert stats.mixed_volume == 20 and len(sols) == 20
     assert alive_at_fork
     assert all(threads == [threading.main_thread()] for threads in alive_at_fork)
