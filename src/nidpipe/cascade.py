@@ -19,10 +19,10 @@ import numpy as np
 
 from . import rng as rngmod
 from .parallel import JobFailure, PipelineConfig, pipeline_run, work_crew
-from .polyhedral import (
+from .polyhedral import (  # noqa: F401  (``lift_supports`` stays a module attribute for tracing tools)
     MixedCell,
-    TieDetected,
     enumerate_cells,
+    generic_lifting,
     lift_supports,
     random_coefficient_system,
     solve_cell,
@@ -118,39 +118,43 @@ def solve_start_system(
     cell_log: list | None = None,
 ) -> tuple[PolySystem, list[Solution], TopStats]:
     """Polyhedral solve of the random-coefficient system sharing the
-    embedded system's supports.  With p >= 2 a 2-stage pipeline overlaps
-    cell production with path tracking."""
+    embedded system's supports.  The cell search runs in the calling
+    thread and hands each cell to one ``emit``: at p = 1 its paths are
+    tracked right there, at p >= 2 it goes to the p-1 forked consumers
+    of a 2-stage pipeline.  A tie restarts the search, counters and cell
+    log included, on the next lifting (``generic_lifting``)."""
     stats = TopStats()
     supports = supports_of(emb_system)
     g = random_coefficient_system(supports, emb_system.nvars, seed)
+
+    def search(lifted) -> list[PathResult]:
+        stats.cells = stats.mixed_volume = 0
+        if cell_log is not None:
+            cell_log.clear()
+
+        def produce(put):
+            def emit(cell: MixedCell):
+                stats.cells += 1
+                stats.mixed_volume += cell.volume
+                if cell_log is not None:
+                    cell_log.append(cell)
+                put(cell)
+
+            enumerate_cells(lifted, emit)
+
+        if p == 1:
+            results: list[PathResult] = []
+            produce(lambda cell: results.extend(solve_cell(cell, g, supports, params)))
+            return results
+        cfg = PipelineConfig(p=p)
+        pairs, _ = pipeline_run(produce, lambda cell: solve_cell(cell, g, supports, params), cfg)
+        for _, out in pairs:
+            if isinstance(out, JobFailure):
+                raise RuntimeError(f"cell worker failed: {out.message}")
+        return [r for _, out in pairs for r in out]
+
     t0 = time.perf_counter()
-    for attempt in range(6):
-        lifted = lift_supports(supports, seed, attempt)
-        stats.lifting_attempt = attempt
-        try:
-            if p >= 2:
-                results, _ = _pipelined_cells(lifted, g, supports, p, params, stats, cell_log)
-            else:
-                results = []
-
-                def consume(cell: MixedCell):
-                    stats.cells += 1
-                    stats.mixed_volume += cell.volume
-                    if cell_log is not None:
-                        cell_log.append(cell)
-                    results.extend(solve_cell(cell, g, supports, params))
-                    return True
-
-                enumerate_cells(lifted, consume)
-            break
-        except TieDetected:
-            stats.cells = 0
-            stats.mixed_volume = 0
-            if cell_log is not None:
-                cell_log.clear()
-            continue
-    else:
-        raise RuntimeError("could not find a generic lifting for the start system")
+    results, stats.lifting_attempt = generic_lifting(supports, seed, search)
     stats.time_start_system = time.perf_counter() - t0
     sols = []
     for r in results:
@@ -160,70 +164,6 @@ def solve_start_system(
         else:
             stats.start_failures += 1
     return g, sols, stats
-
-
-def _pipelined_cells(lifted, g, supports, p, params, stats, cell_log=None):
-    """Bounded-queue pipeline: one producer enumerating cells, p-1
-    consumers running the per-cell polyhedral homotopies.  The
-    enumeration callback feeds a small handoff queue that the pipeline
-    producer side drains as a generator."""
-    import queue as _q
-    import threading as _t
-
-    hand: _q.Queue = _q.Queue(maxsize=64)
-    error: list = []
-    stop = _t.Event()  # set once the pipeline is over: a search still running stops at its next cell
-
-    def run_enum():
-        try:
-
-            def emit(cell):
-                stats.cells += 1
-                stats.mixed_volume += cell.volume
-                if cell_log is not None:
-                    cell_log.append(cell)
-                hand.put(cell)
-                return not stop.is_set()
-
-            enumerate_cells(lifted, emit)
-        except BaseException as exc:  # noqa: BLE001 - forwarded to consumer side
-            error.append(exc)
-        finally:
-            hand.put(None)
-
-    # started by the first pull on the stream, which comes after the
-    # consumers were forked: no fork with a live thread
-    th = _t.Thread(target=run_enum)
-
-    def stream():
-        th.start()
-        while True:
-            cell = hand.get()
-            if cell is None:
-                break
-            yield cell
-
-    cfg = PipelineConfig(p=p, queue_capacity=64)
-    try:
-        pairs, pstats = pipeline_run(stream(), lambda cell: solve_cell(cell, g, supports, params), cfg)
-    finally:
-        stop.set()
-        # unblock a search waiting on a full handoff queue; a thread
-        # that never started is not alive
-        while th.is_alive():
-            try:
-                hand.get_nowait()
-            except _q.Empty:
-                pass
-            th.join(timeout=0.1)
-    if error:
-        raise error[0]
-    results = []
-    for _, out in pairs:
-        if isinstance(out, JobFailure):
-            raise RuntimeError(f"cell worker failed: {out.message}")
-        results.extend(out)
-    return results, pstats
 
 
 def track_on_crew(

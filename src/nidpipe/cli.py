@@ -3,15 +3,13 @@
 Subcommands: ``solve`` (blackbox decomposition of a system file),
 ``model`` (the analytic speedup models and the pipeline simulator), and
 ``bench`` (generate-and-solve cyclic systems, with an optional cell
-budget for large instances).  Every flag can also be set through an
-environment variable prefixed NIDPIPE_ (e.g. NIDPIPE_TASKS=4).
+budget for large instances).  Everything is set through flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -24,7 +22,7 @@ from .parallel import (
     schedule_to_csv,
     simulate_pipeline,
 )
-from .polyhedral import MixedCell, enumerate_cells, lift_supports, supports_of
+from .polyhedral import MixedCell, enumerate_cells, generic_lifting, supports_of
 from .polytext import ParseError, load_system
 from .report import report_to_json, summary_text
 from .systems import cyclic, embed, square_up
@@ -34,22 +32,15 @@ EXIT_PARSE = 2
 EXIT_SOLVE = 3
 
 
-def _env(name: str, default=None):
-    return os.environ.get("NIDPIPE_" + name, default)
-
-
 def _add_run_flags(sp: argparse.ArgumentParser, default_dim=None):
-    sp.add_argument("--dim", type=int, default=_env("DIM", default_dim),
+    sp.add_argument("--dim", type=int, default=default_dim,
                     help="expected top dimension (default: nvars - 1)")
-    sp.add_argument("--tasks", "-t", type=int, default=int(_env("TASKS", 1)),
-                    help="number of workers")
-    sp.add_argument("--precision", choices=("d", "dd"), default=_env("PRECISION", "d"),
+    sp.add_argument("--tasks", "-t", type=int, default=1, help="number of workers")
+    sp.add_argument("--precision", choices=("d", "dd"), default="d",
                     help="d = double, dd = double-double")
-    sp.add_argument("--seed", type=int, default=_env("SEED"),
-                    help="run seed (default: time-derived, echoed in the report)")
-    sp.add_argument("--out", default=_env("OUT"), help="write the JSON report here")
-    sp.add_argument("--cell-log", default=_env("CELL_LOG"),
-                    help="write one JSON line per mixed cell here")
+    sp.add_argument("--seed", type=int, help="run seed (default: time-derived, echoed in the report)")
+    sp.add_argument("--out", help="write the JSON report here")
+    sp.add_argument("--cell-log", help="write one JSON line per mixed cell here")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,10 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     b = bsub.add_parser("cyclic", help="the cyclic n-roots family")
     b.add_argument("--n", type=int, required=True)
     _add_run_flags(b, default_dim=1)
-    b.add_argument("--budget-seconds", type=float, default=_env("BUDGET_SECONDS"),
+    b.add_argument("--budget-seconds", type=float,
                    help="abort cleanly after this much cell-enumeration time")
-    b.add_argument("--max-cells", type=int, default=_env("MAX_CELLS"),
-                   help="abort cleanly after this many cells")
+    b.add_argument("--max-cells", type=int, help="abort cleanly after this many cells")
     return ap
 
 
@@ -112,7 +102,7 @@ def _rejects_input(system, dim) -> bool:
     take this system and top dimension."""
     try:
         reject_zero_polynomials(system)
-        if dim is not None and not 0 <= int(dim) < system.nvars:
+        if dim is not None and not 0 <= dim < system.nvars:
             raise ValueError(f"--dim must be in 0..{system.nvars - 1}, got {dim}")
     except ValueError as exc:
         print(f"bad input: {exc}", file=sys.stderr)
@@ -125,7 +115,7 @@ def _run_solve(system, args, input_path=None) -> int:
         return EXIT_PARSE
     cfg = RunConfig(
         input_path=input_path,
-        top_dimension=None if args.dim is None else int(args.dim),
+        top_dimension=args.dim,
         tasks=args.tasks,
         precision="dd" if args.precision == "dd" else "double",
         seed=args.seed,
@@ -203,34 +193,34 @@ def _run_bench(args) -> int:
     f = cyclic(args.n)
     if _rejects_input(f, args.dim):
         return EXIT_PARSE
-    seed = int(args.seed) if args.seed is not None else int(time.time()) & 0x7FFFFFFF
-    budget = float(args.budget_seconds) if args.budget_seconds else None
-    max_cells = int(args.max_cells) if args.max_cells else None
-    if budget or max_cells:
+    seed = args.seed if args.seed is not None else int(time.time()) & 0x7FFFFFFF
+    if args.budget_seconds or args.max_cells:
         square, _ = square_up(f, seed)
-        dim = int(args.dim) if args.dim is not None else 1
-        emb = embed(square, dim, seed)
-        supports = supports_of(emb.system)
-        lifted = lift_supports(supports, seed)
+        emb = embed(square, args.dim, seed)
         t0 = time.monotonic()
-        state = {"cells": 0, "volume": 0, "aborted": False}
 
-        def emit(cell: MixedCell):
-            state["cells"] += 1
-            state["volume"] += cell.volume
-            if max_cells and state["cells"] >= max_cells:
-                state["aborted"] = True
-                return False
-            if budget and time.monotonic() - t0 > budget:
-                state["aborted"] = True
-                return False
-            return True
+        def search(lifted) -> dict:
+            state = {"cells": 0, "volume": 0, "aborted": False}
 
-        enumerate_cells(lifted, emit)
+            def emit(cell: MixedCell):
+                state["cells"] += 1
+                state["volume"] += cell.volume
+                if args.max_cells and state["cells"] >= args.max_cells:
+                    state["aborted"] = True
+                    return False
+                if args.budget_seconds and time.monotonic() - t0 > args.budget_seconds:
+                    state["aborted"] = True
+                    return False
+                return True
+
+            enumerate_cells(lifted, emit)
+            return state
+
+        state, _ = generic_lifting(supports_of(emb.system), seed, search)
         elapsed = time.monotonic() - t0
         verdict = "aborted cleanly" if state["aborted"] else "enumeration complete"
         print(
-            f"cyclic({args.n}) embedded at dimension {dim}: {state['cells']} cells, "
+            f"cyclic({args.n}) embedded at dimension {args.dim}: {state['cells']} cells, "
             f"volume {state['volume']} in {elapsed:.1f} s ({verdict})"
         )
         return EXIT_OK

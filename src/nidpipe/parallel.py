@@ -2,11 +2,11 @@
 speedup models for every stage of the solver.
 
 Both the work crew and the pipeline run on one loop, ``_forked``: the
-calling thread forks the workers, then streams (index, item) pairs to
-them through a bounded queue, and each worker sends back its results
-tagged with the index, so reports stay deterministic.  An idle worker
-takes the next item the moment it finishes one, so load balances
-dynamically.  The solver hands a crew p chunks of a stage's paths, each
+calling thread forks the workers, then runs the producer, which streams
+(index, item) pairs to them through a bounded queue, and each worker
+sends back its results tagged with the index, so reports stay
+deterministic.  An idle worker takes the next item the moment it
+finishes one, so load balances dynamically.  The solver hands a crew p chunks of a stage's paths, each
 tracked as one batch, rather than one job per path; membership
 filtering runs one crew per stage with the candidates as jobs.  A
 forked worker that dies fails the run with a RuntimeError instead of
@@ -27,7 +27,7 @@ import time
 import traceback
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 
 @dataclass
@@ -73,7 +73,12 @@ def work_crew(
         return []
     if p == 1 or len(jobs) == 1:
         return [_run_job(worker, i, job) for i, job in enumerate(jobs)]
-    pairs = _forked(jobs, worker, min(p, len(jobs)), len(jobs), PipelineStats())
+
+    def produce(put):
+        for job in jobs:
+            put(job)
+
+    pairs = _forked(produce, worker, min(p, len(jobs)), len(jobs), PipelineStats())
     return [out for _, out in pairs]
 
 
@@ -116,23 +121,26 @@ def _put(q, item, procs) -> None:
             _check_alive(procs)
 
 
-def _forked(items: Iterable, worker: Callable, workers: int, capacity: int,
+def _forked(produce: Callable, worker: Callable, workers: int, capacity: int,
             stats: PipelineStats) -> list:
-    """Run worker on every item in ``workers`` forked processes; returns
-    (index, result) pairs sorted by index.
+    """Fork ``workers`` processes, then run ``produce(put)`` in the
+    calling thread; each item it puts goes through a queue of
+    ``capacity`` slots to the next idle worker.  Returns (index, result)
+    pairs sorted by index.
 
-    The workers are forked before the first item is pulled, so a
-    producer that starts a thread on its first pull never forks with
-    that thread alive.  The calling thread then streams (index, item)
-    through a queue of ``capacity`` slots and blocks while it is full
-    (that is the back-pressure).  An error raised by the producer ends
-    the stream; what was produced is still consumed and the error is
-    recorded in the stats.  Each worker sends the ``perf_counter`` time
-    at which it started an item with the item's result; on Linux that
-    clock is system-wide, so it compares with the end of production.
+    ``put`` blocks while the queue is full (that is the back-pressure)
+    and raises RuntimeError once a worker has died.  An error raised by
+    ``produce`` propagates after the workers have finished what was
+    queued and stopped, so no process or thread outlives the call.  Each
+    worker sends the ``perf_counter`` time at which it started an item
+    with the item's result; on Linux that clock is system-wide, so it
+    compares with the end of production.
     """
     ctx = mp.get_context("fork")
     buf: mp.Queue = ctx.Queue(maxsize=capacity)
+    # as in concurrent.futures: a feeder thread still writing to workers
+    # that are gone ends on EPIPE instead of blocking on a full pipe
+    buf._ignore_epipe = True
     out_q: mp.Queue = ctx.Queue()
 
     def child():
@@ -149,29 +157,38 @@ def _forked(items: Iterable, worker: Callable, workers: int, capacity: int,
         pr.start()
 
     n = 0
-    stream = iter(items)
-    while True:
-        try:
-            item = next(stream)
-        except StopIteration:
-            break
-        except Exception:
-            stats.producer_error = traceback.format_exc(limit=4)
-            break
+
+    def put(item) -> None:
+        nonlocal n
         t0 = time.perf_counter()
         _put(buf, (n, item), procs)
         stats.producer_blocked += time.perf_counter() - t0
         n += 1
+
+    def stop() -> list:
+        for _ in procs:
+            _put(buf, None, procs)  # one stop token per worker
+        received = [_get(out_q, procs) for _ in range(n)]
+        for pr in procs:
+            pr.join()
+        return received
+
+    try:
+        try:
+            produce(put)
+        except BaseException:
+            if any(pr.is_alive() for pr in procs):  # none is once a dead worker was found
+                stop()
+            raise
+        produce_done = time.perf_counter()
+        received = stop()
+    finally:
+        # end this queue's feeder thread now, so the next fork sees no
+        # thread; with our read end closed it cannot block on a full pipe
+        buf._reader.close()
+        buf.close()
+        buf.join_thread()
     stats.produced = n
-    produce_done = time.perf_counter()
-    for _ in procs:
-        _put(buf, None, procs)  # one stop token per worker
-    received = [_get(out_q, procs) for _ in range(n)]
-    for pr in procs:
-        pr.join()
-    # end this queue's feeder thread now, so the next fork sees no thread
-    buf.close()
-    buf.join_thread()
     stats.consumed = len(received)
     stats.first_consume_before_last_produce = any(started < produce_done for _, _, started in received)
     return sorted(((i, out) for i, out, _ in received), key=lambda pair: pair[0])
@@ -199,23 +216,23 @@ class PipelineStats:
     consumed: int = 0
     producer_blocked: float = 0.0
     first_consume_before_last_produce: bool = False
-    producer_error: str | None = None
 
 
 def pipeline_run(
-    producer: Iterable,
+    produce: Callable[[Callable], None],
     consumer: Callable,
     cfg: PipelineConfig,
 ) -> tuple[list, PipelineStats]:
-    """Stream items from the producer, which runs in the calling thread,
-    to p-1 forked consumers; results are (index, value) sorted by index.
+    """Run ``produce(put)`` in the calling thread while p-1 forked
+    consumers take each item it puts; results are (index, value) sorted
+    by index.
 
-    Consumption starts as soon as the first item is queued.  A producer
-    error ends the stream; consumers drain what was produced and the
-    error is reported in the stats.
+    Consumption starts as soon as the first item is queued.  An error
+    raised by the producer, or by ``put`` when a consumer has died,
+    propagates once the consumers are stopped.
     """
     stats = PipelineStats()
-    return _forked(producer, consumer, cfg.p - 1, cfg.queue_capacity, stats), stats
+    return _forked(produce, consumer, cfg.p - 1, cfg.queue_capacity, stats), stats
 
 
 # -- analytic speedup models ------------------------------------------------

@@ -6,8 +6,10 @@ pruning with an LP that asks for a lower-hull normal compatible with
 the edges chosen so far (the LP maximizes the worst separation slack).
 A tuple that survives to full depth is certified exactly: the normal is
 solved from the edge equalities in rational arithmetic and every
-non-cell point must keep strictly positive slack.  Ties mean the
-lifting was degenerate and trigger a re-lift.
+non-cell point must keep strictly positive slack.  A tie means the
+lifting was degenerate: the search raises TieDetected, and
+``generic_lifting``, the one relift loop, starts over on the next
+lifting of the same seed.
 
 Each cell is emitted through a callback as soon as it is certified, so
 consumers can start tracking paths while the search is still running.
@@ -29,15 +31,11 @@ from .polynomials import PolySystem, _StackedEvaluator, make_poly
 from .tracker import PathResult, TrackParams, track, track_paths  # noqa: F401
 
 SLACK_MARGIN = 1e-9
-MAX_RELIFTS = 5
+LIFTING_ATTEMPTS = 6  # liftings of one seed tried before giving up
 
 
 class TieDetected(Exception):
     """The lifting produced a tie; enumeration must restart with a new one."""
-
-
-class DegenerateLifting(RuntimeError):
-    """Re-lifting failed to remove ties after the retry budget."""
 
 
 Support = tuple[tuple[tuple[int, ...], ...], ...]
@@ -572,7 +570,15 @@ class _CellSearch:
         return MixedCell(tuple(pairs), normal, vol, texps)
 
 
-def _enumerate_once(lifted: LiftedSupport, emit: Callable[[MixedCell], bool | None]) -> int:
+def enumerate_cells(lifted: LiftedSupport, emit: Callable[[MixedCell], bool | None]) -> int:
+    """Emit every fine mixed cell of exactly this lifting once; returns
+    the count.
+
+    The consumer may return False to stop the search early.  A tie
+    raises TieDetected, before or after cells were emitted: the cells
+    emitted so far belong to a degenerate lifting, and the caller starts
+    over on another one (``generic_lifting``).
+    """
     search = _CellSearch(lifted)
     count = 0
 
@@ -589,52 +595,30 @@ def _enumerate_once(lifted: LiftedSupport, emit: Callable[[MixedCell], bool | No
     return count
 
 
-def enumerate_cells(lifted: LiftedSupport, emit: Callable[[MixedCell], bool | None]) -> int:
-    """Emit every fine mixed cell exactly once; returns the count.
-
-    The consumer may return False to stop the search early.  On a tie
-    the search re-lifts (same seed, next attempt) as long as nothing
-    was emitted yet; a tie after cells were already delivered
-    propagates, and the retry budget turns into a hard error.
-    """
-    attempt = lifted.attempt
-    for retry in range(MAX_RELIFTS + 1):
-        emitted = 0
-
-        def counting_emit(cell):
-            nonlocal emitted
-            emitted += 1
-            return emit(cell)
-
+def generic_lifting(supports: Support, seed: int, search: Callable[[LiftedSupport], object]):
+    """The one relift loop: run ``search`` on the liftings of the seed,
+    attempt 0, 1, ..., until one raises no TieDetected; returns
+    (result, attempt).  A search starts from scratch on each lifting,
+    so it resets whatever it counts or collects."""
+    for attempt in range(LIFTING_ATTEMPTS):
         try:
-            return _enumerate_once(lifted, counting_emit)
+            return search(lift_supports(supports, seed, attempt)), attempt
         except TieDetected:
-            if emitted > 0 or retry == MAX_RELIFTS:
-                raise
-            attempt += 1
-            lifted = lift_supports(lifted.points, lifted.seed, attempt)
-    raise DegenerateLifting(f"no generic lifting found after {MAX_RELIFTS} retries")
+            continue
+    raise RuntimeError(f"no generic lifting found in {LIFTING_ATTEMPTS} attempts")
 
 
 def mixed_volume(f: PolySystem, seed: int) -> int:
     """Sum of cell volumes; independent of the lifting seed."""
     if not f.is_square:
         raise ValueError("mixed volume requires a square system")
-    supports = supports_of(f)
-    for attempt in range(MAX_RELIFTS + 1):
-        lifted = lift_supports(supports, seed, attempt)
-        total = 0
 
-        def add(cell: MixedCell):
-            nonlocal total
-            total += cell.volume
+    def volume(lifted: LiftedSupport) -> int:
+        volumes: list[int] = []
+        enumerate_cells(lifted, lambda cell: volumes.append(cell.volume))
+        return sum(volumes)
 
-        try:
-            _enumerate_once(lifted, add)
-            return total
-        except TieDetected:
-            continue
-    raise DegenerateLifting(f"no generic lifting found after {MAX_RELIFTS} retries")
+    return generic_lifting(supports_of(f), seed, volume)[0]
 
 
 def random_coefficient_system(supports: Support, nvars: int, seed: int) -> PolySystem:

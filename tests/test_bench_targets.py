@@ -51,3 +51,57 @@ def test_the_calls_the_benchmark_makes_still_bind():
     lifted = cascade.lift_supports(supports_of(embed(cyclic(4), 1, 7).system), 7, 0)
     cascade.enumerate_cells(lifted, emit)
     assert total == 20
+
+
+def test_the_start_system_calls_the_names_the_trace_divides_by(monkeypatch):
+    # a traced run divides by the time spent in these calls: a solver
+    # that stops making them through ``cascade`` kills that run
+    from nidpipe import cascade
+    from nidpipe.systems import cyclic, embed
+
+    calls = {"enumerate_cells": 0, "emit": 0, "solve_cell": 0}
+    enumerate_cells, solve_cell = cascade.enumerate_cells, cascade.solve_cell
+
+    def counted_enumerate_cells(lifted, emit):
+        calls["enumerate_cells"] += 1
+
+        def counted_emit(cell):
+            calls["emit"] += 1
+            return emit(cell)
+
+        return enumerate_cells(lifted, counted_emit)
+
+    def counted_solve_cell(*args, **kwargs):
+        calls["solve_cell"] += 1
+        return solve_cell(*args, **kwargs)
+
+    monkeypatch.setattr(cascade, "enumerate_cells", counted_enumerate_cells)
+    monkeypatch.setattr(cascade, "solve_cell", counted_solve_cell)
+    _, _, stats = cascade.solve_start_system(embed(cyclic(4), 1, 7).system, 7, p=1)
+    assert stats.cells > 0
+    assert calls == {
+        "enumerate_cells": stats.lifting_attempt + 1,
+        "emit": stats.cells,
+        "solve_cell": stats.cells,
+    }
+
+
+def test_the_pipelined_start_system_calls_pipeline_run(monkeypatch):
+    from nidpipe import cascade
+    from nidpipe.parallel import PipelineConfig
+    from nidpipe.systems import cyclic, embed
+
+    runs = []
+    pipeline_run = cascade.pipeline_run
+
+    def recorded_pipeline_run(*args, **kwargs):
+        result = pipeline_run(*args, **kwargs)
+        runs.append((args, result))
+        return result
+
+    monkeypatch.setattr(cascade, "pipeline_run", recorded_pipeline_run)
+    _, sols, _ = cascade.solve_start_system(embed(cyclic(4), 1, 7).system, 7, p=2)
+    assert len(sols) == 20 and runs
+    for args, result in runs:
+        assert isinstance(args[2], PipelineConfig)
+        assert isinstance(result[1].producer_blocked, float)

@@ -92,3 +92,45 @@ def test_cyclic5_dim1_has_70_isolated_points_and_no_components():
     assert rep.degrees == {}
     assert len(rep.isolated) == 70
     assert not rep.suspects
+
+
+# -- open wrong answers: each strict xfail names the defect it tracks ----------
+
+ZERO_COORDINATE = "roots with a zero coordinate are lost: the start system counts roots in (C*)^n only"
+
+
+@pytest.mark.xfail(strict=True, reason=ZERO_COORDINATE)
+def test_two_roots_on_the_coordinate_axes():
+    # x1*x2 = 0 and x1 + x2 = 1 meet at (1, 0) and (0, 1)
+    rep = decompose(parse_system("2 2\nx1*x2;\nx1 + x2 - 1;\n"), top_dimension=0, seed=7)
+    assert len(rep.isolated) == 2
+
+
+@pytest.mark.xfail(strict=True, reason=ZERO_COORDINATE)
+def test_two_lines_one_of_them_a_coordinate_axis():
+    # x1*(x2 - 1) = 0 is the lines x1 = 0 and x2 = 1
+    rep = decompose(parse_system("2 2\nx1*x2 - x1;\nx1*x2 - x1;\n"), top_dimension=1, seed=7)
+    assert rep.degrees == {1: 2}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="underdetermined input is mislabelled: square_up's random hyperplanes slice the component",
+)
+def test_a_surface_given_by_one_equation():
+    rep = decompose(parse_system("3 1\nx1*x2*x3 - 1;\n"), top_dimension=2, seed=7)
+    assert rep.degrees == {2: 3}
+    assert not rep.isolated
+
+
+@pytest.mark.slow
+@pytest.mark.xfail(
+    strict=True,
+    reason="the demo at seed 3011 loses a line: dimension 1 has degree 11 plus one singular suspect",
+)
+@pytest.mark.parametrize("tasks", [1, 2])
+def test_demo_dim3_components_at_seed_3011(tasks):
+    rep = decompose(demo_system(), top_dimension=3, seed=3011, tasks=tasks)
+    assert rep.degrees == {3: 1, 2: 1, 1: 12}
+    assert len(rep.isolated) == 4
+    assert not rep.suspects

@@ -87,6 +87,16 @@ def test_work_crew_process_mode_failure():
     assert out[0] == 0 and out[4] == -4
 
 
+def _puts(items):
+    """A producer that puts the items in order."""
+
+    def produce(put):
+        for item in items:
+            put(item)
+
+    return produce
+
+
 def _die_on_one(x):
     if x == 1:
         os._exit(3)
@@ -104,7 +114,7 @@ def test_pipeline_process_mode_dead_worker_raises():
     cfg = PipelineConfig(p=3, queue_capacity=2, mode="process")
     t0 = time.perf_counter()
     with pytest.raises(RuntimeError, match="exit code 3"):
-        pipeline_run(iter(range(20)), _die_on_one, cfg)
+        pipeline_run(_puts(range(20)), _die_on_one, cfg)
     assert time.perf_counter() - t0 < 5.0
 
 
@@ -262,7 +272,7 @@ def test_pipeline_requires_two_workers():
 
 def test_pipeline_run_collects_everything_in_order():
     cfg = PipelineConfig(p=3, queue_capacity=4)
-    results, stats = pipeline_run(iter(range(20)), lambda x: x * 2, cfg)
+    results, stats = pipeline_run(_puts(range(20)), lambda x: x * 2, cfg)
     assert [v for _, v in results] == [2 * x for x in range(20)]
     assert stats.produced == stats.consumed == 20
 
@@ -270,10 +280,10 @@ def test_pipeline_run_collects_everything_in_order():
 def test_pipeline_process_mode_overlaps_production_and_consumption():
     unit = 0.05
 
-    def producer():
+    def producer(put):
         for i in range(6):
             time.sleep(unit)
-            yield i
+            put(i)
 
     def consumer(i):
         time.sleep(3 * unit)
@@ -281,28 +291,55 @@ def test_pipeline_process_mode_overlaps_production_and_consumption():
 
     cfg = PipelineConfig(p=4, queue_capacity=64, mode="process")
     t0 = time.perf_counter()
-    results, stats = pipeline_run(producer(), consumer, cfg)
+    results, stats = pipeline_run(producer, consumer, cfg)
     elapsed = time.perf_counter() - t0
     assert [v for _, v in results] == list(range(6))
     assert stats.first_consume_before_last_produce
     assert elapsed < 20 * unit
 
 
-def test_pipeline_producer_error_reports_partials():
-    def producer():
-        yield 1
-        yield 2
+def test_pipeline_producer_error_propagates_and_leaves_nothing_running():
+    # 200 items of 20 KB overfill the queue's pipe: the consumers must
+    # drain it, or the queue's feeder thread would stay blocked on it
+    def producer(put):
+        for _ in range(200):
+            put(bytes(20_000))
         raise RuntimeError("producer died")
 
-    cfg = PipelineConfig(p=2)
-    results, stats = pipeline_run(producer(), lambda x: x, cfg)
-    assert [v for _, v in results] == [1, 2]
-    assert stats.producer_error is not None and "producer died" in stats.producer_error
+    with pytest.raises(RuntimeError, match="producer died"):
+        pipeline_run(producer, len, PipelineConfig(p=3))
+    assert mp.active_children() == []
+    assert threading.enumerate() == [threading.main_thread()]
+
+
+def test_dead_consumer_with_a_full_queue_leaves_nothing_running():
+    # the one consumer dies on its first item while the queue's pipe is
+    # full: the feeder thread writing to it must still end
+    def producer(put):
+        for _ in range(200):
+            put(bytes(20_000))
+
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="exit code 3"):
+        pipeline_run(producer, lambda _: os._exit(3), PipelineConfig(p=2))
+    assert time.perf_counter() - t0 < 5.0
+    assert mp.active_children() == []
+    assert threading.enumerate() == [threading.main_thread()]
+
+
+def test_dead_consumer_found_after_the_producer_is_done():
+    def producer(put):
+        put(1)
+        time.sleep(1.0)  # the one consumer dies on that item meanwhile
+
+    with pytest.raises(RuntimeError, match="exit code 3"):
+        pipeline_run(producer, _die_on_one, PipelineConfig(p=2))
+    assert mp.active_children() == []
 
 
 def test_pipeline_process_mode():
     cfg = PipelineConfig(p=3, queue_capacity=8, mode="process")
-    results, stats = pipeline_run(iter(range(15)), lambda x: x + 100, cfg)
+    results, stats = pipeline_run(_puts(range(15)), lambda x: x + 100, cfg)
     assert [v for _, v in results] == [x + 100 for x in range(15)]
     assert stats.produced == 15
 
@@ -329,7 +366,7 @@ def test_consecutive_crews_fork_with_no_thread_alive(alive_at_fork):
     assert all(threads == [threading.main_thread()] for threads in alive_at_fork)
 
 
-def test_start_system_pipeline_forks_before_its_enumeration_thread(alive_at_fork):
+def test_start_system_pipeline_forks_with_no_thread_alive(alive_at_fork):
     _, sols, stats = solve_start_system(embed(cyclic(4), 1, 7).system, 7, p=2)
     assert stats.mixed_volume == 20 and len(sols) == 20
     assert alive_at_fork
