@@ -4,7 +4,6 @@ filter, report.  One required input: the expected top dimension."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from .cascade import run_cascade, solve_top
 from .filtering import classify_isolated, filter_junk
@@ -13,22 +12,6 @@ from .polynomials import PolySystem
 from .report import DecompositionReport, Timings
 from .systems import embed, square_up
 from .tracker import TrackParams
-
-
-@dataclass
-class RunConfig:
-    input_path: str | None = None
-    top_dimension: int | None = None  # None -> nvars - 1
-    tasks: int = 1
-    precision: str = "double"  # "double" | "dd"
-    seed: int | None = None  # None -> time-derived, echoed in the report
-    out: str | None = None
-    cell_log: str | None = None
-
-    def resolve_seed(self) -> int:
-        if self.seed is None:
-            return int(time.time()) & 0x7FFFFFFF
-        return int(self.seed)
 
 
 def reject_zero_polynomials(f: PolySystem) -> None:

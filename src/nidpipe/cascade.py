@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rngmod
-from .parallel import JobFailure, PipelineConfig, pipeline_run, work_crew
+from .parallel import PipelineConfig, pipeline_run, raise_failures, work_crew
 from .polyhedral import (  # noqa: F401  (``lift_supports`` stays a module attribute for tracing tools)
     MixedCell,
     enumerate_cells,
@@ -32,7 +32,6 @@ from .polynomials import PolySystem, make_poly, variable_poly
 from .systems import EmbeddedSystem
 from .tracker import (  # noqa: F401  (``track`` stays a module attribute for tracing tools)
     AT_INFINITY,
-    FAILED,
     NONZERO_SLACK,
     ZERO_SLACK,
     Homotopy,
@@ -105,10 +104,6 @@ class WitnessSuperset:
                 return level.zero_slack
         return []
 
-    @property
-    def stage_counts(self) -> list[dict]:
-        return [level.counts for level in self.levels]
-
 
 def solve_start_system(
     emb_system: PolySystem,
@@ -148,10 +143,8 @@ def solve_start_system(
             return results
         cfg = PipelineConfig(p=p)
         pairs, _ = pipeline_run(produce, lambda cell: solve_cell(cell, g, supports, params), cfg)
-        for _, out in pairs:
-            if isinstance(out, JobFailure):
-                raise RuntimeError(f"cell worker failed: {out.message}")
-        return [r for _, out in pairs for r in out]
+        outs = raise_failures([out for _, out in pairs], "cell worker")
+        return [r for out in outs for r in out]
 
     t0 = time.perf_counter()
     results, stats.lifting_attempt = generic_lifting(supports, seed, search)
@@ -174,13 +167,11 @@ def track_on_crew(
 ) -> list[PathResult]:
     """Track one stage's paths on p workers: worker i takes the strided
     chunk starts[i::p] as one batch.  Results come back in the order of
-    starts; every path of a chunk whose job failed counts as failed."""
+    starts; a job that raised fails the run with a RuntimeError."""
     chunks = [np.array(starts[i::p]) for i in range(min(p, len(starts)))]
     tracked = work_crew(chunks, p, lambda chunk: track_paths(h, chunk, params))
     results: list = [None] * len(starts)
-    for i, (chunk, out) in enumerate(zip(chunks, tracked)):
-        if isinstance(out, JobFailure):
-            out = [PathResult(FAILED, None, 0, 0.0)] * len(chunk)
+    for i, out in enumerate(raise_failures(tracked, "path tracking job")):
         results[i::p] = out
     return results
 

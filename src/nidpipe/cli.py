@@ -13,7 +13,7 @@ import json
 import sys
 import time
 
-from .blackbox import RunConfig, decompose, reject_zero_polynomials
+from .blackbox import decompose, reject_zero_polynomials
 from .parallel import (
     cascade_speedup,
     filter_speedup,
@@ -110,45 +110,41 @@ def _rejects_input(system, dim) -> bool:
     return False
 
 
+def _seed(args) -> int:
+    """The --seed flag, or a time-derived seed when it is not given."""
+    return args.seed if args.seed is not None else int(time.time()) & 0x7FFFFFFF
+
+
 def _run_solve(system, args, input_path=None) -> int:
     if _rejects_input(system, args.dim):
         return EXIT_PARSE
-    cfg = RunConfig(
-        input_path=input_path,
-        top_dimension=args.dim,
-        tasks=args.tasks,
-        precision="dd" if args.precision == "dd" else "double",
-        seed=args.seed,
-        out=args.out,
-        cell_log=args.cell_log,
-    )
-    seed = cfg.resolve_seed()
+    seed = _seed(args)
     cells: list[MixedCell] = []
     try:
         rep = decompose(
             system,
-            top_dimension=cfg.top_dimension,
+            top_dimension=args.dim,
             seed=seed,
-            tasks=cfg.tasks,
-            precision=cfg.precision,
-            cell_log=cells if cfg.cell_log else None,
+            tasks=args.tasks,
+            precision="dd" if args.precision == "dd" else "double",
+            cell_log=cells if args.cell_log else None,
             input_path=input_path,
         )
     except RuntimeError as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         return EXIT_SOLVE
     print(summary_text(rep), end="")
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report_to_json(rep))
-        sidecar = cfg.out + ".embedding.json"
+        sidecar = args.out + ".embedding.json"
         with open(sidecar, "w", encoding="utf-8") as fh:
             json.dump({"k": rep.top_dimension, "seed": seed, "nvars": rep.nvars}, fh)
             fh.write("\n")
-        print(f"report written to {cfg.out}")
-    if cfg.cell_log:
-        _write_cell_log(cfg.cell_log, cells)
-        print(f"cell log written to {cfg.cell_log}")
+        print(f"report written to {args.out}")
+    if args.cell_log:
+        _write_cell_log(args.cell_log, cells)
+        print(f"cell log written to {args.cell_log}")
     return EXIT_OK
 
 
@@ -193,7 +189,7 @@ def _run_bench(args) -> int:
     f = cyclic(args.n)
     if _rejects_input(f, args.dim):
         return EXIT_PARSE
-    seed = args.seed if args.seed is not None else int(time.time()) & 0x7FFFFFFF
+    seed = _seed(args)
     if args.budget_seconds or args.max_cells:
         square, _ = square_up(f, seed)
         emb = embed(square, args.dim, seed)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .cascade import WitnessSuperset
 from .linalg import condition_and_rank
-from .parallel import JobFailure, work_crew
+from .parallel import raise_failures, work_crew
 from .polynomials import jacobian, residual
 from .systems import EmbeddedSystem, slice_to_zero
 from .tracker import (  # noqa: F401  (``track`` stays a module attribute for tracing tools)
@@ -57,10 +57,6 @@ class WitnessSet:
     @property
     def degree(self) -> int:
         return len(self.points)
-
-    def original_points(self) -> np.ndarray:
-        n = self.embedding.n_original
-        return np.array([s.coordinates[:n] for s in self.points])
 
 
 @dataclass
@@ -138,9 +134,9 @@ def _membership_stage(
 ) -> tuple[list[Solution], FilterStage]:
     """Test every candidate against w on one crew; returns the
     candidates not on w's component and the stage's bookkeeping.
-    Indeterminate or failed tests keep the candidate (a false positive
-    only adds a suspect later; a false negative would lose a
-    component)."""
+    Indeterminate tests keep the candidate (a false positive only adds
+    a suspect later; a false negative would lose a component); a test
+    that raised fails the run with a RuntimeError."""
     n = w.embedding.n_original
     queries = [c.coordinates[:n] for c in candidates]
 
@@ -150,8 +146,8 @@ def _membership_stage(
         except MembershipIndeterminate:
             return False
 
-    verdicts = work_crew(queries, p, test)
-    kept = [c for c, member in zip(candidates, verdicts) if member is not True]
+    verdicts = raise_failures(work_crew(queries, p, test), "membership test")
+    kept = [c for c, member in zip(candidates, verdicts) if not member]
     tracked = w.degree * sum(
         1 for q in queries if not any(points_match(s.coordinates[:n], q) for s in w.points)
     )
@@ -224,10 +220,14 @@ def _refine_isolated(base_system, cand: Solution) -> tuple[Solution, bool]:
     # points on multiple components stall at ~sqrt(eps) in double
     # precision, right at the rank threshold; double-double Newton
     # settles the regularity question (linear rate needs the extra
-    # iterations to push a 1e-7 defect decisively below 1e-8)
+    # iterations to push a 1e-7 defect decisively below 1e-8).  A point
+    # on a component can slide far along it, so, as at the t=1 polish of
+    # a path, a polish that moves the point more than 5% is not taken.
     polished = refine_dd(base_system, refined.coordinates, steps=12)
     remeasured = newton_refine(base_system, polished, tol=0.0, max_iters=0)
-    if remeasured.residual <= max(refined.residual * 10, 1e-12):
+    moved = float(np.max(np.abs(polished - refined.coordinates)))
+    near = moved <= 0.05 * (1.0 + float(np.max(np.abs(refined.coordinates))))
+    if near and remeasured.residual <= max(refined.residual * 10, 1e-12):
         refined = remeasured
     _, rank = condition_and_rank(jacobian(base_system, refined.coordinates))
     return refined, rank == base_system.nvars
@@ -247,10 +247,9 @@ def classify_isolated(
     regular: list[Solution] = []
     singular: list[Solution] = []
     refine = lambda cand: _refine_isolated(base_system, cand)  # noqa: E731
-    for out in work_crew(candidates, p, refine):
-        if isinstance(out, JobFailure):
-            raise RuntimeError(f"refining a dimension-0 candidate failed: {out.message}")
-        refined, is_regular = out
+    for refined, is_regular in raise_failures(
+        work_crew(candidates, p, refine), "refining a dimension-0 candidate"
+    ):
         (regular if is_regular else singular).append(refined)
     regular = _dedup(regular)
     singular = _dedup(singular)

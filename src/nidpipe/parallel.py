@@ -45,6 +45,15 @@ def _run_job(worker, i, job):
         return JobFailure(i, traceback.format_exc(limit=4))
 
 
+def raise_failures(results: list, what: str) -> list:
+    """The results, when no job failed; otherwise a RuntimeError that
+    carries the message of the first JobFailure among them."""
+    for out in results:
+        if isinstance(out, JobFailure):
+            raise RuntimeError(f"{what} failed: {out.message}")
+    return results
+
+
 def check_backend(mode: str) -> None:
     """Forked processes are the one worker backend; ``mode`` survives
     only so that callers naming it keep working."""

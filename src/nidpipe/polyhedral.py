@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import rng as rngmod
 from .polynomials import PolySystem, _StackedEvaluator, make_poly
@@ -142,7 +141,7 @@ def _max_slack_simplex(G: np.ndarray, b: np.ndarray):
     equation and degenerate artificials cover the rest.  Returns
     (eps, v) with v the maximizer (read off the artificial columns'
     reduced costs, which carry the simplex multipliers), or None when
-    the pivot budget is exhausted (caller falls back to scipy).
+    the pivot budget is spent or the dual is numerically unbounded.
     """
     m, d = G.shape
     ncols = m + 1 + d
@@ -187,7 +186,7 @@ def _max_slack_simplex(G: np.ndarray, b: np.ndarray):
         col = T[: d + 1, enter]
         pos = col > 1e-11
         if not pos.any():
-            return None  # numerically unbounded dual: let scipy decide
+            return None  # numerically unbounded dual
         ratios = np.full(d + 1, np.inf)
         ratios[pos] = T[: d + 1, ncols][pos] / col[pos]
         leave = int(np.argmin(ratios))
@@ -247,27 +246,13 @@ class _CellSearch:
     def _slack_lp(self, A, b, U, alpha0):
         """Max separation slack of A alpha + eps <= b over alpha in the
         affine subspace alpha0 + span(U); also returns the maximizer
-        (the deepest point of the cone, a good base for the children)."""
-        G = A @ U
-        bb = b - A @ alpha0
-        out = _max_slack_simplex(G, bb)
+        (the deepest point of the cone, a good base for the children).
+        A simplex that gives up makes the lifting count as degenerate."""
+        out = _max_slack_simplex(A @ U, b - A @ alpha0)
         if out is None:
-            out = self._scipy_slack(G, bb)
+            raise TieDetected("max-slack simplex gave up")
         eps, v = out
         return eps, alpha0 + U @ v
-
-    def _scipy_slack(self, G, bb):
-        d = G.shape[1]
-        res = linprog(
-            np.append(np.zeros(d), -1.0),
-            A_ub=np.hstack([G, np.ones((len(bb), 1))]),
-            b_ub=bb,
-            bounds=[(None, None)] * d + [(None, 1.0)],
-            method="highs",
-        )
-        if res.status != 0:
-            raise TieDetected(f"fallback LP status {res.status}")
-        return float(res.x[-1]), res.x[:d]
 
     def feasible_edges(self, sup: int) -> list[tuple[int, int]]:
         pts = self.points[sup]

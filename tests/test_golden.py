@@ -94,6 +94,17 @@ def test_cyclic5_dim1_has_70_isolated_points_and_no_components():
     assert not rep.suspects
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [11, 19, 40])
+def test_demo_dim3_components_where_a_polish_slid_a_point_along_a_line(seed):
+    # the double-double polish of a dimension-0 candidate on a line once
+    # moved it to |x| ~ 1e8..1e13, where no membership test matched it
+    rep = decompose(demo_system(), top_dimension=3, seed=seed, tasks=1)
+    assert rep.degrees == {3: 1, 2: 1, 1: 12}
+    assert len(rep.isolated) == 4
+    assert not rep.suspects
+
+
 # -- open wrong answers: each strict xfail names the defect it tracks ----------
 
 ZERO_COORDINATE = "roots with a zero coordinate are lost: the start system counts roots in (C*)^n only"

@@ -1,6 +1,7 @@
 """Ties in the lifting: ``enumerate_cells`` raises TieDetected on any
-tie, and ``generic_lifting``, the one relift loop, starts each of its
-callers over on the next lifting of the seed."""
+tie or when the max-slack simplex gives up, and ``generic_lifting``, the
+one relift loop, starts each of its callers over on the next lifting of
+the seed."""
 
 import multiprocessing as mp
 
@@ -84,6 +85,20 @@ def test_tie_after_a_cell_restarts_the_start_system(monkeypatch, p):
     assert stats.lifting_attempt == 1
     assert log == expected and stats.cells == len(expected)
     assert mp.active_children() == []
+
+
+def test_a_simplex_that_gives_up_restarts_the_start_system(monkeypatch):
+    real = polyhedral._max_slack_simplex
+    calls = []
+
+    def gives_up_once(G, b):
+        calls.append(len(b))
+        return None if len(calls) == 1 else real(G, b)
+
+    monkeypatch.setattr(polyhedral, "_max_slack_simplex", gives_up_once)
+    _, sols, stats = cascade.solve_start_system(CYCLIC4_DIM1, 7, p=1)
+    assert stats.mixed_volume == 20 and len(sols) == 20
+    assert stats.lifting_attempt == 1
 
 
 def test_tie_after_a_cell_restarts_the_mixed_volume(monkeypatch):

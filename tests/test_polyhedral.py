@@ -1,11 +1,16 @@
 """Mixed cells, mixed volumes, binomial starts, and the max-slack LP."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import nidpipe
 from nidpipe.polynomials import PolySystem, make_poly, residual
 from nidpipe.polyhedral import (
     MixedCell,
@@ -283,3 +288,14 @@ def test_max_slack_simplex_matches_scipy(seed):
         # the returned maximizer attains the reported slack
         attained = float(np.min(b - G @ v)) if m else 1.0
         assert min(attained, 1.0) >= eps - 1e-7
+
+
+def test_importing_the_solver_leaves_scipy_out():
+    # scipy serves only as the reference LP of the test above
+    src = str(Path(nidpipe.__file__).resolve().parents[1])
+    code = "import sys, nidpipe.blackbox; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
