@@ -11,7 +11,7 @@ from .parallel import check_backend
 from .polynomials import PolySystem
 from .report import DecompositionReport, Timings
 from .systems import embed, square_up
-from .tracker import TrackParams
+from .tracker import _dd_polished
 
 
 def reject_zero_polynomials(f: PolySystem) -> None:
@@ -54,23 +54,28 @@ def decompose(
         raise ValueError(f"top dimension must be in 0..{n - 1}, got {top_dimension}")
     if precision not in ("double", "dd"):
         raise ValueError(f"unknown precision {precision!r}")
-    params = TrackParams(precision="double_double" if precision == "dd" else "double")
     timings = Timings()
 
     emb = embed(square, top_dimension, seed)
-    top_results, top_stats = solve_top(emb, tasks, params=params, cell_log=cell_log)
+    top_results, top_stats = solve_top(emb, tasks, cell_log=cell_log)
     timings.start_system = top_stats.time_start_system
     timings.continuation = top_stats.time_continuation
 
     t0 = time.perf_counter()
-    superset = run_cascade(top_results, emb, tasks, params)
+    superset = run_cascade(top_results, emb, tasks)
     timings.cascade = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    witness_sets, stages = filter_junk(superset, tasks, params)
+    witness_sets, stages = filter_junk(superset, tasks)
     isolated, suspects, iso_stages = classify_isolated(
-        superset.candidates(0), witness_sets, square, tasks, params
+        superset.candidates(0), witness_sets, square, tasks
     )
+    if precision == "dd":
+        # each reported point is polished once, on the system it solves
+        for w in witness_sets:
+            w.points = [_dd_polished(w.embedding.system, s, 3) for s in w.points]
+        isolated = [_dd_polished(square, s, 3) for s in isolated]
+        suspects = [_dd_polished(square, s, 3) for s in suspects]
     timings.filtering = time.perf_counter() - t0
 
     return DecompositionReport(

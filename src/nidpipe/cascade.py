@@ -38,7 +38,6 @@ from .tracker import (  # noqa: F401  (``track`` stays a module attribute for tr
     LinearHomotopy,
     PathResult,
     Solution,
-    TrackParams,
     classify,
     newton_refine,
     track,
@@ -109,7 +108,6 @@ def solve_start_system(
     emb_system: PolySystem,
     seed: int,
     p: int = 1,
-    params: TrackParams = TrackParams(),
     cell_log: list | None = None,
 ) -> tuple[PolySystem, list[Solution], TopStats]:
     """Polyhedral solve of the random-coefficient system sharing the
@@ -139,10 +137,10 @@ def solve_start_system(
 
         if p == 1:
             results: list[PathResult] = []
-            produce(lambda cell: results.extend(solve_cell(cell, g, supports, params)))
+            produce(lambda cell: results.extend(solve_cell(cell, g, supports)))
             return results
         cfg = PipelineConfig(p=p)
-        pairs, _ = pipeline_run(produce, lambda cell: solve_cell(cell, g, supports, params), cfg)
+        pairs, _ = pipeline_run(produce, lambda cell: solve_cell(cell, g, supports), cfg)
         outs = raise_failures([out for _, out in pairs], "cell worker")
         return [r for out in outs for r in out]
 
@@ -159,17 +157,12 @@ def solve_start_system(
     return g, sols, stats
 
 
-def track_on_crew(
-    h: Homotopy,
-    starts: list[np.ndarray],
-    p: int,
-    params: TrackParams,
-) -> list[PathResult]:
+def track_on_crew(h: Homotopy, starts: list[np.ndarray], p: int) -> list[PathResult]:
     """Track one stage's paths on p workers: worker i takes the strided
     chunk starts[i::p] as one batch.  Results come back in the order of
     starts; a job that raised fails the run with a RuntimeError."""
     chunks = [np.array(starts[i::p]) for i in range(min(p, len(starts)))]
-    tracked = work_crew(chunks, p, lambda chunk: track_paths(h, chunk, params))
+    tracked = work_crew(chunks, p, lambda chunk: track_paths(h, chunk))
     results: list = [None] * len(starts)
     for i, out in enumerate(raise_failures(tracked, "path tracking job")):
         results[i::p] = out
@@ -180,17 +173,16 @@ def solve_top(
     emb: EmbeddedSystem,
     p: int = 1,
     seed: int | None = None,
-    params: TrackParams = TrackParams(),
     cell_log: list | None = None,
 ) -> tuple[list[PathResult], TopStats]:
     """Solve the embedded system: polyhedral start, then continuation."""
     seed = emb.seed if seed is None else seed
     system = emb.system if emb.k > 0 else emb.base
-    g, g_sols, stats = solve_start_system(system, seed, p, params, cell_log)
+    g, g_sols, stats = solve_start_system(system, seed, p, cell_log)
     gamma = complex(rngmod.unit_complex(rngmod.stream(seed, rngmod.GAMMA)))
     h = LinearHomotopy(g, system, gamma)
     t0 = time.perf_counter()
-    results = track_on_crew(h, [s.coordinates for s in g_sols], p, params)
+    results = track_on_crew(h, [s.coordinates for s in g_sols], p)
     stats.time_continuation = time.perf_counter() - t0
     out = []
     for r in results:
@@ -208,10 +200,7 @@ def solve_top(
 
 
 def _classify_level(
-    results: list[PathResult],
-    emb_level: EmbeddedSystem,
-    dimension: int,
-    params: TrackParams,
+    results: list[PathResult], emb_level: EmbeddedSystem, dimension: int
 ) -> CascadeLevel:
     """Split tracked paths into the level's three-way classification."""
     level = CascadeLevel(dimension, emb_level, starts=len(results), at_infinity=0)
@@ -224,7 +213,7 @@ def _classify_level(
             level.failures += 1
             continue
         sol = newton_refine(system, r.endpoint.coordinates, tol=1e-13, max_iters=6)
-        cls = classify(sol.coordinates, emb_level.n_original, params.infinity_threshold)
+        cls = classify(sol.coordinates, emb_level.n_original)
         if cls == AT_INFINITY:
             level.at_infinity += 1
         elif cls == ZERO_SLACK:
@@ -254,11 +243,7 @@ def _slack_removal_homotopy(emb: EmbeddedSystem, gamma: complex) -> LinearHomoto
     return LinearHomotopy(start, target)
 
 
-def cascade_step(
-    level: CascadeLevel,
-    p: int = 1,
-    params: TrackParams = TrackParams(),
-) -> CascadeLevel:
+def cascade_step(level: CascadeLevel, p: int = 1) -> CascadeLevel:
     """Track the level's nonzero-slack solutions one dimension down."""
     if level.dimension < 1:
         raise ValueError("cannot cascade below dimension 0")
@@ -269,24 +254,23 @@ def cascade_step(
     gamma = complex(rngmod.unit_complex(rngmod.stream(emb.seed, rngmod.GAMMA, level.dimension)))
     h = _slack_removal_homotopy(emb, gamma)
     results = []
-    for r in track_on_crew(h, [s.coordinates for s in level.nonzero_slack], p, params):
+    for r in track_on_crew(h, [s.coordinates for s in level.nonzero_slack], p):
         if r.succeeded and r.endpoint is not None:
             # the target row pins z_d = 0: drop that coordinate
             coords = r.endpoint.coordinates[:-1]
             r = PathResult(r.status, Solution(coords, r.endpoint.residual, r.endpoint.condition), r.steps_used, r.t_reached)
         results.append(r)
-    return _classify_level(results, next_emb, level.dimension - 1, params)
+    return _classify_level(results, next_emb, level.dimension - 1)
 
 
 def run_cascade(
     top_results: list[PathResult],
     emb: EmbeddedSystem,
     p: int = 1,
-    params: TrackParams = TrackParams(),
 ) -> WitnessSuperset:
     """Iterate cascade steps from the top dimension down to zero."""
-    top_level = _classify_level(top_results, emb, emb.k, params)
+    top_level = _classify_level(top_results, emb, emb.k)
     levels = [top_level]
     while levels[-1].dimension > 0:
-        levels.append(cascade_step(levels[-1], p, params))
+        levels.append(cascade_step(levels[-1], p))
     return WitnessSuperset(levels, emb, emb.seed)

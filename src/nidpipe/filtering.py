@@ -29,7 +29,6 @@ from .tracker import (  # noqa: F401  (``track`` stays a module attribute for tr
     ZERO_SLACK,
     LinearHomotopy,
     Solution,
-    TrackParams,
     newton_refine,
     refine_dd,
     track,
@@ -90,11 +89,7 @@ def membership_targets(w: WitnessSet, q) -> EmbeddedSystem:
     return w.embedding.with_hyper_constants(constants)
 
 
-def membership_test(
-    w: WitnessSet,
-    q,
-    params: TrackParams = TrackParams(),
-) -> bool:
+def membership_test(w: WitnessSet, q) -> bool:
     """Track the generic points of w, as one batch, toward hyperplanes
     through q; membership holds iff some endpoint coincides with q.
 
@@ -110,7 +105,7 @@ def membership_test(
             return True
     target = membership_targets(w, q).system
     h = LinearHomotopy(w.embedding.system, target)
-    results = track_paths(h, np.array([s.coordinates for s in w.points]), params)
+    results = track_paths(h, np.array([s.coordinates for s in w.points]))
     any_success = False
     for r in results:
         if not r.succeeded or r.endpoint is None:
@@ -130,7 +125,6 @@ def _membership_stage(
     candidates: list[Solution],
     candidate_dimension: int,
     p: int,
-    params: TrackParams,
 ) -> tuple[list[Solution], FilterStage]:
     """Test every candidate against w on one crew; returns the
     candidates not on w's component and the stage's bookkeeping.
@@ -142,7 +136,7 @@ def _membership_stage(
 
     def test(q) -> bool:
         try:
-            return membership_test(w, q, params)
+            return membership_test(w, q)
         except MembershipIndeterminate:
             return False
 
@@ -180,9 +174,7 @@ def _dedup(points: list[Solution], n: int | None = None) -> list[Solution]:
 
 
 def filter_junk(
-    superset: WitnessSuperset,
-    p: int = 1,
-    params: TrackParams = TrackParams(),
+    superset: WitnessSuperset, p: int = 1
 ) -> tuple[list[WitnessSet], list[FilterStage]]:
     """Remove candidates lying on higher dimensional components.
 
@@ -203,7 +195,7 @@ def filter_junk(
         for w in witness_sets:
             if not candidates:
                 break
-            candidates, stage = _membership_stage(w, candidates, d, p, params)
+            candidates, stage = _membership_stage(w, candidates, d, p)
             stages.append(stage)
         survivors = [c for c in candidates if _restricted_regular(level.embedding, c)]
         if survivors:
@@ -238,7 +230,6 @@ def classify_isolated(
     witness_sets: list[WitnessSet],
     base_system,
     p: int = 1,
-    params: TrackParams = TrackParams(),
 ) -> tuple[list[Solution], list[Solution], list[FilterStage]]:
     """Split dimension-0 candidates into regular isolated solutions and
     singular suspects, running singular candidates through membership
@@ -255,6 +246,6 @@ def classify_isolated(
     singular = _dedup(singular)
     stages: list[FilterStage] = []
     for w in sorted(witness_sets, key=lambda w: -w.dimension):
-        singular, stage = _membership_stage(w, singular, 0, p, params)
+        singular, stage = _membership_stage(w, singular, 0, p)
         stages.append(stage)
     return regular, singular, stages

@@ -27,7 +27,7 @@ import numpy as np
 from . import rng as rngmod
 from .polynomials import PolySystem, _StackedEvaluator, make_poly
 # ``track`` stays a module attribute: tracing tools wrap this module's names
-from .tracker import PathResult, TrackParams, track, track_paths  # noqa: F401
+from .tracker import PathResult, track, track_paths  # noqa: F401
 
 SLACK_MARGIN = 1e-9
 LIFTING_ATTEMPTS = 6  # liftings of one seed tried before giving up
@@ -745,12 +745,7 @@ class PolyhedralHomotopy:
         return np.max(v.real, axis=1)
 
 
-def solve_cell(
-    cell: MixedCell,
-    g: PolySystem,
-    supports: Support,
-    params: TrackParams = TrackParams(),
-) -> list[PathResult]:
+def solve_cell(cell: MixedCell, g: PolySystem, supports: Support) -> list[PathResult]:
     """Track the cell's volume-many paths from its binomial system to
     solutions of the start system g at t=1."""
     coeff_of = [dict(p.terms) for p in g.polys]
@@ -762,4 +757,4 @@ def solve_cell(
         beta.append(-ca / cb)
     starts = binomial_solutions(V, beta)
     h = PolyhedralHomotopy(g, cell, supports)
-    return track_paths(h, np.array(starts), params)
+    return track_paths(h, np.array(starts))

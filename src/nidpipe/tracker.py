@@ -17,12 +17,19 @@ it converges within its iteration budget).  Endpoints are polished at
 t=1 with a damped least-squares Newton so that paths running into
 singular endpoints still return usable solutions.
 
-Paths are always tracked in double.  ``refine_dd`` is the one
-double-double code path: mixed-precision Newton on the target system
-h(., 1), with the residual evaluated in double-double, the correction
-solved in double and the point accumulated in double-double.  It
-polishes ill-conditioned endpoints (condition above 1e4) and, in
-double-double precision, every endpoint.
+Paths are tracked in double with one fixed step-control recipe, the
+module constants below; the tracker takes no options.  With the gamma
+trick every path stays finite for t < 1 with probability one, so
+nothing cuts a path off in mid-path: a path is at infinity only by its
+endpoint, when the t=1 polish fails and the point is large or grew
+across the endgame (``_finish``), or when the refined endpoint
+classifies at infinity (``classify``).
+
+``refine_dd`` is the one double-double code path: Newton on a system
+with the residual evaluated in double-double, the correction solved in
+double and the point accumulated in double-double.  It polishes
+ill-conditioned endpoints (condition above 1e4); a solver run asked
+for double-double output polishes each point it reports with it once.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ import numpy as np
 
 from .dd import cdd_add
 from .linalg import SINGULARITY_TOL, condition_and_rank, newton_step
-from .polynomials import PolySystem, _StackedEvaluator, jacobian
+from .polynomials import PolySystem, _StackedEvaluator, jacobian, residual
 
 # residuals are meaningful only down to the cancellation noise of the
 # evaluation; 50 ulps of the absolute-term scale is the practical floor
@@ -56,8 +63,23 @@ NOT_APPLICABLE = "not_applicable"
 ZERO_SLACK_TOL = 1e-8
 CONVERGED_RESIDUAL = 1e-8
 
+# step control of every path: the blackbox's one fixed recipe
+INITIAL_STEP = 0.1
+MIN_STEP = 1e-8
+MAX_STEP = 0.2
+CORRECTOR_TOL = 1e-10
+MAX_CORRECTOR_ITERS = 4
+MAX_STEPS = 2000
+ENDGAME_START = 0.9
+ENDGAME_CONTRACTION = 0.5
+# endpoint handling
+SNAP_REMAINING = 2e-8  # jump to t=1 once this close
+FINAL_NEWTON_ITERS = 40
+SOFT_INFINITY = 1e4  # failed final polish + coordinates above this => at infinity
+INFINITE_ENDPOINT = 1e8  # a refined endpoint this large classifies as at infinity
+
 # a double-double Newton correction this far below the point's size
-# is past the working precision: the iteration has converged
+# is below what double-double resolves: the iteration has converged
 DD_CORRECTION_TOL = 2.0**-100
 
 
@@ -124,33 +146,6 @@ class LinearHomotopy:
         eval must be judged."""
         v = self._stacked[2](np.abs(x).astype(np.complex128)).real.reshape(len(x), 2, -1)
         return (1.0 - t) * v[:, 0].max(axis=1) + t * v[:, 1].max(axis=1)
-
-
-@dataclass(frozen=True)
-class TrackParams:
-    """Step control knobs; the defaults are the blackbox settings."""
-
-    initial_step: float = 0.1
-    min_step: float = 1e-8
-    max_step: float = 0.2
-    corrector_tol: float = 1e-10
-    max_corrector_iters: int = 4
-    max_steps: int = 2000
-    infinity_threshold: float = 1e8
-    endgame_start: float = 0.9
-    endgame_contraction: float = 0.5
-    # endpoint handling
-    snap_remaining: float = 2e-8  # jump to t=1 once this close
-    final_newton_iters: int = 40
-    soft_infinity: float = 1e4  # failed final polish + coords above this => at infinity
-    precision: str = "double"  # "double" | "double_double" (double-double endpoint polish)
-
-    def __post_init__(self):
-        if not (self.min_step < self.initial_step <= self.max_step):
-            raise ValueError("need min_step < initial_step <= max_step")
-        for name in ("corrector_tol", "min_step", "infinity_threshold"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -298,59 +293,55 @@ def _damped_newton(h: Homotopy, x: np.ndarray, t: float, tol: float, iters: int)
     return x, resid, done
 
 
-def _endpoint_solution(h: Homotopy, x: np.ndarray, resid: float) -> Solution:
-    cond, _ = condition_and_rank(_jac1(h, x, 1.0))
+def _solution(f: PolySystem, x: np.ndarray, resid: float) -> Solution:
+    """x as a root of f, with its condition and regularity measured."""
+    cond, _ = condition_and_rank(jacobian(f, x))
     reg = REGULAR if cond < 1.0 / SINGULARITY_TOL else SINGULAR
     return Solution(x, resid, cond, reg)
 
 
-def _dd_polished(h: Homotopy, sol: Solution, steps: int, floor: float = 0.0) -> Solution:
-    """The endpoint after a double-double polish at t=1, when that does
-    not raise the residual above max(4 x the old one, floor)."""
-    better = refine_dd(h.target, sol.coordinates, steps)
-    resid = _res_norm(_eval1(h, better, 1.0))
+def _dd_polished(f: PolySystem, sol: Solution, steps: int, floor: float = 0.0) -> Solution:
+    """sol after a double-double polish on f, when that does not raise
+    the residual above max(4 x the old one, floor)."""
+    better = refine_dd(f, sol.coordinates, steps)
+    resid = residual(f, better)
     if np.isfinite(resid) and resid <= max(sol.residual * 4, floor):
-        return _endpoint_solution(h, better, resid)
+        return _solution(f, better, resid)
     return sol
 
 
-def _finish(h, x, t_from, steps_used, params: TrackParams, entry_norm: float) -> PathResult:
+def _finish(h, x, t_from, steps_used, entry_norm: float) -> PathResult:
     """Final correction at t=1 and endpoint classification of one path.
 
     The t=1 Newton polish is a *correction*: an endpoint that moved far
     from the tracked point is not this path's limit (diverging paths
     would otherwise get rescued onto some unrelated finite solution).
-    Divergence that never crossed the hard coordinate threshold shows
-    up as strong growth across the endgame combined with a failed
-    polish.
+    A path is at infinity when its polish fails and it is either large
+    or grew strongly across the endgame.
     """
     norm_now = float(np.max(np.abs(x))) if _finite(x) else float("inf")
     move_cap = 0.05 * (1.0 + norm_now)
-    x1, resid, _ = _damped_newton(h, x, 1.0, params.corrector_tol, params.final_newton_iters)
+    x1, resid, _ = _damped_newton(h, x, 1.0, CORRECTOR_TOL, FINAL_NEWTON_ITERS)
     moved = float(np.max(np.abs(x1 - x))) if _finite(x1) else float("inf")
     if np.isfinite(resid) and resid <= CONVERGED_RESIDUAL and moved <= move_cap:
-        status, sol, t_reached = CONVERGED, _endpoint_solution(h, x1, resid), 1.0
+        sol = _solution(h.target, x1, resid)
         if sol.condition > 1e4:
             # near-multiple endpoints converge at linear rate 1/2, so a
             # handful of double-double steps must become a dozen to pull
             # a 1e-4 endpoint defect safely under the match tolerances
-            sol = _dd_polished(h, sol, 14, 1e-14)
-    else:
-        growth = (norm_now + 1e-6) / (entry_norm + 1e-6)
-        if norm_now > params.soft_infinity or growth >= 8.0:
-            return PathResult(AT_INFINITY, None, steps_used, t_from)
-        if not (np.isfinite(resid) and resid <= 1e-4 and moved <= move_cap):
-            return PathResult(FAILED, None, steps_used, t_from)
-        status, sol, t_reached = SINGULAR_ENDPOINT, _endpoint_solution(h, x1, resid), t_from
-    if params.precision == "double_double":
-        sol = _dd_polished(h, sol, 3)
-    return PathResult(status, sol, steps_used, t_reached)
+            sol = _dd_polished(h.target, sol, 14, 1e-14)
+        return PathResult(CONVERGED, sol, steps_used, 1.0)
+    growth = (norm_now + 1e-6) / (entry_norm + 1e-6)
+    if norm_now > SOFT_INFINITY or growth >= 8.0:
+        return PathResult(AT_INFINITY, None, steps_used, t_from)
+    if not (np.isfinite(resid) and resid <= 1e-4 and moved <= move_cap):
+        return PathResult(FAILED, None, steps_used, t_from)
+    return PathResult(SINGULAR_ENDPOINT, _solution(h.target, x1, resid), steps_used, t_from)
 
 
 def track_paths(
     h: Homotopy,
     x0: np.ndarray,
-    params: TrackParams = TrackParams(),
     traces: list[list] | None = None,
 ) -> list[PathResult]:
     """Track the P paths of h that start at the rows of x0 (P, n) from
@@ -365,12 +356,12 @@ def track_paths(
     if not npaths:
         return []
     results: list[PathResult | None] = [None] * npaths
-    x, _, _, ok = _correct(h, x0, np.zeros(npaths), params.corrector_tol * 10, 3)
+    x, _, _, ok = _correct(h, x0, np.zeros(npaths), CORRECTOR_TOL * 10, 3)
     for i in np.flatnonzero(~ok):
         results[i] = PathResult(FAILED, None, 0, 0.0)
 
     t = np.zeros(npaths)
-    step = np.full(npaths, params.initial_step)
+    step = np.full(npaths, INITIAL_STEP)
     prev_x = x.copy()
     prev_step = np.zeros(npaths)  # 0 until a step was accepted: no secant yet
     steps = np.zeros(npaths, dtype=int)
@@ -378,7 +369,7 @@ def track_paths(
     in_endgame = np.zeros(npaths, dtype=bool)
 
     def finish(i):
-        results[i] = _finish(h, x[i].copy(), float(t[i]), int(steps[i]), params, float(entry_norm[i]))
+        results[i] = _finish(h, x[i].copy(), float(t[i]), int(steps[i]), float(entry_norm[i]))
 
     def end(i):
         if in_endgame[i]:
@@ -388,15 +379,15 @@ def track_paths(
 
     active = np.flatnonzero(ok)
     while active.size:
-        spent = steps[active] >= params.max_steps
+        spent = steps[active] >= MAX_STEPS
         for i in active[spent]:
             end(i)
         active = active[~spent]
-        entering = active[~in_endgame[active] & (t[active] >= params.endgame_start)]
+        entering = active[~in_endgame[active] & (t[active] >= ENDGAME_START)]
         in_endgame[entering] = True
         entry_norm[entering] = _row_max_abs(x[entering])
         remaining = 1.0 - t[active]
-        snap = remaining <= params.snap_remaining
+        snap = remaining <= SNAP_REMAINING
         for i in active[snap]:
             finish(i)
         active, remaining = active[~snap], remaining[~snap]
@@ -404,9 +395,9 @@ def track_paths(
             break
 
         steps[active] += 1
-        hstep = np.minimum(np.minimum(step[active], params.max_step), remaining)
+        hstep = np.minimum(np.minimum(step[active], MAX_STEP), remaining)
         hstep = np.where(
-            in_endgame[active], np.minimum(hstep, params.endgame_contraction * remaining), hstep
+            in_endgame[active], np.minimum(hstep, ENDGAME_CONTRACTION * remaining), hstep
         )
         t_try = t[active] + hstep
         t_try[1.0 - t_try < 1e-14] = 1.0
@@ -414,44 +405,32 @@ def track_paths(
         secant = pa > 0
         ratio = np.divide(hstep, pa, out=np.zeros_like(hstep), where=secant)
         x_pred = np.where(secant[:, None], xa + (xa - prev_x[active]) * ratio[:, None], xa)
-        x_new, _, iters, ok = _correct(
-            h, x_pred, t_try, params.corrector_tol, params.max_corrector_iters
-        )
+        x_new, _, iters, ok = _correct(h, x_pred, t_try, CORRECTOR_TOL, MAX_CORRECTOR_ITERS)
 
-        far = ok.copy()
-        far[ok] = _row_max_abs(x_new[ok]) > params.infinity_threshold
-        for i, tt in zip(active[far], t_try[far]):
-            results[i] = PathResult(AT_INFINITY, None, int(steps[i]), float(tt))
-        accepted = ok & ~far
-        acc = active[accepted]
-        prev_x[acc], prev_step[acc] = xa[accepted], hstep[accepted]
-        x[acc], t[acc] = x_new[accepted], t_try[accepted]
+        acc = active[ok]
+        prev_x[acc], prev_step[acc] = xa[ok], hstep[ok]
+        x[acc], t[acc] = x_new[ok], t_try[ok]
         if traces is not None:
-            for i, hs, it in zip(acc, hstep[accepted], iters[accepted]):
+            for i, hs, it in zip(acc, hstep[ok], iters[ok]):
                 traces[i].append((float(t[i]), float(hs), int(it)))
         arrived = t[acc] >= 1.0
         for i in acc[arrived]:
             finish(i)
-        grow = acc[~arrived & (iters[accepted] <= 2)]
-        step[grow] = np.minimum(step[grow] * 2.0, params.max_step)
+        grow = acc[~arrived & (iters[ok] <= 2)]
+        step[grow] = np.minimum(step[grow] * 2.0, MAX_STEP)
 
         rej = active[~ok]
         step[rej] = hstep[~ok] * 0.5
-        stalled = step[rej] < params.min_step
+        stalled = step[rej] < MIN_STEP
         for i in rej[stalled]:
             end(i)
         active = np.sort(np.concatenate([acc[~arrived], rej[~stalled]]))
     return results
 
 
-def track(
-    h: Homotopy,
-    x0: np.ndarray,
-    params: TrackParams = TrackParams(),
-    trace: list | None = None,
-) -> PathResult:
+def track(h: Homotopy, x0: np.ndarray, trace: list | None = None) -> PathResult:
     """Track one path: ``track_paths`` with a batch of one."""
-    return track_paths(h, np.asarray(x0)[None], params, None if trace is None else [trace])[0]
+    return track_paths(h, np.asarray(x0)[None], None if trace is None else [trace])[0]
 
 
 def newton_refine(
@@ -468,23 +447,21 @@ def newton_refine(
     """
     x = np.asarray(x, dtype=np.complex128)
     best, resid, _ = _damped_newton(LinearHomotopy(f, f), x, 1.0, tol, max_iters)
-    cond, _ = condition_and_rank(jacobian(f, best))
-    reg = REGULAR if cond < 1.0 / SINGULARITY_TOL else SINGULAR
-    return Solution(best, resid, cond, reg)
+    return _solution(f, best, resid)
 
 
 def refine_dd(f: PolySystem, x, steps: int = 3) -> np.ndarray:
-    """Mixed-precision Newton polish of a (possibly singular) root of f.
+    """Double/double-double Newton polish of a (possibly singular) root of f.
 
     The point is kept in double-double as (hi, lo).  Each step evaluates
     f there in double-double, rounds the residual to double, solves for
     the correction against the Jacobian at hi in double and adds it to
     (hi, lo) in double-double (Bates, Hauenstein, Sommese and Wampler,
-    "Adaptive multiprecision path tracking", SIAM J. Numer. Anal. 2008).
-    The residual is accurate although the solve is not, so the point
-    converges past double precision.  Stops early once the correction
-    falls below ``DD_CORRECTION_TOL`` of the point's size.  Returns the
-    point rounded to double, or x itself when a step is not finite.
+    SIAM J. Numer. Anal. 46, 2008).  The residual is accurate although
+    the solve is not, so the point converges past what double resolves.
+    Stops early once the correction falls below ``DD_CORRECTION_TOL`` of
+    the point's size.  Returns the point rounded to double, or x itself
+    when a step is not finite.
     """
     x = np.asarray(x, dtype=np.complex128)
     hi, lo = x[None], np.zeros((1, len(x)), dtype=np.complex128)
@@ -499,21 +476,16 @@ def refine_dd(f: PolySystem, x, steps: int = 3) -> np.ndarray:
     return hi[0] if _finite(hi) else x
 
 
-def classify(
-    coords,
-    n_original: int,
-    infinity_threshold: float = 1e8,
-    zero_tol: float = ZERO_SLACK_TOL,
-) -> str:
+def classify(coords, n_original: int) -> str:
     """Three-way slack classification of an endpoint.
 
     Coordinates beyond ``n_original`` are the slack variables; with no
     slacks every finite point counts as zero-slack.
     """
     coords = np.asarray(coords, dtype=np.complex128)
-    if not _finite(coords) or float(np.max(np.abs(coords))) > infinity_threshold:
+    if not _finite(coords) or float(np.max(np.abs(coords))) > INFINITE_ENDPOINT:
         return AT_INFINITY
     slacks = coords[n_original:]
-    if slacks.size == 0 or float(np.max(np.abs(slacks))) < zero_tol:
+    if slacks.size == 0 or float(np.max(np.abs(slacks))) < ZERO_SLACK_TOL:
         return ZERO_SLACK
     return NONZERO_SLACK

@@ -28,11 +28,11 @@ def test_a_cascade_job_that_raises_fails_the_run(monkeypatch):
     real = cascade.track_paths
     calls = []
 
-    def raises_after_the_continuation(h, x0, params):
+    def raises_after_the_continuation(h, x0):
         calls.append(len(x0))
         if len(calls) > 1:
             raise ValueError("injected cascade failure")
-        return real(h, x0, params)
+        return real(h, x0)
 
     monkeypatch.setattr(cascade, "track_paths", raises_after_the_continuation)
     with pytest.raises(RuntimeError, match="injected cascade failure"):
@@ -41,7 +41,7 @@ def test_a_cascade_job_that_raises_fails_the_run(monkeypatch):
 
 
 def test_a_membership_test_that_raises_fails_the_run(monkeypatch, capsys):
-    def raises(w, q, params):
+    def raises(w, q):
         raise ValueError("injected membership failure")
 
     monkeypatch.setattr(filtering, "membership_test", raises)
@@ -50,7 +50,7 @@ def test_a_membership_test_that_raises_fails_the_run(monkeypatch, capsys):
 
 
 def test_an_indeterminate_membership_test_keeps_the_candidate(monkeypatch):
-    def indeterminate(w, q, params):
+    def indeterminate(w, q):
         raise MembershipIndeterminate("injected: every path failed")
 
     monkeypatch.setattr(filtering, "membership_test", indeterminate)

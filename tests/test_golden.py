@@ -7,6 +7,7 @@ The fast cases run by default; the ones marked ``slow`` run with
 import numpy as np
 import pytest
 
+from nidpipe import tracker
 from nidpipe.blackbox import decompose
 from nidpipe.cli import EXIT_OK, main
 from nidpipe.polytext import parse_system
@@ -14,6 +15,7 @@ from nidpipe.report import report_to_json
 from nidpipe.systems import cyclic, demo_system
 
 CIRCLE_AND_LINE = "2 2\nx1^2 + x2^2 - 1;\nx1 - x2;\n"
+CIRCLE_TWICE = "2 2\nx1^2 + x2^2 - 1;\nx1^2 + x2^2 - 1;\n"
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +58,25 @@ def test_cli_double_double_precision_exits_ok(tmp_path, capsys):
     code = main(["solve", str(path), "--dim", "0", "--precision", "dd", "--seed", "1"])
     assert code == EXIT_OK
     assert "isolated solutions: 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text, dim, system_nvars", [(CIRCLE_AND_LINE, 0, 2), (CIRCLE_TWICE, 1, 3)])
+@pytest.mark.parametrize("precision", ["double", "dd"])
+def test_double_double_polishes_each_reported_point_once(monkeypatch, text, dim, system_nvars, precision):
+    # isolated points are polished on the square system, witness points
+    # on their level's embedded system; in double nothing here is
+    polished = []
+    refine_dd = tracker.refine_dd
+
+    def counted(f, x, steps=3):
+        polished.append(f.nvars)
+        return refine_dd(f, x, steps)
+
+    monkeypatch.setattr(tracker, "refine_dd", counted)
+    rep = decompose(parse_system(text), top_dimension=dim, seed=1, precision=precision)
+    reported = len(rep.isolated) + len(rep.suspects) + sum(rep.degrees.values())
+    assert reported == 2
+    assert polished == ([system_nvars] * reported if precision == "dd" else [])
 
 
 def test_cyclic5_dim0_seed3_has_70_isolated_points():
@@ -105,6 +126,17 @@ def test_demo_dim3_components_where_a_polish_slid_a_point_along_a_line(seed):
     assert not rep.suspects
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("tasks", [1, 2])
+def test_demo_dim3_components_at_seed_3011(tasks):
+    # three top-continuation paths cross |x| = 1e8 near t = 0.5 and come
+    # back; a mid-path cut-off once declared them at infinity and lost a line
+    rep = decompose(demo_system(), top_dimension=3, seed=3011, tasks=tasks)
+    assert rep.degrees == {3: 1, 2: 1, 1: 12}
+    assert len(rep.isolated) == 4
+    assert not rep.suspects
+
+
 # -- open wrong answers: each strict xfail names the defect it tracks ----------
 
 ZERO_COORDINATE = "roots with a zero coordinate are lost: the start system counts roots in (C*)^n only"
@@ -134,14 +166,3 @@ def test_a_surface_given_by_one_equation():
     assert not rep.isolated
 
 
-@pytest.mark.slow
-@pytest.mark.xfail(
-    strict=True,
-    reason="the demo at seed 3011 loses a line: dimension 1 has degree 11 plus one singular suspect",
-)
-@pytest.mark.parametrize("tasks", [1, 2])
-def test_demo_dim3_components_at_seed_3011(tasks):
-    rep = decompose(demo_system(), top_dimension=3, seed=3011, tasks=tasks)
-    assert rep.degrees == {3: 1, 2: 1, 1: 12}
-    assert len(rep.isolated) == 4
-    assert not rep.suspects

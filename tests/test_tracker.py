@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nidpipe import tracker
 from nidpipe.polynomials import PolySystem, make_poly, residual
 from nidpipe.systems import cyclic, demo_system, embed
 from nidpipe.tracker import (
@@ -13,7 +14,6 @@ from nidpipe.tracker import (
     SINGULAR,
     ZERO_SLACK,
     LinearHomotopy,
-    TrackParams,
     classify,
     newton_refine,
     refine_dd,
@@ -44,13 +44,6 @@ def eq6_system():
     )
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        TrackParams(initial_step=0.3, max_step=0.2)
-    with pytest.raises(ValueError):
-        TrackParams(min_step=0.5)
-
-
 def test_identity_homotopy_returns_start():
     f = cyclic(3)
     h = LinearHomotopy(f, f)
@@ -70,7 +63,17 @@ def test_linear_to_linear_matches_direct_solve():
     assert np.max(np.abs(r.endpoint.coordinates - direct)) < 1e-8
 
 
-def test_endpoints_insensitive_to_step_schedule():
+def test_a_path_passing_near_infinity_in_mid_path_converges():
+    # with gamma near -1 the root of (1-t)*gamma*(x-1) + t*(x-2) reaches
+    # |x| ~ 1e9 at t = 0.5 and comes back: only an endpoint is at infinity
+    g = PolySystem(1, (make_poly(1, [((1,), 1), ((0,), -1)]),))
+    f = PolySystem(1, (make_poly(1, [((1,), 1), ((0,), -2)]),))
+    r = track(LinearHomotopy(g, f, gamma=-1 + 1e-9j), np.array([1.0]))
+    assert r.status == CONVERGED
+    assert abs(r.endpoint.coordinates[0] - 2.0) < 1e-10
+
+
+def test_endpoints_insensitive_to_step_schedule(monkeypatch):
     e = embed(cyclic(4), 1, 11)
     from nidpipe.cascade import solve_start_system
     from nidpipe import rng as rngmod
@@ -78,11 +81,11 @@ def test_endpoints_insensitive_to_step_schedule():
     g, sols, _ = solve_start_system(e.system, 11)
     gamma = complex(rngmod.unit_complex(rngmod.stream(11, rngmod.GAMMA)))
     h = LinearHomotopy(g, e.system, gamma)
-    coarse = TrackParams()
-    fine = TrackParams(initial_step=0.05, max_step=0.1)
-    for s in sols[:6]:
-        a = track(h, s.coordinates, coarse)
-        b = track(h, s.coordinates, fine)
+    coarse = [track(h, s.coordinates) for s in sols[:6]]
+    monkeypatch.setattr(tracker, "INITIAL_STEP", 0.05)
+    monkeypatch.setattr(tracker, "MAX_STEP", 0.1)
+    for s, a in zip(sols[:6], coarse):
+        b = track(h, s.coordinates)
         assert a.status == b.status == CONVERGED
         assert np.max(np.abs(a.endpoint.coordinates - b.endpoint.coordinates)) < 1e-8
 
@@ -179,7 +182,7 @@ def test_double_double_mode_tracks_small_system():
     g = linear_system([[1, 2, 1], [2, -1, 1]], 2)
     f = linear_system([[-3, 1, 4], [5, 2, -1]], 2)
     x0 = np.linalg.solve([[2, 1], [-1, 1]], [-1, -2])
-    r = track(LinearHomotopy(g, f), x0, TrackParams(precision="double_double"))
+    r = track(LinearHomotopy(g, f), x0)
     assert r.status == CONVERGED
     direct = np.linalg.solve([[1, 4], [2, -1]], [3, -5])
     assert np.max(np.abs(r.endpoint.coordinates - direct)) < 1e-10
