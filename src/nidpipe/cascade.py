@@ -1,9 +1,9 @@
 """Solving the top-dimensional embedded system and cascading down.
 
-Stage one solves a random-coefficient system with the same supports as
-the embedded target through pipelined polyhedral homotopies; stage two
-continues its solutions to the embedded system with a gamma-trick
-homotopy on the work crew.  Each cascade step deforms the last
+Stage one solves a random-coefficient system on the supports of the
+embedded target, with the origin added to each, through pipelined
+polyhedral homotopies; stage two continues its solutions to the
+embedded system with a gamma-trick homotopy on the work crew.  Each cascade step deforms the last
 hyperplane row to the corresponding slack variable, carrying solutions
 with nonzero slacks one dimension down; endpoints classify three ways
 (at infinity / zero slack / nonzero slack) and the zero-slack points
@@ -27,12 +27,12 @@ from .polyhedral import (  # noqa: F401  (``lift_supports`` stays a module attri
     random_coefficient_system,
     solve_cell,
     supports_of,
+    with_origin,
 )
 from .polynomials import PolySystem, make_poly, variable_poly
 from .systems import EmbeddedSystem
 from .tracker import (  # noqa: F401  (``track`` stays a module attribute for tracing tools)
     AT_INFINITY,
-    NONZERO_SLACK,
     ZERO_SLACK,
     Homotopy,
     LinearHomotopy,
@@ -110,14 +110,15 @@ def solve_start_system(
     p: int = 1,
     cell_log: list | None = None,
 ) -> tuple[PolySystem, list[Solution], TopStats]:
-    """Polyhedral solve of the random-coefficient system sharing the
-    embedded system's supports.  The cell search runs in the calling
-    thread and hands each cell to one ``emit``: at p = 1 its paths are
-    tracked right there, at p >= 2 it goes to the p-1 forked consumers
-    of a 2-stage pipeline.  A tie restarts the search, counters and cell
+    """Polyhedral solve of the random-coefficient system on the embedded
+    system's supports, each with the origin added (``with_origin``), so
+    that roots with a zero coordinate are reached.  The cell search runs
+    in the calling thread and hands each cell to one ``emit``: at p = 1
+    its paths are tracked right there, at p >= 2 it goes to the p-1
+    forked consumers of a 2-stage pipeline.  A tie restarts the search, counters and cell
     log included, on the next lifting (``generic_lifting``)."""
     stats = TopStats()
-    supports = supports_of(emb_system)
+    supports = with_origin(supports_of(emb_system))
     g = random_coefficient_system(supports, emb_system.nvars, seed)
 
     def search(lifted) -> list[PathResult]:
@@ -217,13 +218,9 @@ def _classify_level(
         if cls == AT_INFINITY:
             level.at_infinity += 1
         elif cls == ZERO_SLACK:
-            level.zero_slack.append(
-                Solution(sol.coordinates, sol.residual, sol.condition, sol.regularity, ZERO_SLACK)
-            )
+            level.zero_slack.append(sol)
         else:
-            level.nonzero_slack.append(
-                Solution(sol.coordinates, sol.residual, sol.condition, sol.regularity, NONZERO_SLACK)
-            )
+            level.nonzero_slack.append(sol)
     return level
 
 

@@ -22,7 +22,7 @@ from .parallel import (
     schedule_to_csv,
     simulate_pipeline,
 )
-from .polyhedral import MixedCell, enumerate_cells, generic_lifting, supports_of
+from .polyhedral import MixedCell, enumerate_cells, generic_lifting, supports_of, with_origin
 from .polytext import ParseError, load_system
 from .report import report_to_json, summary_text
 from .systems import cyclic, embed, square_up
@@ -212,7 +212,8 @@ def _run_bench(args) -> int:
             enumerate_cells(lifted, emit)
             return state
 
-        state, _ = generic_lifting(supports_of(emb.system), seed, search)
+        # the cells the start system of ``solve`` would track
+        state, _ = generic_lifting(with_origin(supports_of(emb.system)), seed, search)
         elapsed = time.monotonic() - t0
         verdict = "aborted cleanly" if state["aborted"] else "enumeration complete"
         print(

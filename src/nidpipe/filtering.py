@@ -26,7 +26,6 @@ from .parallel import raise_failures, work_crew
 from .polynomials import jacobian, residual
 from .systems import EmbeddedSystem, slice_to_zero
 from .tracker import (  # noqa: F401  (``track`` stays a module attribute for tracing tools)
-    ZERO_SLACK,
     LinearHomotopy,
     Solution,
     newton_refine,
@@ -212,14 +211,10 @@ def _refine_isolated(base_system, cand: Solution) -> tuple[Solution, bool]:
     # points on multiple components stall at ~sqrt(eps) in double
     # precision, right at the rank threshold; double-double Newton
     # settles the regularity question (linear rate needs the extra
-    # iterations to push a 1e-7 defect decisively below 1e-8).  A point
-    # on a component can slide far along it, so, as at the t=1 polish of
-    # a path, a polish that moves the point more than 5% is not taken.
+    # iterations to push a 1e-7 defect decisively below 1e-8)
     polished = refine_dd(base_system, refined.coordinates, steps=12)
     remeasured = newton_refine(base_system, polished, tol=0.0, max_iters=0)
-    moved = float(np.max(np.abs(polished - refined.coordinates)))
-    near = moved <= 0.05 * (1.0 + float(np.max(np.abs(refined.coordinates))))
-    if near and remeasured.residual <= max(refined.residual * 10, 1e-12):
+    if remeasured.residual <= max(refined.residual * 10, 1e-12):
         refined = remeasured
     _, rank = condition_and_rank(jacobian(base_system, refined.coordinates))
     return refined, rank == base_system.nvars

@@ -50,6 +50,17 @@ def supports_of(f: PolySystem) -> Support:
     return tuple(out)
 
 
+def with_origin(supports: Support) -> Support:
+    """The supports with the origin added to each one that lacks it.
+
+    Their mixed volume counts the isolated roots in C^n, not only those
+    in (C*)^n, and a start system on them reaches the roots with a zero
+    coordinate (Li and Wang, "The BKK root count in C^n", Math. Comp.
+    65, 1996)."""
+    origin = (0,) * len(supports[0][0])
+    return tuple(pts if origin in pts else tuple(sorted(pts + (origin,))) for pts in supports)
+
+
 @dataclass(frozen=True)
 class LiftedSupport:
     points: Support

@@ -58,7 +58,6 @@ FAILED = "failed"
 
 ZERO_SLACK = "zero_slack"
 NONZERO_SLACK = "nonzero_slack"
-NOT_APPLICABLE = "not_applicable"
 
 ZERO_SLACK_TOL = 1e-8
 CONVERGED_RESIDUAL = 1e-8
@@ -77,6 +76,11 @@ SNAP_REMAINING = 2e-8  # jump to t=1 once this close
 FINAL_NEWTON_ITERS = 40
 SOFT_INFINITY = 1e4  # failed final polish + coordinates above this => at infinity
 INFINITE_ENDPOINT = 1e8  # a refined endpoint this large classifies as at infinity
+
+# a polish is a correction only while it moves a point x by at most
+# this share of 1 + |x|: farther, it slides along a solution set or
+# diverges, and the point it reaches is not the limit of x
+MOVE_CAP = 0.05
 
 # a double-double Newton correction this far below the point's size
 # is below what double-double resolves: the iteration has converged
@@ -156,7 +160,6 @@ class Solution:
     residual: float
     condition: float
     regularity: str = REGULAR
-    slack_class: str = NOT_APPLICABLE
 
     def __post_init__(self):
         object.__setattr__(
@@ -320,7 +323,7 @@ def _finish(h, x, t_from, steps_used, entry_norm: float) -> PathResult:
     or grew strongly across the endgame.
     """
     norm_now = float(np.max(np.abs(x))) if _finite(x) else float("inf")
-    move_cap = 0.05 * (1.0 + norm_now)
+    move_cap = MOVE_CAP * (1.0 + norm_now)
     x1, resid, _ = _damped_newton(h, x, 1.0, CORRECTOR_TOL, FINAL_NEWTON_ITERS)
     moved = float(np.max(np.abs(x1 - x))) if _finite(x1) else float("inf")
     if np.isfinite(resid) and resid <= CONVERGED_RESIDUAL and moved <= move_cap:
@@ -461,9 +464,11 @@ def refine_dd(f: PolySystem, x, steps: int = 3) -> np.ndarray:
     the solve is not, so the point converges past what double resolves.
     Stops early once the correction falls below ``DD_CORRECTION_TOL`` of
     the point's size.  Returns the point rounded to double, or x itself
-    when a step is not finite.
+    when a step is not finite or the point moved from x by more than
+    ``MOVE_CAP`` times 1 + |x|.
     """
     x = np.asarray(x, dtype=np.complex128)
+    cap = MOVE_CAP * (1.0 + float(np.max(np.abs(x))))
     hi, lo = x[None], np.zeros((1, len(x)), dtype=np.complex128)
     for _ in range(steps):
         r, _ = f._evaluator().eval_dd(hi, lo)
@@ -471,9 +476,11 @@ def refine_dd(f: PolySystem, x, steps: int = 3) -> np.ndarray:
             return x
         dx = newton_step(jacobian(f, hi[0]), r[0])
         hi, lo = cdd_add(hi, lo, dx[None], np.zeros_like(lo))
+        if not float(np.max(np.abs(hi[0] - x))) <= cap:  # also when not finite
+            return x
         if np.max(np.abs(dx)) <= DD_CORRECTION_TOL * np.max(np.abs(hi)):
             break
-    return hi[0] if _finite(hi) else x
+    return hi[0]
 
 
 def classify(coords, n_original: int) -> str:

@@ -137,23 +137,19 @@ def test_demo_dim3_components_at_seed_3011(tasks):
     assert not rep.suspects
 
 
-# -- open wrong answers: each strict xfail names the defect it tracks ----------
-
-ZERO_COORDINATE = "roots with a zero coordinate are lost: the start system counts roots in (C*)^n only"
-
-
-@pytest.mark.xfail(strict=True, reason=ZERO_COORDINATE)
 def test_two_roots_on_the_coordinate_axes():
     # x1*x2 = 0 and x1 + x2 = 1 meet at (1, 0) and (0, 1)
     rep = decompose(parse_system("2 2\nx1*x2;\nx1 + x2 - 1;\n"), top_dimension=0, seed=7)
     assert len(rep.isolated) == 2
 
 
-@pytest.mark.xfail(strict=True, reason=ZERO_COORDINATE)
 def test_two_lines_one_of_them_a_coordinate_axis():
     # x1*(x2 - 1) = 0 is the lines x1 = 0 and x2 = 1
     rep = decompose(parse_system("2 2\nx1*x2 - x1;\nx1*x2 - x1;\n"), top_dimension=1, seed=7)
     assert rep.degrees == {1: 2}
+
+
+# -- open wrong answers: each strict xfail names the defect it tracks ----------
 
 
 @pytest.mark.xfail(

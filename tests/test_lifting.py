@@ -16,6 +16,7 @@ from nidpipe.polyhedral import (
     lift_supports,
     mixed_volume,
     supports_of,
+    with_origin,
 )
 from nidpipe.systems import cyclic, embed
 
@@ -24,7 +25,8 @@ CYCLIC4_DIM1 = embed(cyclic(4), 1, 7).system
 
 def _cells(attempt):
     cells = []
-    enumerate_cells(lift_supports(supports_of(CYCLIC4_DIM1), 7, attempt), cells.append)
+    # the supports ``solve_start_system`` enumerates
+    enumerate_cells(lift_supports(with_origin(supports_of(CYCLIC4_DIM1)), 7, attempt), cells.append)
     return cells
 
 

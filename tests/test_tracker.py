@@ -170,6 +170,15 @@ def test_refine_dd_improves_multiple_point():
     assert abs(out[1]) < 1e-8
 
 
+@pytest.mark.parametrize("t", [0.5, 0.3 + 0.2j, -1.2 + 0.7j, 2.0, 3.0 + 1.0j])
+def test_refine_dd_near_a_line_stays_within_the_move_cap(t):
+    # (4, 2, 1, t) is a line of the demo system: Newton there can slide
+    # a point far along it, which is no polish of the point
+    p = np.array([4, 2, 1, t]) + 1e-7 * np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
+    out = refine_dd(demo_system(), p, 12)
+    assert np.max(np.abs(out - p)) <= 0.05 * (1.0 + np.max(np.abs(p)))
+
+
 def test_classify_thresholds():
     assert classify([1.0, 2.0, 1e-12], 2) == ZERO_SLACK
     assert classify([1.0, 2.0, 0.3], 2) == NONZERO_SLACK
