@@ -1,5 +1,6 @@
-"""The fixed-recipe solver: embed, solve the top system, cascade down,
-filter, report.  One required input: the expected top dimension."""
+"""The fixed-recipe solver: square up, embed, solve the top system,
+cascade down, filter, report.  One required input: the expected top
+dimension, at least n - m for m rows in n variables."""
 
 from __future__ import annotations
 
@@ -10,16 +11,18 @@ from .filtering import classify_isolated, filter_junk
 from .parallel import check_backend
 from .polynomials import PolySystem
 from .report import DecompositionReport, Timings
-from .systems import embed, square_up
-from .tracker import _dd_polished
+from .systems import embed, square_up, zero_rows
+from .tracker import _dd_polished, vanishing
 
 
-def reject_zero_polynomials(f: PolySystem) -> None:
-    """Raise ValueError naming the first polynomial of f that is zero:
-    such a row carries no equation, and the solver would answer wrongly."""
-    zero = [i + 1 for i, p in enumerate(f.polys) if p.is_zero]
-    if zero:
-        raise ValueError(f"polynomial {zero[0]} is zero")
+def check_top_dimension(f: PolySystem, top_dimension: int, name: str = "top dimension") -> None:
+    """Raise ValueError unless top_dimension is in z..n-1, where z is
+    the number of zero rows that ``square_up`` leaves in f."""
+    low, high = zero_rows(f), f.nvars - 1
+    if low > high:
+        raise ValueError("every polynomial is zero")
+    if not low <= top_dimension <= high:
+        raise ValueError(f"{name} must be in {low}..{high}, got {top_dimension}")
 
 
 def decompose(
@@ -34,15 +37,16 @@ def decompose(
 ) -> DecompositionReport:
     """Full numerical irreducible decomposition of a polynomial system.
 
+    The top dimension is at least n - m for m rows in n variables; a
+    reported point at which a row of f does not vanish is dropped.
     ``mode`` names the worker backend for tasks > 1; forked processes
     are the only one.
     """
     check_backend(mode)
-    reject_zero_polynomials(f)
     warnings: list[str] = []
     square, record = square_up(f, seed)
     if record.kind != "already-square":
-        warnings.append(f"input was not square: {record.kind} ({record.count})")
+        warnings.append(f"input squared: {record.kind} ({record.count})")
     n = square.nvars
     if top_dimension is None:
         top_dimension = n - 1
@@ -50,8 +54,7 @@ def decompose(
             f"no top dimension given; defaulting to {top_dimension} "
             "(an overestimate causes significant extra work)"
         )
-    if not 0 <= top_dimension < n:
-        raise ValueError(f"top dimension must be in 0..{n - 1}, got {top_dimension}")
+    check_top_dimension(square, top_dimension)
     if precision not in ("double", "dd"):
         raise ValueError(f"unknown precision {precision!r}")
     timings = Timings()
@@ -70,6 +73,10 @@ def decompose(
     isolated, suspects, iso_stages = classify_isolated(
         superset.candidates(0), witness_sets, square, tasks
     )
+    for w in witness_sets:
+        w.points = vanishing(f, w.points)
+    witness_sets = [w for w in witness_sets if w.points]
+    isolated, suspects = vanishing(f, isolated), vanishing(f, suspects)
     if precision == "dd":
         # each reported point is polished once, on the system it solves
         for w in witness_sets:

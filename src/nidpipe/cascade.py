@@ -30,7 +30,7 @@ from .polyhedral import (  # noqa: F401  (``lift_supports`` stays a module attri
     with_origin,
 )
 from .polynomials import PolySystem, make_poly, variable_poly
-from .systems import EmbeddedSystem
+from .systems import EmbeddedSystem, zero_rows
 from .tracker import (  # noqa: F401  (``track`` stays a module attribute for tracing tools)
     AT_INFINITY,
     ZERO_SLACK,
@@ -173,14 +173,12 @@ def track_on_crew(h: Homotopy, starts: list[np.ndarray], p: int) -> list[PathRes
 def solve_top(
     emb: EmbeddedSystem,
     p: int = 1,
-    seed: int | None = None,
     cell_log: list | None = None,
 ) -> tuple[list[PathResult], TopStats]:
     """Solve the embedded system: polyhedral start, then continuation."""
-    seed = emb.seed if seed is None else seed
     system = emb.system if emb.k > 0 else emb.base
-    g, g_sols, stats = solve_start_system(system, seed, p, cell_log)
-    gamma = complex(rngmod.unit_complex(rngmod.stream(seed, rngmod.GAMMA)))
+    g, g_sols, stats = solve_start_system(system, emb.seed, p, cell_log)
+    gamma = complex(rngmod.unit_complex(rngmod.stream(emb.seed, rngmod.GAMMA)))
     h = LinearHomotopy(g, system, gamma)
     t0 = time.perf_counter()
     results = track_on_crew(h, [s.coordinates for s in g_sols], p)
@@ -265,9 +263,10 @@ def run_cascade(
     emb: EmbeddedSystem,
     p: int = 1,
 ) -> WitnessSuperset:
-    """Iterate cascade steps from the top dimension down to zero."""
+    """Iterate cascade steps from the top dimension down to the number
+    of zero rows of the base system: no component lies below it."""
     top_level = _classify_level(top_results, emb, emb.k)
     levels = [top_level]
-    while levels[-1].dimension > 0:
+    while levels[-1].dimension > zero_rows(emb.base):
         levels.append(cascade_step(levels[-1], p))
     return WitnessSuperset(levels, emb, emb.seed)

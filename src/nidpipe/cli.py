@@ -13,7 +13,7 @@ import json
 import sys
 import time
 
-from .blackbox import decompose, reject_zero_polynomials
+from .blackbox import check_top_dimension, decompose
 from .parallel import (
     cascade_speedup,
     filter_speedup,
@@ -101,9 +101,7 @@ def _rejects_input(system, dim) -> bool:
     """True, after one line on stderr saying why, when the solver cannot
     take this system and top dimension."""
     try:
-        reject_zero_polynomials(system)
-        if dim is not None and not 0 <= dim < system.nvars:
-            raise ValueError(f"--dim must be in 0..{system.nvars - 1}, got {dim}")
+        check_top_dimension(system, system.nvars - 1 if dim is None else dim, "--dim")
     except ValueError as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return True

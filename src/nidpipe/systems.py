@@ -1,5 +1,9 @@
 """Benchmark systems, squaring of non-square systems, and embeddings.
 
+Squaring keeps a system's variables: missing rows become zero rows,
+which the embedding turns into slack rows, and surplus rows are
+randomized into the first n.
+
 An embedding augments a square system with k random hyperplanes and k
 slack variables z1..zk: base equation i picks up gamma[i][j] * zj for
 every j, and hyperplane j is an affine equation in the original
@@ -73,57 +77,49 @@ def demo_system() -> PolySystem:
 
 @dataclass(frozen=True)
 class SquaringRecord:
-    """What was added to make a system square.
-
-    kind is one of "already-square", "added-hyperplanes",
-    "added-slacks"; the payload carries the actual rows/columns so the
-    squaring can be replayed exactly.
-    """
+    """How ``square_up`` made a system square: kind "already-square",
+    "zero-rows" (count of them) or "randomized" (count of rows folded in)."""
 
     kind: str
     count: int = 0
-    hyperplanes: tuple[SparsePolynomial, ...] = ()
-    slack_coeffs: tuple[tuple[complex, ...], ...] = ()  # one column per slack
-
-
-def apply_squaring(f: PolySystem, record: SquaringRecord) -> PolySystem:
-    """Replay a squaring record on its original system."""
-    if record.kind == "already-square":
-        return f
-    if record.kind == "added-hyperplanes":
-        return PolySystem(f.nvars, f.polys + record.hyperplanes)
-    n_new = f.nvars + record.count
-    polys = []
-    for i, p in enumerate(f.polys):
-        q = extend_vars(p, n_new)
-        for j, col in enumerate(record.slack_coeffs):
-            q = poly_add(q, poly_scale(variable_poly(n_new, f.nvars + j), col[i]))
-        polys.append(q)
-    names = f.names + tuple(f"s{j + 1}" for j in range(record.count))
-    return PolySystem(n_new, tuple(polys), names)
 
 
 def square_up(f: PolySystem, seed: int) -> tuple[PolySystem, SquaringRecord]:
-    """Make a system square with random hyperplanes or slack columns."""
-    m, n = len(f.polys), f.nvars
-    gen = rngmod.stream(seed, rngmod.SQUARE)
-    if m == n:
+    """Make a system of m rows in n variables square, in the same variables.
+
+    Zero rows are dropped; fewer than n rows left are padded with zero
+    rows, so the top dimension is at least n - m.  More than n rows are
+    randomized to n as [I | L] * f: every component of f stays one, and
+    junk points, at which a row of f does not vanish, may join them
+    (Sommese-Wampler 2005, section 13.5).
+    """
+    n = f.nvars
+    if f.is_square and not any(p.is_zero for p in f.polys):
         return f, SquaringRecord("already-square")
-    if m < n:
-        hyps = []
-        for _ in range(n - m):
-            coeffs = rngmod.random_complex(gen, n + 1)
-            terms = [((0,) * n, coeffs[0])]
-            for j in range(n):
-                expo = [0] * n
-                expo[j] = 1
-                terms.append((tuple(expo), coeffs[j + 1]))
-            hyps.append(make_poly(n, terms))
-        record = SquaringRecord("added-hyperplanes", n - m, tuple(hyps))
-        return apply_squaring(f, record), record
-    cols = tuple(tuple(rngmod.random_complex(gen, m)) for _ in range(m - n))
-    record = SquaringRecord("added-slacks", m - n, slack_coeffs=cols)
-    return apply_squaring(f, record), record
+    rows = [p for p in f.polys if not p.is_zero]
+    if len(rows) <= n:
+        padded = tuple(rows) + (make_poly(n, []),) * (n - len(rows))
+        return PolySystem(n, padded, f.names), SquaringRecord("zero-rows", n - len(rows))
+    extra = rows[n:]
+    gen = rngmod.stream(seed, rngmod.SQUARE)
+    polys = []
+    for p in rows[:n]:
+        for q, c in zip(extra, rngmod.random_complex(gen, len(extra))):
+            p = poly_add(p, poly_scale(q, c))
+        polys.append(p)
+    return PolySystem(n, tuple(polys), f.names), SquaringRecord("randomized", len(extra))
+
+
+def zero_rows(f: PolySystem) -> int:
+    """The zero rows ``square_up`` leaves in f: no component of the
+    solution set of f lies below this dimension."""
+    return max(0, f.nvars - sum(not p.is_zero for p in f.polys))
+
+
+def _affine(nvars: int, coeffs) -> SparsePolynomial:
+    """coeffs[0] + coeffs[1] x1 + ... + coeffs[m] xm in nvars >= m variables."""
+    eye = [tuple(int(i == l) for i in range(nvars)) for l in range(len(coeffs) - 1)]
+    return make_poly(nvars, zip([(0,) * nvars] + eye, coeffs))
 
 
 @dataclass(frozen=True)
@@ -162,20 +158,10 @@ class EmbeddedSystem:
     def n_original(self) -> int:
         return self.base.nvars
 
-    def hyperplane(self, j: int, with_slack: bool = True) -> SparsePolynomial:
+    def hyperplane(self, j: int) -> SparsePolynomial:
         """Hyperplane j (0-based) as a polynomial in the n+k variables."""
-        n, total = self.base.nvars, self.nvars
-        coeffs = self.hyper_coeffs[j]
-        terms = [((0,) * total, coeffs[0])]
-        for l in range(n):
-            expo = [0] * total
-            expo[l] = 1
-            terms.append((tuple(expo), coeffs[l + 1]))
-        if with_slack:
-            expo = [0] * total
-            expo[n + j] = 1
-            terms.append((tuple(expo), 1.0 + 0j))
-        return make_poly(total, terms)
+        slack = variable_poly(self.nvars, self.base.nvars + j)
+        return poly_add(_affine(self.nvars, self.hyper_coeffs[j]), slack)
 
     @property
     def system(self) -> PolySystem:
@@ -249,14 +235,6 @@ def slice_to_zero(e: EmbeddedSystem) -> PolySystem:
     if e.k == 0:
         raise ValueError("embedding has no slack variables")
     n = e.base.nvars
-    polys = list(e.base.polys)
-    for j in range(e.k):
-        coeffs = e.hyper_coeffs[j]
-        terms = [((0,) * n, coeffs[0])]
-        for l in range(n):
-            expo = [0] * n
-            expo[l] = 1
-            terms.append((tuple(expo), coeffs[l + 1]))
-        polys.append(make_poly(n, terms))
-    return PolySystem(n, tuple(polys), e.base.names)
+    hyperplanes = tuple(_affine(n, coeffs) for coeffs in e.hyper_coeffs)
+    return PolySystem(n, e.base.polys + hyperplanes, e.base.names)
 

@@ -313,8 +313,9 @@ def _dd_polished(f: PolySystem, sol: Solution, steps: int, floor: float = 0.0) -
     return sol
 
 
-def _finish(h, x, t_from, steps_used, entry_norm: float) -> PathResult:
-    """Final correction at t=1 and endpoint classification of one path.
+def _finish(h, x, steps_used, entry_norm: float) -> PathResult:
+    """Final correction at t=1 and endpoint classification of one path:
+    every status is decided at t=1, so every result reaches t=1.
 
     The t=1 Newton polish is a *correction*: an endpoint that moved far
     from the tracked point is not this path's limit (diverging paths
@@ -336,10 +337,10 @@ def _finish(h, x, t_from, steps_used, entry_norm: float) -> PathResult:
         return PathResult(CONVERGED, sol, steps_used, 1.0)
     growth = (norm_now + 1e-6) / (entry_norm + 1e-6)
     if norm_now > SOFT_INFINITY or growth >= 8.0:
-        return PathResult(AT_INFINITY, None, steps_used, t_from)
+        return PathResult(AT_INFINITY, None, steps_used, 1.0)
     if not (np.isfinite(resid) and resid <= 1e-4 and moved <= move_cap):
-        return PathResult(FAILED, None, steps_used, t_from)
-    return PathResult(SINGULAR_ENDPOINT, _solution(h.target, x1, resid), steps_used, t_from)
+        return PathResult(FAILED, None, steps_used, 1.0)
+    return PathResult(SINGULAR_ENDPOINT, _solution(h.target, x1, resid), steps_used, 1.0)
 
 
 def track_paths(
@@ -372,7 +373,7 @@ def track_paths(
     in_endgame = np.zeros(npaths, dtype=bool)
 
     def finish(i):
-        results[i] = _finish(h, x[i].copy(), float(t[i]), int(steps[i]), float(entry_norm[i]))
+        results[i] = _finish(h, x[i].copy(), int(steps[i]), float(entry_norm[i]))
 
     def end(i):
         if in_endgame[i]:
@@ -451,6 +452,17 @@ def newton_refine(
     x = np.asarray(x, dtype=np.complex128)
     best, resid, _ = _damped_newton(LinearHomotopy(f, f), x, 1.0, tol, max_iters)
     return _solution(f, best, resid)
+
+
+def vanishing(f: PolySystem, points: list[Solution]) -> list[Solution]:
+    """The points whose first f.nvars coordinates are a root of f, to the
+    tracker's converged residual, scaled like a corrector tolerance."""
+    if not points:
+        return []
+    h = LinearHomotopy(f, f)
+    x, t = np.array([s.coordinates[: f.nvars] for s in points]), np.ones(len(points))
+    keep = _row_max_abs(h.eval(x, t)) <= _effective_tol(h, x, t, CONVERGED_RESIDUAL)
+    return [s for s, k in zip(points, keep) if k]
 
 
 def refine_dd(f: PolySystem, x, steps: int = 3) -> np.ndarray:

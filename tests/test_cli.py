@@ -10,7 +10,7 @@ CIRCLE_AND_LINE = "2 2\nx1^2 + x2^2 - 1;\nx1 - x2;\n"
 @pytest.mark.parametrize(
     "text, flags, message",
     [
-        ("2 2\nx1 - x1;\nx1 + x2 - 1;\n", [], "polynomial 1 is zero"),
+        ("2 2\nx1 - x1;\nx1 + x2 - 1;\n", ["--dim", "0"], "--dim must be in 1..1, got 0"),
         (CIRCLE_AND_LINE, ["--dim", "5"], "--dim must be in 0..1, got 5"),
         (CIRCLE_AND_LINE, ["--dim", "-1"], "--dim must be in 0..1, got -1"),
     ],

@@ -11,7 +11,7 @@ from nidpipe import tracker
 from nidpipe.blackbox import decompose
 from nidpipe.cli import EXIT_OK, main
 from nidpipe.polytext import parse_system
-from nidpipe.report import report_to_json
+from nidpipe.report import report_to_json, report_to_jsonable
 from nidpipe.systems import cyclic, demo_system
 
 CIRCLE_AND_LINE = "2 2\nx1^2 + x2^2 - 1;\nx1 - x2;\n"
@@ -37,10 +37,13 @@ def test_report_is_byte_identical_across_task_counts(cyclic5_dim0):
     assert two_json.replace('"tasks": 2', '"tasks": 1') == one_json
 
 
-def test_zero_polynomial_is_rejected_not_answered():
-    # the solution set is the line x1 + x2 = 1; solving would report nothing
-    with pytest.raises(ValueError, match="polynomial 1 is zero"):
-        decompose(parse_system("2 2\nx1 - x1;\nx1 + x2 - 1;\n"), top_dimension=1, seed=1)
+def test_a_zero_polynomial_is_a_zero_row():
+    # the solution set is the line x1 + x2 = 1: one zero row leaves no
+    # component below dimension 1
+    system = parse_system("2 2\nx1 - x1;\nx1 + x2 - 1;\n")
+    assert decompose(system, top_dimension=1, seed=1).degrees == {1: 1}
+    with pytest.raises(ValueError, match=r"top dimension must be in 1\.\.1, got 0"):
+        decompose(system, top_dimension=0, seed=1)
 
 
 def test_double_double_precision_solves_circle_and_line():
@@ -149,16 +152,27 @@ def test_two_lines_one_of_them_a_coordinate_axis():
     assert rep.degrees == {1: 2}
 
 
-# -- open wrong answers: each strict xfail names the defect it tracks ----------
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="underdetermined input is mislabelled: square_up's random hyperplanes slice the component",
-)
 def test_a_surface_given_by_one_equation():
+    # the missing rows are zero rows, which the embedding turns into
+    # slack rows: no hyperplane slices the surface into points
     rep = decompose(parse_system("3 1\nx1*x2*x3 - 1;\n"), top_dimension=2, seed=7)
     assert rep.degrees == {2: 3}
     assert not rep.isolated
 
 
+def test_overdetermined_system_reports_only_its_root_in_its_own_variables():
+    # randomizing the three rows to two adds a junk root at which the
+    # input rows do not all vanish; no slack variable enters the report
+    rep = decompose(parse_system("2 3\nx1^2 - 1;\nx1 - 1;\nx2 - 1;\n"), top_dimension=0, seed=7)
+    assert rep.nvars == 2 and rep.names == ("x1", "x2")
+    assert rep.degrees == {} and not rep.suspects
+    (point,) = rep.isolated
+    assert np.allclose(point.coordinates, [1, 1], atol=1e-10)
+
+
+def test_two_lines_given_three_times():
+    rep = decompose(
+        parse_system("2 3\nx1*x2 - x1;\nx1*x2 - x1;\nx1*x2 - x1;\n"), top_dimension=1, seed=7
+    )
+    assert rep.degrees == {1: 2}
+    assert [len(p) for p in report_to_jsonable(rep)["witness_sets"]["1"]["points"]] == [2, 2]

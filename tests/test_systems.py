@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from nidpipe.linalg import condition_and_rank
 from nidpipe.polynomials import PolySystem, eval_system, make_poly, residual
 from nidpipe.systems import (
-    apply_squaring,
     cyclic,
     demo_system,
     embed,
     slice_to_zero,
     square_up,
+    zero_rows,
 )
 
 
@@ -77,31 +77,32 @@ def test_square_input_unchanged():
     g, record = square_up(f, 5)
     assert g is f
     assert record.kind == "already-square"
-    assert apply_squaring(f, record) is f
 
 
-def test_underdetermined_appends_hyperplanes():
-    f = PolySystem(4, tuple(cyclic(4).polys[:2]))
+def test_underdetermined_is_padded_with_zero_rows():
+    f = PolySystem(4, (cyclic(4).polys[0], make_poly(4, []), cyclic(4).polys[1]), ("a", "b", "c", "d"))
     g, record = square_up(f, 5)
-    assert record.kind == "added-hyperplanes"
-    assert g.nvars == 4 and len(g.polys) == 4
-    for h in g.polys[2:]:
-        assert h.degree() == 1
-    assert apply_squaring(f, record).polys == g.polys
+    assert (record.kind, record.count) == ("zero-rows", 2)
+    assert g.nvars == 4 and g.names == f.names
+    assert g.polys[:2] == (f.polys[0], f.polys[2])
+    assert all(p.is_zero for p in g.polys[2:])
+    assert zero_rows(f) == zero_rows(g) == 2
 
 
-def test_overdetermined_adds_slack_columns():
-    base = cyclic(3)
-    f = PolySystem(3, base.polys + (make_poly(3, [((1, 1, 0), 1.0)]), make_poly(3, [((0, 1, 1), 1.0)])))
+def test_overdetermined_is_randomized_to_n_rows():
+    # x1 - 1, x2 - 2, x3 - 3 and x1*x2*x3 - 6 share the root (1, 2, 3)
+    rows = [((1, 0, 0), 1), ((0, 1, 0), 2), ((0, 0, 1), 3), ((1, 1, 1), 6)]
+    f = PolySystem(3, tuple(make_poly(3, [(e, 1.0), ((0, 0, 0), -v)]) for e, v in rows))
     g, record = square_up(f, 5)
-    assert record.kind == "added-slacks"
-    assert g.nvars == 5 and len(g.polys) == 5
-    # every equation carries both slack variables
-    for i, p in enumerate(g.polys):
-        expos = {e for e, _ in p.terms}
-        assert any(e[3] == 1 for e in expos)
-        assert any(e[4] == 1 for e in expos)
-    assert apply_squaring(f, record).polys == g.polys
+    assert (record.kind, record.count) == ("randomized", 1)
+    assert g.nvars == 3 and len(g.polys) == 3 and g.names == f.names
+    assert zero_rows(g) == 0
+    # row i is f_i plus a random multiple of the surplus row
+    for (expo, _), p in zip(rows, g.polys):
+        terms = dict(p.terms)
+        assert set(terms) == {(0, 0, 0), expo, (1, 1, 1)}
+        assert terms[expo] == 1
+    assert np.allclose(eval_system(g, [1, 2, 3]), 0)
 
 
 # -- embedding ---------------------------------------------------------------

@@ -53,14 +53,15 @@ def test_identity_homotopy_returns_start():
     assert np.max(np.abs(r.endpoint.coordinates - root)) < 1e-10
 
 
-def test_linear_to_linear_matches_direct_solve():
+@pytest.mark.parametrize("gamma, bound", [(0.6 + 0.8j, 1e-8), (1.0, 1e-10)])
+def test_linear_to_linear_matches_direct_solve(gamma, bound):
     g = linear_system([[1, 2, 1], [2, -1, 1]], 2)
     f = linear_system([[-3, 1, 4], [5, 2, -1]], 2)
     x0 = np.linalg.solve([[2, 1], [-1, 1]], [-1, -2])
-    r = track(LinearHomotopy(g, f, gamma=0.6 + 0.8j), x0)
+    r = track(LinearHomotopy(g, f, gamma=gamma), x0)
     assert r.status == CONVERGED
     direct = np.linalg.solve([[1, 4], [2, -1]], [3, -5])
-    assert np.max(np.abs(r.endpoint.coordinates - direct)) < 1e-8
+    assert np.max(np.abs(r.endpoint.coordinates - direct)) < bound
 
 
 def test_a_path_passing_near_infinity_in_mid_path_converges():
@@ -187,16 +188,6 @@ def test_classify_thresholds():
     assert classify([1.0, 2.0], 2) == ZERO_SLACK
 
 
-def test_double_double_mode_tracks_small_system():
-    g = linear_system([[1, 2, 1], [2, -1, 1]], 2)
-    f = linear_system([[-3, 1, 4], [5, 2, -1]], 2)
-    x0 = np.linalg.solve([[2, 1], [-1, 1]], [-1, -2])
-    r = track(LinearHomotopy(g, f), x0)
-    assert r.status == CONVERGED
-    direct = np.linalg.solve([[1, 4], [2, -1]], [3, -5])
-    assert np.max(np.abs(r.endpoint.coordinates - direct)) < 1e-10
-
-
 # -- batches ------------------------------------------------------------------
 
 
@@ -221,6 +212,16 @@ def test_mixed_batch_matches_paths_tracked_alone():
     assert [_bits(r) for r in batch] == [_bits(r) for r in alone]
     (good,) = [r for r in batch if r.status == CONVERGED]
     assert abs(good.endpoint.coordinates[0] - 2.0) < 1e-10
+
+
+def test_a_path_at_infinity_reached_t_1():
+    # the at-infinity verdict comes from the t=1 polish: x^2 - 1 deforms
+    # to x - 2, and the path from -1 escapes
+    g = PolySystem(1, (make_poly(1, [((2,), 1), ((0,), -1)]),))
+    f = PolySystem(1, (make_poly(1, [((1,), 1), ((0,), -2)]),))
+    results = track_paths(LinearHomotopy(g, f, gamma=0.6 + 0.8j), np.array([[1.0], [-1.0]]))
+    assert [r.status for r in results] == [CONVERGED, AT_INFINITY]
+    assert [r.t_reached for r in results] == [1.0, 1.0]
 
 
 def _assert_batch_size_independent(h, starts):
