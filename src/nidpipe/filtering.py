@@ -228,8 +228,9 @@ def classify_isolated(
 ) -> tuple[list[Solution], list[Solution], list[FilterStage]]:
     """Split dimension-0 candidates into regular isolated solutions and
     singular suspects, running singular candidates through membership
-    tests against each witness set from the highest dimension down.
-    The candidates are refined on one crew, as jobs."""
+    tests against each witness set from the highest dimension down,
+    until no candidate is left; a stage with no candidate is not run or
+    listed.  The candidates are refined on one crew, as jobs."""
     regular: list[Solution] = []
     singular: list[Solution] = []
     refine = lambda cand: _refine_isolated(base_system, cand)  # noqa: E731
@@ -241,6 +242,8 @@ def classify_isolated(
     singular = _dedup(singular)
     stages: list[FilterStage] = []
     for w in sorted(witness_sets, key=lambda w: -w.dimension):
+        if not singular:
+            break
         singular, stage = _membership_stage(w, singular, 0, p)
         stages.append(stage)
     return regular, singular, stages

@@ -4,10 +4,13 @@ time, plus the binomial start systems they induce.
 Enumeration walks candidate edge tuples depth first over the supports,
 pruning with an LP that asks for a lower-hull normal compatible with
 the edges chosen so far (the LP maximizes the worst separation slack).
-A tuple that survives to full depth is certified exactly: the normal is
-solved from the edge equalities in rational arithmetic and every
-non-cell point must keep strictly positive slack.  A tie means the
-lifting was degenerate: the search raises TieDetected, and
+The tests of one search node run together, as in MixedVol (Gao, Li and
+Wu, ACM TOMS 31, 2005): one simplex call solves the stacked LPs of all
+its edges, or of all its points.  A tuple that survives to full depth
+is certified exactly, in integers: one power of two makes the float
+lifting integral, fraction-free elimination solves the edge equalities,
+and every non-cell point must keep strictly positive slack.  A tie
+means the lifting was degenerate: the search raises TieDetected, and
 ``generic_lifting``, the one relift loop, starts over on the next
 lifting of the same seed.
 
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -96,117 +98,119 @@ class MixedCell:
     texps: tuple[tuple[float, ...], ...]
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    """Bareiss fraction-free determinant of a small integer matrix."""
-    n = len(rows)
-    m = [list(map(int, r)) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def _bareiss_solve(A: list[list[int]], b: list[int]) -> tuple[list[int] | None, int]:
+    """Fraction-free (Bareiss) elimination of the integer system A x = b.
 
-
-def _solve_fraction(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
-    """Exact Gaussian elimination; None when the matrix is singular."""
+    Returns (N, det) with x = N / det and det = |det A| > 0, or
+    (None, 0) when A is singular.  Every division is exact."""
     n = len(b)
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
+    M = [list(row) + [rhs] for row, rhs in zip(A, b)]
+    prev = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if M[i][k] != 0), None)
         if piv is None:
-            return None
+            return None, 0
         M[k], M[piv] = M[piv], M[k]
         for i in range(k + 1, n):
-            if M[i][k] == 0:
-                continue
-            f = M[i][k] / M[k][k]
-            for j in range(k, n + 1):
-                M[i][j] -= f * M[k][j]
-    x = [Fraction(0)] * n
-    for k in range(n - 1, -1, -1):
-        s = M[k][n] - sum(M[k][j] * x[j] for j in range(k + 1, n))
-        x[k] = s / M[k][k]
-    return x
+            for j in range(k + 1, n + 1):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    det = M[n - 1][n - 1]  # +-det A
+    # back substitution: det * x_i is an integer by Cramer's rule
+    N = [0] * n
+    for i in range(n - 1, -1, -1):
+        s = det * M[i][n] - sum(M[i][j] * N[j] for j in range(i + 1, n))
+        N[i] = s // M[i][i]
+    if det < 0:
+        det, N = -det, [-x for x in N]
+    return N, det
 
 
-_FEASIBLE, _PRUNE, _TIE = 1, 0, -1
+_FEASIBLE, _PRUNE, _TIE, _LP = 1, 0, -1, 2
 
 
-def _max_slack_simplex(G: np.ndarray, b: np.ndarray):
-    """Largest eps with G v + eps <= b for some v (v free, eps <= 1).
+def _pivot(T: np.ndarray, k: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
+    """One simplex pivot in every tableau of the stack T, in place; k is
+    np.arange(len(T))."""
+    prow = T[k, rows]
+    prow /= prow[k, cols][:, None]
+    T[k, rows] = prow
+    colvals = T[k, :, cols]
+    colvals[k, rows] = 0.0
+    T -= colvals[:, :, None] * prow[:, None, :]
 
-    Always feasible (eps can go to -inf), bounded above by 1, so the
-    optimum exists.  Solved as the dual standard-form program
-    min [b;1]^T y subject to [G^T; 1^T] y = e_{d+1}, y >= 0, whose
-    initial basis is free: the eps<=1 row's column covers the last
-    equation and degenerate artificials cover the rest.  Returns
-    (eps, v) with v the maximizer (read off the artificial columns'
-    reduced costs, which carry the simplex multipliers), or None when
-    the pivot budget is spent or the dual is numerically unbounded.
+
+def _max_slack_simplex(G: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest eps with G v + eps <= b for some v (v free, eps <= 1), for
+    a stack of K programs: G is (K, m, d) and b is (K, m).
+
+    Each program is always feasible (eps can go to -inf) and bounded
+    above by 1, so its optimum exists.  It is solved as the dual
+    standard-form program min [b;1]^T y subject to [G^T; 1^T] y =
+    e_{d+1}, y >= 0, whose initial basis is free: the eps<=1 row's
+    column covers the last equation and degenerate artificials cover the
+    rest.  Returns eps (K,) and the maximizers v (K, d), read off the
+    artificial columns' reduced costs, which carry the simplex
+    multipliers.  A program whose pivot budget is spent or whose dual is
+    numerically unbounded gets NaN.  The programs advance together, one
+    pivot each per round, and each takes exactly the pivots it would
+    take alone.
     """
-    m, d = G.shape
+    K, m, d = G.shape
     ncols = m + 1 + d
     # tableau rows: d+1 constraint rows, one cost row; last column = rhs
-    T = np.zeros((d + 2, ncols + 1))
-    T[:d, :m] = G.T
-    T[d, : m + 1] = 1.0
+    T = np.zeros((K, d + 2, ncols + 1))
+    T[:, :d, :m] = G.transpose(0, 2, 1)
+    T[:, d, : m + 1] = 1.0
     for i in range(d):
-        T[i, m + 1 + i] = 1.0
-    T[d, ncols] = 1.0
+        T[:, i, m + 1 + i] = 1.0
+    T[:, d, ncols] = 1.0
     # reduced costs: cost c = [b, 1, 0...]; basis = artificials + eps column
-    T[d + 1, :m] = b - 1.0
-    T[d + 1, ncols] = -1.0  # negative objective value
-    basis = [m + 1 + i for i in range(d)] + [m]
-
-    def pivot(row, col):
-        T[row] /= T[row, col]
-        colvals = T[:, col].copy()
-        colvals[row] = 0.0
-        T[:] -= np.outer(colvals, T[row])
-        basis[row] = col
+    T[:, d + 1, :m] = b - 1.0
+    T[:, d + 1, ncols] = -1.0  # negative objective value
+    eps = np.full(K, np.nan)
+    v = np.full((K, d), np.nan)
 
     # drive the artificials out immediately with degenerate pivots (their
     # rows have rhs 0, so nothing moves); a row with no real support is
     # inert and can keep its artificial at zero forever
     for i in range(d):
-        j = int(np.argmax(np.abs(T[i, : m + 1])))
-        if abs(T[i, j]) > 1e-11:
-            pivot(i, j)
-    stall = 0
+        row = np.abs(T[:, i, : m + 1])
+        j = np.argmax(row, axis=1)
+        ok = row[np.arange(K), j] > 1e-11
+        if ok.any():
+            sub = T[ok]
+            _pivot(sub, np.arange(len(sub)), np.full(len(sub), i), j[ok])
+            T[ok] = sub
+    prog = np.arange(K)  # the program of each tableau still pivoting
+    k = np.arange(K)
+    stall = np.zeros(K, dtype=int)
     for _ in range(800):
-        costs = T[d + 1, : m + 1]  # artificials may not enter
-        if stall < 3 * (d + 2):
-            enter = int(np.argmin(costs))
-            if costs[enter] >= -1e-11:
-                return float(-T[d + 1, ncols]), -T[d + 1, m + 1 : ncols].copy()
-        else:  # Bland's rule against cycling
-            neg = np.nonzero(costs < -1e-11)[0]
-            if not len(neg):
-                return float(-T[d + 1, ncols]), -T[d + 1, m + 1 : ncols].copy()
-            enter = int(neg[0])
-        col = T[: d + 1, enter]
+        costs = T[:, d + 1, : m + 1]  # artificials may not enter
+        enter = np.argmin(costs, axis=1)
+        optimal = costs[k, enter] >= -1e-11
+        bland = stall >= 3 * (d + 2)
+        if bland.any():  # Bland's rule against cycling
+            neg = costs[bland] < -1e-11
+            enter[bland] = np.argmax(neg, axis=1)
+            optimal[bland] = ~neg.any(axis=1)
+        col = T[k, : d + 1, enter]
         pos = col > 1e-11
-        if not pos.any():
-            return None  # numerically unbounded dual
-        ratios = np.full(d + 1, np.inf)
-        ratios[pos] = T[: d + 1, ncols][pos] / col[pos]
-        leave = int(np.argmin(ratios))
-        if ratios[leave] <= 1e-13:
-            stall += 1
-        else:
-            stall = 0
-        pivot(leave, enter)
-    return None
+        stop = optimal | ~pos.any(axis=1)  # optimal, or a numerically unbounded dual
+        if stop.any():
+            eps[prog[optimal]] = -T[optimal, d + 1, ncols]
+            v[prog[optimal]] = -T[optimal, d + 1, m + 1 : ncols]
+            go = ~stop
+            if not go.any():
+                return eps, v
+            T, prog, stall, enter, col, pos = T[go], prog[go], stall[go], enter[go], col[go], pos[go]
+            k = np.arange(len(T))
+        ratios = np.divide(T[:, : d + 1, ncols], col, out=np.full(col.shape, np.inf), where=pos)
+        leave = np.argmin(ratios, axis=1)
+        stall = np.where(ratios[k, leave] <= 1e-13, stall + 1, 0)
+        _pivot(T, k, leave, enter)
+    return eps, v
 
 
 class _CellSearch:
@@ -214,18 +218,20 @@ class _CellSearch:
 
     Each chosen edge adds one equality on the normal; the search keeps
     an orthonormal basis of the remaining free directions and a point
-    deep inside the current feasibility cone.  Candidate edges are
-    screened cheaply first (a strictly feasible projected point is a
-    certificate by itself), then by the cheapest complete test for the
-    remaining dimension: a direct point check (0 free dims, vectorized
-    over all edges of the last support), interval intersection on a
-    line (1), vertex enumeration of half planes (2), and the max-slack
-    simplex otherwise.  Points of a support that cannot be minimal
-    anywhere in the parent cone are dropped before edges are formed,
-    and feasible children are explored fattest cone first, which gets
-    the first cells out long before the search space is exhausted.
-    Verdicts in the grey zone below the slack margin raise TieDetected
-    instead of guessing.
+    deep inside the current feasibility cone.  The candidate edges of a
+    node are tested together.  A strictly feasible projected point
+    certifies an edge by itself; otherwise the cheapest complete test
+    for the child's free dimensions decides: a direct point check (0,
+    vectorized over all edges of the last support), interval
+    intersection on a line (1), vertex enumeration of half planes (2),
+    and otherwise the max-slack simplex, one stacked call for all the
+    node's edges.  At lines, one array pass over the node's edges first
+    drops those that surely prune.  Points of a support that cannot be
+    minimal anywhere in the parent cone are dropped before edges are
+    formed, with their LPs stacked likewise.  Feasible children are
+    explored fattest cone first, which gets the first cells out long
+    before the search space is exhausted.  Verdicts in the grey zone
+    below the slack margin raise TieDetected instead of guessing.
     """
 
     def __init__(self, lifted: LiftedSupport):
@@ -233,6 +239,11 @@ class _CellSearch:
         self.n = lifted.nvars
         self.points = [np.array(pts, dtype=float) for pts in lifted.points]
         self.lifts = [np.array(ws, dtype=float) for ws in lifted.lifts]
+        # every float is dyadic: one power of two makes the whole lifting
+        # integral, and ``certify`` works in integers
+        ratios = [[float(w).as_integer_ratio() for w in ws] for ws in lifted.lifts]
+        self.scale = max((den for rs in ratios for _, den in rs), default=1)
+        self.int_lifts = [[num * (self.scale // den) for num, den in rs] for rs in ratios]
         # search small supports first: their constraints focus the normal early
         self.order = sorted(
             range(len(lifted.points)), key=lambda i: (len(lifted.points[i]), i)
@@ -247,38 +258,13 @@ class _CellSearch:
         rhs = ws[keep] - ws[p]
         return rows, rhs
 
-    def _point_rows(self, sup: int, p: int):
-        """Rows stating point p is minimal on its support."""
-        pts, ws = self.points[sup], self.lifts[sup]
-        keep = np.ones(len(pts), dtype=bool)
-        keep[p] = False
-        return pts[p] - pts[keep], ws[keep] - ws[p]
-
-    def _slack_lp(self, A, b, U, alpha0):
-        """Max separation slack of A alpha + eps <= b over alpha in the
-        affine subspace alpha0 + span(U); also returns the maximizer
-        (the deepest point of the cone, a good base for the children).
-        A simplex that gives up makes the lifting count as degenerate."""
-        out = _max_slack_simplex(A @ U, b - A @ alpha0)
-        if out is None:
-            raise TieDetected("max-slack simplex gave up")
-        eps, v = out
-        return eps, alpha0 + U @ v
-
     def feasible_edges(self, sup: int) -> list[tuple[int, int]]:
-        pts = self.points[sup]
-        U = np.eye(self.n)
-        alpha0 = np.zeros(self.n)
-        empty_A = np.zeros((0, self.n))
-        empty_b = np.zeros(0)
-        out = []
-        for p, q in itertools.combinations(range(len(pts)), 2):
-            verdict, _, _ = self._edge_verdict(sup, p, q, U, alpha0, empty_A, empty_b)
-            if verdict == _TIE:
-                raise TieDetected(f"support {sup} edge ({p},{q}) at the margin")
-            if verdict == _FEASIBLE:
-                out.append((p, q))
-        return out
+        pairs = list(itertools.combinations(range(len(self.points[sup])), 2))
+        empty_A, empty_b = np.zeros((0, self.n)), np.zeros(0)
+        verdicts = self._edge_verdicts(sup, pairs, np.eye(self.n), np.zeros(self.n), empty_A, empty_b)
+        if any(verdict == _TIE for verdict, _, _ in verdicts):
+            raise TieDetected(f"support {sup}: an edge at the margin")
+        return [pq for pq, (verdict, _, _) in zip(pairs, verdicts) if verdict == _FEASIBLE]
 
     def _split_direction(self, U, a_vec, r):
         """Eliminate the equality <a_vec, alpha> = r inside the subspace.
@@ -301,7 +287,9 @@ class _CellSearch:
     def _edge_verdict(self, sup, p, q, U, alpha0, A_acc, b_acc):
         """Screen one candidate edge; returns (verdict, slack, child).
 
-        child = (alpha_c, Uc, A_c, b_c) when the verdict is feasible.
+        child = (alpha_c, Uc, A_c, b_c) when the verdict is feasible, or
+        when it is _LP: the child cone has three or more free dimensions
+        and only the max-slack LP decides (``_edge_verdicts``).
         """
         pts, ws = self.points[sup], self.lifts[sup]
         a_vec = pts[p] - pts[q]
@@ -334,32 +322,99 @@ class _CellSearch:
         if dc == 2:
             verdict = self._verdict_plane(alpha_c, Uc, A_c, b_c)
             return verdict, 0.0, child if verdict == _FEASIBLE else None
-        eps, alpha_deep = self._slack_lp(A_c, b_c, Uc, alpha_c)
-        if eps > SLACK_MARGIN:
-            return _FEASIBLE, eps, (alpha_deep, Uc, A_c, b_c)
-        if eps <= 0.0:
-            return _PRUNE, eps, None
-        return _TIE, eps, None
+        return _LP, 0.0, child
 
-    def _surviving_points(self, sup, U, alpha0, A_acc, b_acc) -> dict[int, float]:
-        """One-point tests: which points of the support can be minimal
-        somewhere in the parent cone, with their best slack."""
-        pts = self.points[sup]
-        out: dict[int, float] = {}
-        for a in range(len(pts)):
-            rows, rhs = self._point_rows(sup, a)
-            A_c = np.vstack([A_acc, rows]) if len(b_acc) else rows
-            b_c = np.concatenate([b_acc, rhs]) if len(b_acc) else rhs
-            quick = float(np.min(b_c - A_c @ alpha0)) if len(b_c) else 1.0
-            if quick > SLACK_MARGIN:
-                out[a] = quick
-                continue
-            eps, _ = self._slack_lp(A_c, b_c, U, alpha0)
-            if eps > SLACK_MARGIN:
-                out[a] = eps
-            elif eps > 0.0:
-                raise TieDetected(f"support {sup} point {a} minimality at the margin")
+    def _edge_verdicts(self, sup, pairs, U, alpha0, A_acc, b_acc) -> list:
+        """``_edge_verdict`` for every candidate edge of one node.  The
+        LPs still open are stacked into one simplex call: each gives the
+        max separation slack over the child's affine subspace and its
+        maximizer, the deepest point of the cone and a good base for the
+        grandchildren.  A simplex that gives up makes the lifting count
+        as degenerate."""
+        out = [self._edge_verdict(sup, p, q, U, alpha0, A_acc, b_acc) for p, q in pairs]
+        lp = [i for i, (verdict, _, _) in enumerate(out) if verdict == _LP]
+        if not lp:
+            return out
+        children = [out[i][2] for i in lp]
+        G = np.stack([A_c @ Uc for _, Uc, A_c, _ in children])
+        b = np.stack([b_c - A_c @ alpha_c for alpha_c, _, A_c, b_c in children])
+        eps, V = _max_slack_simplex(G, b)
+        if np.isnan(eps).any():
+            raise TieDetected("max-slack simplex gave up")
+        for i, e, v, (alpha_c, Uc, A_c, b_c) in zip(lp, eps.tolist(), V, children):
+            if e > SLACK_MARGIN:
+                out[i] = (_FEASIBLE, e, (alpha_c + Uc @ v, Uc, A_c, b_c))
+            else:
+                out[i] = (_PRUNE if e <= 0.0 else _TIE, e, None)
         return out
+
+    def _surviving_points(self, sup, U, alpha0, A_acc, b_acc) -> set[int]:
+        """One-point tests: which points of the support can be minimal
+        somewhere in the parent cone."""
+        pts, ws = self.points[sup], self.lifts[sup]
+        k = len(pts)
+        # point a is minimal: rows pts[a] - pts[c] <= ws[c] - ws[a], c != a
+        others = ~np.eye(k, dtype=bool)
+        rows = (pts[:, None, :] - pts[None, :, :])[others].reshape(k, k - 1, self.n)
+        rhs = (ws[None, :] - ws[:, None])[others].reshape(k, k - 1)
+        A_c = np.concatenate([np.broadcast_to(A_acc, (k,) + A_acc.shape), rows], axis=1)
+        b_c = np.concatenate([np.broadcast_to(b_acc, (k,) + b_acc.shape), rhs], axis=1)
+        off = b_c - A_c @ alpha0
+        slack = off.min(axis=1)
+        # one stacked simplex for every point whose quick check fails
+        lp = slack <= SLACK_MARGIN
+        if lp.any():
+            eps, _ = _max_slack_simplex(A_c[lp] @ U, off[lp])
+            if np.isnan(eps).any():
+                raise TieDetected("max-slack simplex gave up")
+            slack[lp] = eps
+        if ((slack > 0.0) & (slack <= SLACK_MARGIN)).any():
+            raise TieDetected(f"support {sup}: a point's minimality at the margin")
+        return {a for a in range(k) if slack[a] > SLACK_MARGIN}
+
+    def _line_screen(self, sup, pairs, U, alpha0, A_acc, b_acc) -> list[tuple[int, int]]:
+        """At two free dimensions, drop in one array pass the candidate
+        edges whose child line surely holds no feasible point.
+
+        Each edge's line is the one ``_edge_verdict`` builds (alpha_c and
+        the same Householder column); an edge is dropped when the
+        interval test finds the line empty even with every row relaxed
+        by SLACK_MARGIN, or when the edge's equality misses the parent's
+        subspace by more than twice the margin, so ``_edge_verdict``
+        would prune it.  The others go to ``_edge_verdict`` unchanged."""
+        pq = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        pts, ws = self.points[sup], self.lifts[sup]
+        p, q = pq[:, 0], pq[:, 1]
+        e = np.arange(len(pq))
+        a_vec = pts[p] - pts[q]
+        g = a_vec @ U
+        g2 = np.einsum("ij,ij->i", g, g)
+        degenerate = g2 < 1e-24  # no line: the verdict prunes unless rho ties
+        g2 = np.where(degenerate, 1.0, g2)
+        rho = ws[q] - ws[p] - a_vec @ alpha0
+        alpha_c = alpha0 + (g * (rho / g2)[:, None]) @ U.T
+        # second column of the reflector I - 2 w w^T / w.w, w = g + sign(g0)|g| e1
+        norm = np.sqrt(g2)
+        w0 = g[:, 0] + np.where(g[:, 0] >= 0, norm, -norm)
+        ww = w0 * w0 + g[:, 1] * g[:, 1]
+        col = np.stack([-2.0 * w0 * g[:, 1] / ww, 1.0 - 2.0 * g[:, 1] * g[:, 1] / ww], axis=1)
+        direction = col @ U.T
+        # rows A alpha <= b on alpha_c + s direction: (A direction) s <= off
+        vals = alpha_c @ pts.T + ws
+        dvals = direction @ pts.T
+        off = np.concatenate([b_acc - alpha_c @ A_acc.T, vals - vals[e, p][:, None]], axis=1)
+        slope = np.concatenate([direction @ A_acc.T, dvals[e, p][:, None] - dvals], axis=1)
+        own = len(b_acc) + pq.T  # the pair's own points give no row
+        off[e, own] = np.inf
+        slope[e, own] = 0.0
+        off += SLACK_MARGIN
+        up, down = slope > 1e-13, slope < -1e-13
+        flat = ~(up | down)
+        hi = np.divide(off, slope, out=np.full(off.shape, np.inf), where=up).min(axis=1)
+        lo = np.divide(off, slope, out=np.full(off.shape, -np.inf), where=down).max(axis=1)
+        empty = (flat & (off < 0.0)).any(axis=1) | (lo > hi)
+        drop = np.where(degenerate, np.abs(rho) > 2.0 * SLACK_MARGIN, empty)
+        return [pair for pair, dropped in zip(pairs, drop) if not dropped]
 
     def _verdict_line(self, alpha, direction, inA, inb) -> int:
         """Feasibility of the inequalities on a parameterized line."""
@@ -483,15 +538,16 @@ class _CellSearch:
             d = U.shape[1]
             if d == 1:
                 return last_support(sup, U, alpha0, inA, inb)
-            allowed = edges[sup]
+            pairs = edges[sup]
             if d >= 3 and len(self.points[sup]) >= 6 and len(inb) >= 10:
                 alive = self._surviving_points(sup, U, alpha0, inA, inb)
-                pairs = [(p, q) for p, q in allowed if p in alive and q in alive]
-            else:
-                pairs = allowed
+                pairs = [(p, q) for p, q in pairs if p in alive and q in alive]
+            elif d == 2:
+                pairs = self._line_screen(sup, pairs, U, alpha0, inA, inb)
             children = []
-            for p, q in pairs:
-                verdict, slack, child = self._edge_verdict(sup, p, q, U, alpha0, inA, inb)
+            for (p, q), (verdict, slack, child) in zip(
+                pairs, self._edge_verdicts(sup, pairs, U, alpha0, inA, inb)
+            ):
                 if verdict == _TIE:
                     raise TieDetected("partial tuple slack below margin")
                 if verdict == _FEASIBLE:
@@ -511,27 +567,28 @@ class _CellSearch:
         return descend(0, np.eye(self.n), np.zeros(self.n), np.zeros((0, self.n)), np.zeros(0))
 
     def certify(self, chosen: Sequence[tuple[int, int]]) -> MixedCell | None:
-        """Exact certificate for a full tuple; None if not a cell."""
-        nsup = len(self.order)
-        A = []
-        b = []
+        """Exact certificate for a full tuple; None if not a cell.
+
+        The edge equalities are solved in integers: with the lifting
+        scaled by ``self.scale``, the normal is alpha = N / (det * scale)
+        and every slack is an integer over the same denominator.  Floats
+        come from one correctly rounded int / int division each."""
+        A, b = [], []
         for depth, sup in enumerate(self.order):
             p, q = chosen[depth]
-            pts, ws = self.lifted.points[sup], self.lifts[sup]
-            A.append([Fraction(pts[p][j]) - Fraction(pts[q][j]) for j in range(self.n)])
-            b.append(Fraction(ws[q]) - Fraction(ws[p]))
-        alpha = _solve_fraction(A, b)
-        if alpha is None:
+            pts, ws = self.lifted.points[sup], self.int_lifts[sup]
+            A.append([pts[p][j] - pts[q][j] for j in range(self.n)])
+            b.append(ws[q] - ws[p])
+        N, det = _bareiss_solve(A, b)
+        if det == 0:
             raise TieDetected("edge directions are linearly dependent")
+        den = det * self.scale
         # exact strict lower-hull check for every non-cell point
         texps_by_sup: dict[int, tuple[float, ...]] = {}
         for depth, sup in enumerate(self.order):
             p, q = chosen[depth]
-            pts, ws = self.lifted.points[sup], self.lifts[sup]
-            vals = [
-                sum(Fraction(pt[j]) * alpha[j] for j in range(self.n)) + Fraction(w)
-                for pt, w in zip(pts, ws)
-            ]
+            pts, ws = self.lifted.points[sup], self.int_lifts[sup]
+            vals = [sum(c * x for c, x in zip(pt, N)) + w * det for pt, w in zip(pts, ws)]
             base = vals[p]
             row = []
             for c, v in enumerate(vals):
@@ -543,27 +600,18 @@ class _CellSearch:
                     if slack == 0:
                         raise TieDetected("exact tie on a lifted support")
                     return None
-                if float(slack) < SLACK_MARGIN:
+                if slack / den < SLACK_MARGIN:
                     raise TieDetected("slack below certification margin")
-                row.append(float(slack))
+                row.append(slack / den)
             texps_by_sup[sup] = tuple(row)
-        vrows = []
-        for sup in range(nsup):
-            depth = self.order.index(sup)
-            p, q = chosen[depth]
-            pts = self.lifted.points[sup]
-            vrows.append([pts[q][j] - pts[p][j] for j in range(self.n)])
-        vol = abs(_int_det(vrows))
-        if vol == 0:
-            raise TieDetected("zero-volume tuple passed the LP filter")
         pairs = []
-        for sup in range(nsup):
-            depth = self.order.index(sup)
-            p, q = chosen[depth]
+        for sup in range(len(self.order)):
+            p, q = chosen[self.order.index(sup)]
             pairs.append((self.lifted.points[sup][p], self.lifted.points[sup][q]))
-        normal = tuple(float(a) for a in alpha) + (1.0,)
-        texps = tuple(texps_by_sup[sup] for sup in range(nsup))
-        return MixedCell(tuple(pairs), normal, vol, texps)
+        normal = tuple(x / den for x in N) + (1.0,)
+        texps = tuple(texps_by_sup[sup] for sup in range(len(self.order)))
+        # the volume is |det| of the edge directions, whatever their order and sign
+        return MixedCell(tuple(pairs), normal, det, texps)
 
 
 def enumerate_cells(lifted: LiftedSupport, emit: Callable[[MixedCell], bool | None]) -> int:

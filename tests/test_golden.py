@@ -158,6 +158,9 @@ def test_a_surface_given_by_one_equation():
     rep = decompose(parse_system("3 1\nx1*x2*x3 - 1;\n"), top_dimension=2, seed=7)
     assert rep.degrees == {2: 3}
     assert not rep.isolated
+    # the cascade has no dimension-0 level, so no membership stage ran
+    assert rep.filter_stages == []
+    assert report_to_jsonable(rep)["counts"]["filter_stages"] == []
 
 
 def test_overdetermined_system_reports_only_its_root_in_its_own_variables():

@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,13 @@ from scipy.optimize import linprog
 import nidpipe
 from nidpipe.polynomials import PolySystem, make_poly, residual
 from nidpipe.polyhedral import (
+    SLACK_MARGIN,
+    LiftedSupport,
     MixedCell,
+    TieDetected,
+    _CellSearch,
     _max_slack_simplex,
+    _PRUNE,
     binomial_solutions,
     enumerate_cells,
     lift_supports,
@@ -22,6 +28,7 @@ from nidpipe.polyhedral import (
     random_coefficient_system,
     solve_cell,
     supports_of,
+    with_origin,
 )
 from nidpipe.systems import cyclic, demo_system, embed
 
@@ -274,20 +281,50 @@ def _scipy_reference(G, b):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_max_slack_simplex_matches_scipy(seed):
+    # five programs of one shape, solved as a stack (K > 1) and alone
+    # (K = 1): the same bits either way, and scipy's optimum
     rng = np.random.default_rng(seed)
-    for _ in range(120):
+    for _ in range(40):
         m = int(rng.integers(1, 35))
         d = int(rng.integers(1, 10))
-        G = rng.normal(size=(m, d)).round(3)
-        b = rng.normal(size=m).round(3)
-        out = _max_slack_simplex(G, b)
-        assert out is not None
-        eps, v = out
-        ref = _scipy_reference(G, b)
-        assert abs(eps - ref) < 1e-7
-        # the returned maximizer attains the reported slack
-        attained = float(np.min(b - G @ v)) if m else 1.0
-        assert min(attained, 1.0) >= eps - 1e-7
+        G = rng.normal(size=(5, m, d)).round(3)
+        b = rng.normal(size=(5, m)).round(3)
+        stack_eps, stack_v = _max_slack_simplex(G, b)
+        for k in range(5):
+            eps, v = _max_slack_simplex(G[k : k + 1], b[k : k + 1])
+            assert eps.tobytes() == stack_eps[k : k + 1].tobytes()
+            assert v.tobytes() == stack_v[k : k + 1].tobytes()
+            assert abs(eps[0] - _scipy_reference(G[k], b[k])) < 1e-7
+            # the returned maximizer attains the reported slack
+            attained = float(np.min(b[k] - G[k] @ v[0]))
+            assert min(attained, 1.0) >= eps[0] - 1e-7
+
+
+def _degenerate_program(seed, m=40, d=4):
+    """A program whose optimum eps = 1 is highly degenerate: v = 0
+    leaves every row slack, and most pivots are degenerate."""
+    G = np.random.default_rng(seed).normal(size=(m, d))
+    return G, np.abs(G).sum(axis=1)
+
+
+def test_a_stack_solves_each_program_as_it_would_alone():
+    # degenerate programs 1, 2, 7, 8 and 11 stall long enough for
+    # Bland's rule, and 9 cycles until the pivot budget is spent and
+    # gives up; ordinary programs between them leave the stack early
+    rng = np.random.default_rng(1000)
+    programs = []
+    for seed in range(12):
+        programs += [(rng.normal(size=(40, 4)), rng.normal(size=40)), _degenerate_program(seed)]
+    G = np.array([g for g, _ in programs])
+    b = np.array([rhs for _, rhs in programs])
+    eps, v = _max_slack_simplex(G, b)
+    for k in range(len(G)):
+        alone_eps, alone_v = _max_slack_simplex(G[k : k + 1], b[k : k + 1])
+        assert eps[k : k + 1].tobytes() == alone_eps.tobytes()
+        assert v[k : k + 1].tobytes() == alone_v.tobytes()
+    assert np.flatnonzero(np.isnan(eps)).tolist() == [2 * 9 + 1]
+    assert np.isnan(v[2 * 9 + 1]).all() and not np.isnan(np.delete(v, 2 * 9 + 1, axis=0)).any()
+    assert np.array_equal(np.delete(eps[1::2], 9), np.ones(11))
 
 
 def test_importing_the_solver_leaves_scipy_out():
@@ -299,3 +336,168 @@ def test_importing_the_solver_leaves_scipy_out():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "False"
+
+
+# -- integer certification against a Fraction reference -----------------------
+
+
+def _fraction_solve(A, b):
+    """Exact Gaussian elimination; None when the matrix is singular."""
+    n = len(b)
+    M = [row[:] + [b[i]] for i, row in enumerate(A)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if M[i][k] != 0), None)
+        if piv is None:
+            return None
+        M[k], M[piv] = M[piv], M[k]
+        for i in range(k + 1, n):
+            f = M[i][k] / M[k][k]
+            for j in range(k, n + 1):
+                M[i][j] -= f * M[k][j]
+    x = [Fraction(0)] * n
+    for k in range(n - 1, -1, -1):
+        x[k] = (M[k][n] - sum(M[k][j] * x[j] for j in range(k + 1, n))) / M[k][k]
+    return x
+
+
+def fraction_certify(search, chosen):
+    """The certificate in rational arithmetic (test oracle): the normal
+    from the edge equalities, every slack strictly positive, the volume
+    from the determinant of the edge directions."""
+    lifted, n = search.lifted, search.n
+    A, b = [], []
+    for depth, sup in enumerate(search.order):
+        p, q = chosen[depth]
+        pts, ws = lifted.points[sup], lifted.lifts[sup]
+        A.append([Fraction(pts[p][j] - pts[q][j]) for j in range(n)])
+        b.append(Fraction(ws[q]) - Fraction(ws[p]))
+    alpha = _fraction_solve(A, b)
+    if alpha is None:
+        raise TieDetected("edge directions are linearly dependent")
+    texps = {}
+    for depth, sup in enumerate(search.order):
+        p, q = chosen[depth]
+        pts, ws = lifted.points[sup], lifted.lifts[sup]
+        vals = [sum(pt[j] * alpha[j] for j in range(n)) + Fraction(w) for pt, w in zip(pts, ws)]
+        row = []
+        for c, v in enumerate(vals):
+            slack = v - vals[p]
+            if c in (p, q):
+                row.append(0.0)
+                continue
+            if slack <= 0:
+                if slack == 0:
+                    raise TieDetected("exact tie on a lifted support")
+                return None
+            if float(slack) < SLACK_MARGIN:
+                raise TieDetected("slack below certification margin")
+            row.append(float(slack))
+        texps[sup] = tuple(row)
+    pairs, rows = [], []
+    for sup in range(len(search.order)):
+        p, q = chosen[search.order.index(sup)]
+        pts = lifted.points[sup]
+        pairs.append((pts[p], pts[q]))
+        rows.append([Fraction(pts[q][j] - pts[p][j]) for j in range(n)])
+    det = Fraction(1)
+    for k in range(n):  # the determinant by elimination, in Fractions
+        piv = next(i for i in range(k, n) if rows[i][k] != 0)
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, n):
+            f = rows[i][k] / rows[k][k]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    normal = tuple(float(a) for a in alpha) + (1.0,)
+    return MixedCell(tuple(pairs), normal, abs(int(det)), tuple(texps[s] for s in range(len(pairs))))
+
+
+def _bits(cell):
+    if cell is None:
+        return None
+    floats = lambda xs: tuple(float(x).hex() for x in xs)  # noqa: E731  (-0.0 differs from 0.0)
+    return cell.pairs, floats(cell.normal), cell.volume, tuple(floats(t) for t in cell.texps)
+
+
+def assert_certificates_match(monkeypatch):
+    """Make every ``certify`` call check itself against the reference;
+    returns the list of the cells it certified."""
+    real = _CellSearch.certify
+    cells = []
+
+    def checked(self, chosen):
+        try:
+            expected = fraction_certify(self, chosen)
+        except TieDetected:
+            with pytest.raises(TieDetected):
+                real(self, chosen)
+            raise
+        cell = real(self, chosen)
+        assert _bits(cell) == _bits(expected)
+        if cell is not None:
+            cells.append(cell)
+        return cell
+
+    monkeypatch.setattr(_CellSearch, "certify", checked)
+    return cells
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", ["cyclic-5", "cyclic-4@1"])
+def test_integer_certificates_equal_the_fraction_reference(monkeypatch, name, seed):
+    system = cyclic(5) if name == "cyclic-5" else embed(cyclic(4), 1, seed).system
+    cells = assert_certificates_match(monkeypatch)
+    enumerate_cells(lift_supports(supports_of(system), seed), lambda cell: None)
+    assert sum(c.volume for c in cells) == (70 if name == "cyclic-5" else 20)
+
+
+def test_integer_certificates_of_lifts_with_long_binary_expansions(monkeypatch):
+    # 0.1, 1/3 and 2/7 are not multiples of 2**-53: the lifting's
+    # power-of-two scale must come from the lifts themselves
+    supports = supports_of(cyclic(3))
+    lifted = LiftedSupport(supports, ((0.1, 1 / 3, 0.7), (0.25, 2 / 7, 0.9), (0.3, 0.55)), seed=0)
+    assert max(float(w).as_integer_ratio()[1] for ws in lifted.lifts for w in ws) > 2**53
+    cells = assert_certificates_match(monkeypatch)
+    enumerate_cells(lifted, lambda cell: None)
+    assert cells and sum(c.volume for c in cells) == 6
+
+
+# -- the line screen at two free dimensions -----------------------------------
+
+
+@pytest.mark.parametrize("name", ["demo start supports", "cyclic-5@1"])
+def test_the_line_screen_drops_only_edges_the_verdict_prunes(monkeypatch, name):
+    if name == "cyclic-5@1":
+        supports = supports_of(embed(cyclic(5), 1, 7).system)
+    else:
+        supports = with_origin(supports_of(embed(demo_system(), 3, 7).system))
+    real = _CellSearch._line_screen
+    nodes = []
+
+    def recorded(self, sup, pairs, U, alpha0, A_acc, b_acc):
+        kept = real(self, sup, pairs, U, alpha0, A_acc, b_acc)
+        nodes.append((self, sup, pairs, kept, U.copy(), alpha0.copy(), A_acc.copy(), b_acc.copy()))
+        return kept
+
+    monkeypatch.setattr(_CellSearch, "_line_screen", recorded)
+    enumerate_cells(lift_supports(supports, 7), lambda cell: None)
+    dropped = 0
+    for search, sup, pairs, kept, U, alpha0, A_acc, b_acc in nodes:
+        assert U.shape[1] == 2
+        for p, q in set(pairs) - set(kept):
+            verdict, _, _ = search._edge_verdict(sup, p, q, U, alpha0, A_acc, b_acc)
+            assert verdict == _PRUNE
+            dropped += 1
+    assert dropped > 0
+
+
+# -- a seed sweep --------------------------------------------------------------
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(20))
+def test_mixed_volumes_and_certificates_over_seeds(monkeypatch, seed):
+    assert_certificates_match(monkeypatch)
+    assert mixed_volume(embed(demo_system(), 3, seed).system, seed) == 61
+    assert mixed_volume(embed(cyclic(5), 1, seed).system, seed) == 80
