@@ -69,20 +69,19 @@ def decompose(
     timings.cascade = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    witness_sets, stages = filter_junk(superset, tasks)
-    isolated, suspects, iso_stages = classify_isolated(
-        superset.candidates(0), witness_sets, square, tasks
-    )
+    witness_sets, stages = filter_junk(superset)
+    isolated, suspects, iso_stages = classify_isolated(superset.candidates(0), witness_sets, square)
     for w in witness_sets:
         w.points = vanishing(f, w.points)
     witness_sets = [w for w in witness_sets if w.points]
     isolated, suspects = vanishing(f, isolated), vanishing(f, suspects)
     if precision == "dd":
-        # each reported point is polished once, on the system it solves
+        # each reported point is polished once, on the system it solves,
+        # in one batch per witness set and one per list of points
         for w in witness_sets:
-            w.points = [_dd_polished(w.embedding.system, s, 3) for s in w.points]
-        isolated = [_dd_polished(square, s, 3) for s in isolated]
-        suspects = [_dd_polished(square, s, 3) for s in suspects]
+            w.points = _dd_polished(w.embedding.system, w.points, 3)
+        isolated = _dd_polished(square, isolated, 3)
+        suspects = _dd_polished(square, suspects, 3)
     timings.filtering = time.perf_counter() - t0
 
     return DecompositionReport(

@@ -9,24 +9,27 @@ dimension-d witness set, and dimension-0 candidates split into regular
 isolated solutions and singular suspects that run the same membership
 chain.
 
-Each (candidate level, witness set) pair is one stage: a work crew runs
-the stage's membership tests with the candidates as jobs, and each test
-tracks the witness set's generic points as one batch.
+Each (candidate level, witness set) pair is one stage, run in the
+calling process as one batch: every witness point moves toward the
+hyperplanes through every candidate not already on one, and these
+n_k * d_k paths (the count ``filter_speedup`` models) are one
+``track_paths`` call on a ``SliceHomotopy``.  The dimension-0
+candidates are polished in one batched ``refine_dd`` call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cascade import WitnessSuperset
 from .linalg import condition_and_rank
-from .parallel import raise_failures, work_crew
-from .polynomials import jacobian, residual
+from .parallel import work_crew  # noqa: F401  (a module attribute for tracing tools)
+from .polynomials import jacobian
 from .systems import EmbeddedSystem, slice_to_zero
 from .tracker import (  # noqa: F401  (``track`` stays a module attribute for tracing tools)
-    LinearHomotopy,
+    SliceHomotopy,
     Solution,
     newton_refine,
     refine_dd,
@@ -77,73 +80,56 @@ def points_match(a, b, tol: float = MATCH_TOL, floor: float = MATCH_FLOOR) -> bo
     return float(np.max(np.abs(a - b))) <= max(floor, tol * scale)
 
 
-def membership_targets(w: WitnessSet, q) -> EmbeddedSystem:
-    """The witness embedding with hyperplane constants moved so every
-    hyperplane passes through q (with slack variables at zero)."""
-    q = np.asarray(q, dtype=np.complex128)
-    constants = []
-    for row in w.embedding.hyper_coeffs:
-        coeffs = np.asarray(row[1:], dtype=np.complex128)
-        constants.append(-np.dot(coeffs, q))
-    return w.embedding.with_hyper_constants(constants)
+def membership_verdicts(w: WitnessSet, queries) -> tuple[list[bool | None], int]:
+    """Whether each candidate q of queries lies on w's component, and
+    the number of paths tracked.
+
+    Shifting their constants moves the hyperplanes of w through q (with
+    slack variables at zero), for all candidates in one batch of one
+    path per (candidate, witness point).  Membership holds iff one of
+    q's endpoints coincides with q, and is None (indeterminate) when all
+    its paths failed.  A candidate that already sits on a witness point
+    is a member without tracking (zero-length deformation).
+    """
+    n = w.embedding.n_original
+    queries = [np.asarray(q, dtype=np.complex128) for q in queries]
+    points = np.array([s.coordinates for s in w.points])
+    verdicts = [True if any(points_match(p[:n], q) for p in points) else None for q in queries]
+    moved = [i for i, v in enumerate(verdicts) if v is None]
+    hyper = np.array(w.embedding.hyper_coeffs)
+    shift = np.zeros((len(moved), w.embedding.nvars), dtype=np.complex128)
+    for row, i in zip(shift, moved):
+        row[n:] = -(hyper[:, 1:] @ queries[i]) - hyper[:, 0]
+    h = SliceHomotopy(w.embedding.system, np.repeat(shift, w.degree, axis=0))
+    results = track_paths(h, np.tile(points, (len(moved), 1)))
+    for i, first in zip(moved, range(0, len(results), w.degree)):
+        ends = [r.endpoint.coordinates[:n] for r in results[first : first + w.degree] if r.succeeded]
+        verdicts[i] = any(points_match(e, queries[i]) for e in ends) if ends else None
+    return verdicts, len(results)
 
 
 def membership_test(w: WitnessSet, q) -> bool:
-    """Track the generic points of w, as one batch, toward hyperplanes
-    through q; membership holds iff some endpoint coincides with q.
-
-    Candidates that already sit on a witness point short-circuit to
-    True without tracking (zero-length deformation).
-    """
-    q = np.asarray(q, dtype=np.complex128)
-    n = w.embedding.n_original
-    if q.shape != (n,):
-        raise ValueError(f"candidate has dimension {q.shape}, expected {n}")
-    for s in w.points:
-        if points_match(s.coordinates[:n], q):
-            return True
-    target = membership_targets(w, q).system
-    h = LinearHomotopy(w.embedding.system, target)
-    results = track_paths(h, np.array([s.coordinates for s in w.points]))
-    any_success = False
-    for r in results:
-        if not r.succeeded or r.endpoint is None:
-            continue
-        any_success = True
-        if points_match(r.endpoint.coordinates[:n], q):
-            return True
-    if not any_success:
-        raise MembershipIndeterminate(
-            f"all {len(results)} membership paths failed for dimension {w.dimension}"
-        )
-    return False
+    """The one-candidate case of ``membership_verdicts``; indeterminate raises."""
+    (verdict,), paths = membership_verdicts(w, [q])
+    if verdict is None:
+        raise MembershipIndeterminate(f"all {paths} membership paths failed at dim {w.dimension}")
+    return verdict
 
 
 def _membership_stage(
-    w: WitnessSet,
-    candidates: list[Solution],
-    candidate_dimension: int,
-    p: int,
+    w: WitnessSet, candidates: list[Solution], candidate_dimension: int
 ) -> tuple[list[Solution], FilterStage]:
-    """Test every candidate against w on one crew; returns the
+    """Test every candidate against w in one batch; returns the
     candidates not on w's component and the stage's bookkeeping.
-    Indeterminate tests keep the candidate (a false positive only adds
-    a suspect later; a false negative would lose a component); a test
-    that raised fails the run with a RuntimeError."""
+    Indeterminate verdicts keep the candidate (a false positive only
+    adds a suspect later; a false negative would lose a component); a
+    stage that raised fails the run with a RuntimeError."""
     n = w.embedding.n_original
-    queries = [c.coordinates[:n] for c in candidates]
-
-    def test(q) -> bool:
-        try:
-            return membership_test(w, q)
-        except MembershipIndeterminate:
-            return False
-
-    verdicts = raise_failures(work_crew(queries, p, test), "membership test")
+    try:
+        verdicts, tracked = membership_verdicts(w, [c.coordinates[:n] for c in candidates])
+    except Exception as exc:
+        raise RuntimeError(f"membership stage failed: {exc!r}") from exc
     kept = [c for c, member in zip(candidates, verdicts) if not member]
-    tracked = w.degree * sum(
-        1 for q in queries if not any(points_match(s.coordinates[:n], q) for s in w.points)
-    )
     stage = FilterStage(candidate_dimension, w.dimension, len(candidates), w.degree, tracked,
                         len(candidates) - len(kept))
     return kept, stage
@@ -160,21 +146,22 @@ def _restricted_regular(emb: EmbeddedSystem, sol: Solution) -> bool:
 
 
 def _dedup(points: list[Solution], n: int | None = None) -> list[Solution]:
-    """Cluster by the matching tolerance; lowest residual represents."""
-    kept: list[Solution] = []
-    for s in sorted(points, key=lambda s: s.residual):
-        coords = s.coordinates if n is None else s.coordinates[:n]
-        if not any(
-            points_match(coords, k.coordinates if n is None else k.coordinates[:n])
-            for k in kept
-        ):
-            kept.append(s)
-    return kept
+    """Cluster by the matching tolerance; lowest residual represents.
+    Each point is compared with all kept points in one array operation,
+    each kept point scaling its own tolerance as in ``points_match``."""
+    ordered = sorted(points, key=lambda s: s.residual)
+    if not ordered:
+        return []
+    coords = np.array([s.coordinates[:n] for s in ordered])
+    tol = np.maximum(MATCH_FLOOR, MATCH_TOL * np.maximum(1.0, np.max(np.abs(coords), axis=1)))
+    kept: list[int] = []
+    for i, c in enumerate(coords):
+        if not np.any(np.max(np.abs(coords[kept] - c), axis=1) <= tol[kept]):
+            kept.append(i)
+    return [ordered[i] for i in kept]
 
 
-def filter_junk(
-    superset: WitnessSuperset, p: int = 1
-) -> tuple[list[WitnessSet], list[FilterStage]]:
+def filter_junk(superset: WitnessSuperset) -> tuple[list[WitnessSet], list[FilterStage]]:
     """Remove candidates lying on higher dimensional components.
 
     Returns confirmed witness sets for every positive dimension with at
@@ -194,7 +181,7 @@ def filter_junk(
         for w in witness_sets:
             if not candidates:
                 break
-            candidates, stage = _membership_stage(w, candidates, d, p)
+            candidates, stage = _membership_stage(w, candidates, d)
             stages.append(stage)
         survivors = [c for c in candidates if _restricted_regular(level.embedding, c)]
         if survivors:
@@ -204,39 +191,40 @@ def filter_junk(
     return witness_sets, stages
 
 
-def _refine_isolated(base_system, cand: Solution) -> tuple[Solution, bool]:
-    """Refine a dimension-0 candidate against the base system; True when
-    its Jacobian there has full rank."""
-    refined = newton_refine(base_system, cand.coordinates, tol=1e-13, max_iters=8)
+def _refine_isolated(base_system, cands: list[Solution]) -> list[tuple[Solution, bool]]:
+    """Refine dimension-0 candidates against the base system; each comes
+    with True when its Jacobian there has full rank."""
+    if not cands:
+        return []
+    refined = [newton_refine(base_system, c.coordinates, tol=1e-13, max_iters=8) for c in cands]
     # points on multiple components stall at ~sqrt(eps) in double
     # precision, right at the rank threshold; double-double Newton
     # settles the regularity question (linear rate needs the extra
     # iterations to push a 1e-7 defect decisively below 1e-8)
-    polished = refine_dd(base_system, refined.coordinates, steps=12)
-    remeasured = newton_refine(base_system, polished, tol=0.0, max_iters=0)
-    if remeasured.residual <= max(refined.residual * 10, 1e-12):
-        refined = remeasured
-    _, rank = condition_and_rank(jacobian(base_system, refined.coordinates))
-    return refined, rank == base_system.nvars
+    polished = refine_dd(base_system, np.array([r.coordinates for r in refined]), steps=12)
+    out = []
+    for r, x in zip(refined, polished):
+        remeasured = newton_refine(base_system, x, tol=0.0, max_iters=0)
+        if remeasured.residual <= max(r.residual * 10, 1e-12):
+            r = remeasured
+        _, rank = condition_and_rank(jacobian(base_system, r.coordinates))
+        out.append((r, rank == base_system.nvars))
+    return out
 
 
 def classify_isolated(
     candidates: list[Solution],
     witness_sets: list[WitnessSet],
     base_system,
-    p: int = 1,
 ) -> tuple[list[Solution], list[Solution], list[FilterStage]]:
     """Split dimension-0 candidates into regular isolated solutions and
     singular suspects, running singular candidates through membership
     tests against each witness set from the highest dimension down,
     until no candidate is left; a stage with no candidate is not run or
-    listed.  The candidates are refined on one crew, as jobs."""
+    listed.  The candidates are polished in one batch."""
     regular: list[Solution] = []
     singular: list[Solution] = []
-    refine = lambda cand: _refine_isolated(base_system, cand)  # noqa: E731
-    for refined, is_regular in raise_failures(
-        work_crew(candidates, p, refine), "refining a dimension-0 candidate"
-    ):
+    for refined, is_regular in _refine_isolated(base_system, candidates):
         (regular if is_regular else singular).append(refined)
     regular = _dedup(regular)
     singular = _dedup(singular)
@@ -244,6 +232,6 @@ def classify_isolated(
     for w in sorted(witness_sets, key=lambda w: -w.dimension):
         if not singular:
             break
-        singular, stage = _membership_stage(w, singular, 0, p)
+        singular, stage = _membership_stage(w, singular, 0)
         stages.append(stage)
     return regular, singular, stages

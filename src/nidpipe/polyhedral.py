@@ -171,6 +171,7 @@ def _max_slack_simplex(G: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
     T[:, d + 1, ncols] = -1.0  # negative objective value
     eps = np.full(K, np.nan)
     v = np.full((K, d), np.nan)
+    basis = np.tile(np.r_[np.arange(m + 1, ncols), m], (K, 1))  # basic column of each row
 
     # drive the artificials out immediately with degenerate pivots (their
     # rows have rhs 0, so nothing moves); a row with no real support is
@@ -183,6 +184,7 @@ def _max_slack_simplex(G: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
             sub = T[ok]
             _pivot(sub, np.arange(len(sub)), np.full(len(sub), i), j[ok])
             T[ok] = sub
+            basis[ok, i] = j[ok]
     prog = np.arange(K)  # the program of each tableau still pivoting
     k = np.arange(K)
     stall = np.zeros(K, dtype=int)
@@ -191,7 +193,7 @@ def _max_slack_simplex(G: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
         enter = np.argmin(costs, axis=1)
         optimal = costs[k, enter] >= -1e-11
         bland = stall >= 3 * (d + 2)
-        if bland.any():  # Bland's rule against cycling
+        if bland.any():  # Bland's rule against cycling: smallest entering column
             neg = costs[bland] < -1e-11
             enter[bland] = np.argmax(neg, axis=1)
             optimal[bland] = ~neg.any(axis=1)
@@ -205,9 +207,13 @@ def _max_slack_simplex(G: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
             if not go.any():
                 return eps, v
             T, prog, stall, enter, col, pos = T[go], prog[go], stall[go], enter[go], col[go], pos[go]
-            k = np.arange(len(T))
+            basis, bland, k = basis[go], bland[go], np.arange(len(T))
         ratios = np.divide(T[:, : d + 1, ncols], col, out=np.full(col.shape, np.inf), where=pos)
         leave = np.argmin(ratios, axis=1)
+        if bland.any():  # ... and, among tied ratios, smallest leaving basic column
+            tied = ratios[bland] == ratios[bland].min(axis=1, keepdims=True)
+            leave[bland] = np.argmin(np.where(tied, basis[bland], ncols), axis=1)
+        basis[k, leave] = enter
         stall = np.where(ratios[k, leave] <= 1e-13, stall + 1, 0)
         _pivot(T, k, leave, enter)
     return eps, v
@@ -756,6 +762,8 @@ class PolyhedralHomotopy:
     at t=1 every weight is 1 and the system is the start system g itself,
     which is the homotopy's ``target``."""
 
+    shift = None
+
     def __init__(self, g: PolySystem, cell: MixedCell, supports: Support):
         self.target = g
         self.dim = g.nvars
@@ -791,6 +799,9 @@ class PolyhedralHomotopy:
         self._texp = np.where(raw > SLACK_MARGIN, raw * scale, 0.0)
         jraw = np.array(jtexps, dtype=float)
         self._jtexp = np.where(jraw > SLACK_MARGIN, jraw * scale, 0.0)
+
+    def select(self, idx) -> "PolyhedralHomotopy":
+        return self
 
     def eval(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         return self._ev(x, weights=t[:, None] ** self._texp)

@@ -262,10 +262,10 @@ class _StackedEvaluator:
         npts = len(x)
         if self.coef.size == 0:
             return np.zeros((npts, self.nrows), dtype=np.complex128)
-        factors = self.powers(x).reshape(npts, -1)[:, self.factor_index]
-        monos = factors[:, 0]
+        tab = self.powers(x).reshape(npts, -1)
+        monos = tab[:, self.factor_index[0]]
         for j in range(1, self.nvars):
-            monos = monos * factors[:, j]
+            monos = monos * tab[:, self.factor_index[j]]
         vals = self.coef * monos
         if weights is not None:
             vals = vals * weights
@@ -297,11 +297,10 @@ class _StackedEvaluator:
         th[:, 0], tl[:, 0] = 1.0, 0.0
         for k in range(1, self.maxdeg + 1):
             th[:, k], tl[:, k] = cdd_mul(th[:, k - 1], tl[:, k - 1], hi, lo)
-        fh = th.reshape(npts, -1)[:, self.factor_index]
-        fl = tl.reshape(npts, -1)[:, self.factor_index]
-        mh, ml = fh[:, 0], fl[:, 0]
+        th, tl, index = th.reshape(npts, -1), tl.reshape(npts, -1), self.factor_index
+        mh, ml = th[:, index[0]], tl[:, index[0]]
         for j in range(1, self.nvars):
-            mh, ml = cdd_mul(mh, ml, fh[:, j], fl[:, j])
+            mh, ml = cdd_mul(mh, ml, th[:, index[j]], tl[:, index[j]])
         vh, vl = cdd_mul(mh, ml, self.coef, np.zeros_like(self.coef))
         pad = np.zeros((npts, 1), dtype=np.complex128)
         vh = np.concatenate([vh, pad], axis=1)[:, self._padded_rows]

@@ -201,13 +201,6 @@ class EmbeddedSystem:
             self.seed,
         )
 
-    def with_hyper_constants(self, constants) -> "EmbeddedSystem":
-        """Same embedding with replaced hyperplane constant terms."""
-        hyper = tuple(
-            (complex(c0),) + tuple(row[1:]) for c0, row in zip(constants, self.hyper_coeffs)
-        )
-        return EmbeddedSystem(self.base, self.k, self.gammas, hyper, self.seed)
-
 
 def embed(f: PolySystem, k: int, seed: int) -> EmbeddedSystem:
     """Augment a square system with k hyperplanes and slack variables."""

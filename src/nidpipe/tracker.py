@@ -15,7 +15,9 @@ among workers.
 The corrector is the accuracy authority (a step is accepted only when
 it converges within its iteration budget).  Endpoints are polished at
 t=1 with a damped least-squares Newton so that paths running into
-singular endpoints still return usable solutions.
+singular endpoints still return usable solutions.  A homotopy may give
+each path its own target (``SliceHomotopy``), so the tracker evaluates
+a subset of paths through ``select``.
 
 Paths are tracked in double with one fixed step-control recipe, the
 module constants below; the tracker takes no options.  With the gamma
@@ -27,14 +29,15 @@ classifies at infinity (``classify``).
 
 ``refine_dd`` is the one double-double code path: Newton on a system
 with the residual evaluated in double-double, the correction solved in
-double and the point accumulated in double-double.  It polishes
-ill-conditioned endpoints (condition above 1e4); a solver run asked
-for double-double output polishes each point it reports with it once.
+double and the point accumulated in double-double, for a stack of
+points.  One call polishes a stage's converged endpoints with condition
+above 1e4, after its stepping loop; a run asked for double-double
+output polishes each point it reports with it once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Protocol
 
@@ -42,7 +45,7 @@ import numpy as np
 
 from .dd import cdd_add
 from .linalg import SINGULARITY_TOL, condition_and_rank, newton_step
-from .polynomials import PolySystem, _StackedEvaluator, jacobian, residual
+from .polynomials import PolySystem, _StackedEvaluator, jacobian
 
 # residuals are meaningful only down to the cancellation noise of the
 # evaluation; 50 ulps of the absolute-term scale is the practical floor
@@ -89,10 +92,13 @@ DD_CORRECTION_TOL = 2.0**-100
 
 class Homotopy(Protocol):
     """h(x, t) at P points x of shape (P, n), each at its own t of shape (P,);
-    ``target`` is the system h(., 1)."""
+    h(., 1) is ``target`` plus, unless None, row i of ``shift`` on path
+    i.  ``select(idx)`` is the homotopy of the paths idx alone."""
 
-    dim: int
     target: PolySystem
+    shift: np.ndarray | None
+
+    def select(self, idx) -> "Homotopy": ...
 
     def eval(self, x: np.ndarray, t: np.ndarray) -> np.ndarray: ...
 
@@ -108,12 +114,14 @@ class LinearHomotopy:
     With gamma a random unit-modulus constant this is the usual path
     deformation between two systems of the same shape; with
     start == target on all but one row it expresses homotopies where
-    only designated coefficients move (cascade and membership steps).
+    only designated coefficients move (cascade steps).  Every path has
+    the same target.
     """
 
     start: PolySystem
     target: PolySystem
     gamma: complex = 1.0 + 0j
+    shift = None
 
     def __post_init__(self):
         if self.start.nvars != self.target.nvars or len(self.start.polys) != len(
@@ -124,6 +132,9 @@ class LinearHomotopy:
     @property
     def dim(self) -> int:
         return self.start.nvars
+
+    def select(self, idx) -> "LinearHomotopy":
+        return self
 
     @cached_property
     def _stacked(self) -> tuple[_StackedEvaluator, ...]:
@@ -150,6 +161,31 @@ class LinearHomotopy:
         eval must be judged."""
         v = self._stacked[2](np.abs(x).astype(np.complex128)).real.reshape(len(x), 2, -1)
         return (1.0 - t) * v[:, 0].max(axis=1) + t * v[:, 1].max(axis=1)
+
+
+@dataclass(frozen=True, eq=False)
+class SliceHomotopy:
+    """h_i(x, t) = target(x) + t * shift[i]: path i moves the constant
+    terms of target's rows by the row shift[i] of a (P, m) array.  A
+    membership test moves the hyperplanes of a witness set through a
+    candidate this way (Sommese, Verschelde and Wampler, SIAM J. Numer.
+    Anal. 38, 2001), so the paths of many candidates are one batch."""
+
+    target: PolySystem
+    shift: np.ndarray
+
+    def select(self, idx) -> "SliceHomotopy":
+        return SliceHomotopy(self.target, self.shift[idx])
+
+    def eval(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return self.target._evaluator()(x) + t[:, None] * self.shift
+
+    def jac(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return self.target._jac_evaluator()(x).reshape(len(x), -1, self.target.nvars)
+
+    def eval_scale(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        v = self.target._abs_evaluator()(np.abs(x).astype(np.complex128)).real
+        return np.max(v + t[:, None] * np.abs(self.shift), axis=1)
 
 
 @dataclass(frozen=True)
@@ -194,17 +230,6 @@ def _res_norm(v: np.ndarray) -> float:
 def _row_max_abs(v: np.ndarray) -> np.ndarray:
     """Infinity norm of each row of a (P, m) array."""
     return np.max(np.abs(v), axis=1)
-
-
-# single-point evaluation through the batched interface (P = 1)
-
-
-def _eval1(h: Homotopy, x: np.ndarray, t: float) -> np.ndarray:
-    return h.eval(x[None], np.array([t]))[0]
-
-
-def _jac1(h: Homotopy, x: np.ndarray, t: float) -> np.ndarray:
-    return h.jac(x[None], np.array([t]))[0]
 
 
 def _effective_tol(h: Homotopy, x: np.ndarray, t: np.ndarray, tol: float) -> np.ndarray:
@@ -252,38 +277,39 @@ def _correct(h: Homotopy, x: np.ndarray, t: np.ndarray, tol: float, iters: int):
         if not live.size:
             break
         xl, tl = x[live], t[live]
-        xl = xl + _newton_steps(h.jac(xl, tl), r[live])
+        xl = xl + _newton_steps(h.select(live).jac(xl, tl), r[live])
         x[live] = xl
         blown = ~np.isfinite(xl).all(axis=1)
         resid[live[blown]] = np.inf
         its[live[blown]] = it + 1
         live, xl, tl = live[~blown], xl[~blown], tl[~blown]
         if live.size:
-            r[live] = h.eval(xl, tl)
+            r[live] = h.select(live).eval(xl, tl)
             resid[live] = _row_max_abs(r[live])
     if live.size:  # out of iterations
-        ok[live] = resid[live] <= _effective_tol(h, x[live], t[live], tol)
+        ok[live] = resid[live] <= _effective_tol(h.select(live), x[live], t[live], tol)
     return x, resid, its, ok
 
 
-def _damped_newton(h: Homotopy, x: np.ndarray, t: float, tol: float, iters: int):
-    """Damped Newton on one point that never accepts a residual increase.
+def _damped_newton(h: Homotopy, x: np.ndarray, tol: float, iters: int):
+    """Damped Newton at t=1 on one point; never accepts a residual increase.
 
     Uses least-squares steps so rank-deficient Jacobians (singular
     endpoints, points on positive dimensional sets) stay tame.
     """
-    r = _eval1(h, x, t)
+    one = np.ones(1)
+    r = h.eval(x[None], one)[0]
     resid = _res_norm(r)
     done = 0
     for _ in range(iters):
         if not np.isfinite(resid) or resid <= tol:
             break
-        dx = newton_step(_jac1(h, x, t), r)
+        dx = newton_step(h.jac(x[None], one)[0], r)
         lam = 1.0
         improved = False
         for _ in range(8):
             x_try = x + lam * dx
-            r_try = _eval1(h, x_try, t)
+            r_try = h.eval(x_try[None], one)[0]
             res_try = _res_norm(r_try)
             if np.isfinite(res_try) and res_try < resid:
                 x, r, resid = x_try, r_try, res_try
@@ -303,14 +329,19 @@ def _solution(f: PolySystem, x: np.ndarray, resid: float) -> Solution:
     return Solution(x, resid, cond, reg)
 
 
-def _dd_polished(f: PolySystem, sol: Solution, steps: int, floor: float = 0.0) -> Solution:
-    """sol after a double-double polish on f, when that does not raise
-    the residual above max(4 x the old one, floor)."""
-    better = refine_dd(f, sol.coordinates, steps)
-    resid = residual(f, better)
-    if np.isfinite(resid) and resid <= max(sol.residual * 4, floor):
-        return _solution(f, better, resid)
-    return sol
+def _dd_polished(f: PolySystem, sols: list, steps: int, floor=0.0, shift=None) -> list:
+    """Each of sols after a double-double polish on f (plus its row of
+    shift), where that does not raise its residual above max(4 x the
+    old one, floor); one batched ``refine_dd`` call."""
+    if not sols:
+        return []
+    better = refine_dd(f, np.array([s.coordinates for s in sols]), steps, shift)
+    values = f._evaluator()(better)
+    resid = _row_max_abs(values if shift is None else values + shift)
+    return [
+        _solution(f, x, float(r)) if np.isfinite(r) and r <= max(s.residual * 4, floor) else s
+        for s, x, r in zip(sols, better, resid)
+    ]
 
 
 def _finish(h, x, steps_used, entry_norm: float) -> PathResult:
@@ -325,16 +356,10 @@ def _finish(h, x, steps_used, entry_norm: float) -> PathResult:
     """
     norm_now = float(np.max(np.abs(x))) if _finite(x) else float("inf")
     move_cap = MOVE_CAP * (1.0 + norm_now)
-    x1, resid, _ = _damped_newton(h, x, 1.0, CORRECTOR_TOL, FINAL_NEWTON_ITERS)
+    x1, resid, _ = _damped_newton(h, x, CORRECTOR_TOL, FINAL_NEWTON_ITERS)
     moved = float(np.max(np.abs(x1 - x))) if _finite(x1) else float("inf")
     if np.isfinite(resid) and resid <= CONVERGED_RESIDUAL and moved <= move_cap:
-        sol = _solution(h.target, x1, resid)
-        if sol.condition > 1e4:
-            # near-multiple endpoints converge at linear rate 1/2, so a
-            # handful of double-double steps must become a dozen to pull
-            # a 1e-4 endpoint defect safely under the match tolerances
-            sol = _dd_polished(h.target, sol, 14, 1e-14)
-        return PathResult(CONVERGED, sol, steps_used, 1.0)
+        return PathResult(CONVERGED, _solution(h.target, x1, resid), steps_used, 1.0)
     growth = (norm_now + 1e-6) / (entry_norm + 1e-6)
     if norm_now > SOFT_INFINITY or growth >= 8.0:
         return PathResult(AT_INFINITY, None, steps_used, 1.0)
@@ -373,7 +398,7 @@ def track_paths(
     in_endgame = np.zeros(npaths, dtype=bool)
 
     def finish(i):
-        results[i] = _finish(h, x[i].copy(), int(steps[i]), float(entry_norm[i]))
+        results[i] = _finish(h.select([i]), x[i].copy(), int(steps[i]), float(entry_norm[i]))
 
     def end(i):
         if in_endgame[i]:
@@ -409,7 +434,9 @@ def track_paths(
         secant = pa > 0
         ratio = np.divide(hstep, pa, out=np.zeros_like(hstep), where=secant)
         x_pred = np.where(secant[:, None], xa + (xa - prev_x[active]) * ratio[:, None], xa)
-        x_new, _, iters, ok = _correct(h, x_pred, t_try, CORRECTOR_TOL, MAX_CORRECTOR_ITERS)
+        x_new, _, iters, ok = _correct(
+            h.select(active), x_pred, t_try, CORRECTOR_TOL, MAX_CORRECTOR_ITERS
+        )
 
         acc = active[ok]
         prev_x[acc], prev_step[acc] = xa[ok], hstep[ok]
@@ -429,6 +456,13 @@ def track_paths(
         for i in rej[stalled]:
             end(i)
         active = np.sort(np.concatenate([acc[~arrived], rej[~stalled]]))
+    # near-multiple endpoints converge at linear rate 1/2, so a handful
+    # of double-double steps must become a dozen to pull a 1e-4 endpoint
+    # defect safely under the match tolerances
+    ill = [i for i, r in enumerate(results) if r.status == CONVERGED and r.endpoint.condition > 1e4]
+    sols = [results[i].endpoint for i in ill]
+    for i, sol in zip(ill, _dd_polished(h.target, sols, 14, 1e-14, h.select(ill).shift)):
+        results[i] = replace(results[i], endpoint=sol)
     return results
 
 
@@ -450,7 +484,7 @@ def newton_refine(
     its measures recomputed rather than a worse point.
     """
     x = np.asarray(x, dtype=np.complex128)
-    best, resid, _ = _damped_newton(LinearHomotopy(f, f), x, 1.0, tol, max_iters)
+    best, resid, _ = _damped_newton(LinearHomotopy(f, f), x, tol, max_iters)
     return _solution(f, best, resid)
 
 
@@ -465,34 +499,45 @@ def vanishing(f: PolySystem, points: list[Solution]) -> list[Solution]:
     return [s for s, k in zip(points, keep) if k]
 
 
-def refine_dd(f: PolySystem, x, steps: int = 3) -> np.ndarray:
-    """Double/double-double Newton polish of a (possibly singular) root of f.
+def refine_dd(f: PolySystem, x: np.ndarray, steps: int = 3, shift=None) -> np.ndarray:
+    """Double/double-double Newton polish of (possibly singular) roots
+    x (P, n) of f, or of f + shift[i] for row i when shift is given.
 
-    The point is kept in double-double as (hi, lo).  Each step evaluates
+    Each point is kept in double-double as (hi, lo).  A step evaluates
     f there in double-double, rounds the residual to double, solves for
     the correction against the Jacobian at hi in double and adds it to
     (hi, lo) in double-double (Bates, Hauenstein, Sommese and Wampler,
-    SIAM J. Numer. Anal. 46, 2008).  The residual is accurate although
-    the solve is not, so the point converges past what double resolves.
-    Stops early once the correction falls below ``DD_CORRECTION_TOL`` of
-    the point's size.  Returns the point rounded to double, or x itself
-    when a step is not finite or the point moved from x by more than
-    ``MOVE_CAP`` times 1 + |x|.
+    SIAM J. Numer. Anal. 46, 2008), so the point converges past what
+    double resolves.  A row stops on its own, so its bits do not depend
+    on the others: early once its correction is below
+    ``DD_CORRECTION_TOL`` of its size, and as it was when a step is not
+    finite or it moved from x by more than ``MOVE_CAP`` times 1 + |x|.
+    Returns the points rounded to double.
     """
     x = np.asarray(x, dtype=np.complex128)
-    cap = MOVE_CAP * (1.0 + float(np.max(np.abs(x))))
-    hi, lo = x[None], np.zeros((1, len(x)), dtype=np.complex128)
+    cap = MOVE_CAP * (1.0 + _row_max_abs(x))
+    hi, lo, out = x.copy(), np.zeros_like(x), x.copy()
+    live = np.arange(len(x))
     for _ in range(steps):
-        r, _ = f._evaluator().eval_dd(hi, lo)
-        if not _finite(r):
-            return x
-        dx = newton_step(jacobian(f, hi[0]), r[0])
-        hi, lo = cdd_add(hi, lo, dx[None], np.zeros_like(lo))
-        if not float(np.max(np.abs(hi[0] - x))) <= cap:  # also when not finite
-            return x
-        if np.max(np.abs(dx)) <= DD_CORRECTION_TOL * np.max(np.abs(hi)):
+        if not live.size:
             break
-    return hi[0]
+        r, r_lo = f._evaluator().eval_dd(hi[live], lo[live])
+        if shift is not None:
+            r, _ = cdd_add(r, r_lo, shift[live], np.zeros_like(r))
+        finite = np.isfinite(r).all(axis=1)
+        live, r = live[finite], r[finite]
+        if not live.size:
+            break
+        J = f._jac_evaluator()(hi[live]).reshape(len(live), len(f.polys), f.nvars)
+        dx = _newton_steps(J, r)
+        hi[live], lo[live] = cdd_add(hi[live], lo[live], dx, np.zeros_like(dx))
+        near = _row_max_abs(hi[live] - x[live]) <= cap[live]  # False also when not finite
+        live, dx = live[near], dx[near]
+        done = _row_max_abs(dx) <= DD_CORRECTION_TOL * _row_max_abs(hi[live])
+        out[live[done]] = hi[live[done]]
+        live = live[~done]
+    out[live] = hi[live]
+    return out
 
 
 def classify(coords, n_original: int) -> str:

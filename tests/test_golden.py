@@ -67,19 +67,20 @@ def test_cli_double_double_precision_exits_ok(tmp_path, capsys):
 @pytest.mark.parametrize("precision", ["double", "dd"])
 def test_double_double_polishes_each_reported_point_once(monkeypatch, text, dim, system_nvars, precision):
     # isolated points are polished on the square system, witness points
-    # on their level's embedded system; in double nothing here is
+    # on their level's embedded system, each list in one batch; in double
+    # nothing here is
     polished = []
     refine_dd = tracker.refine_dd
 
-    def counted(f, x, steps=3):
-        polished.append(f.nvars)
-        return refine_dd(f, x, steps)
+    def counted(f, x, steps=3, shift=None):
+        polished.append((f.nvars, len(x)))
+        return refine_dd(f, x, steps, shift)
 
     monkeypatch.setattr(tracker, "refine_dd", counted)
     rep = decompose(parse_system(text), top_dimension=dim, seed=1, precision=precision)
     reported = len(rep.isolated) + len(rep.suspects) + sum(rep.degrees.values())
     assert reported == 2
-    assert polished == ([system_nvars] * reported if precision == "dd" else [])
+    assert polished == ([(system_nvars, reported)] if precision == "dd" else [])
 
 
 def test_cyclic5_dim0_seed3_has_70_isolated_points():

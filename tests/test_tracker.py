@@ -14,6 +14,7 @@ from nidpipe.tracker import (
     SINGULAR,
     ZERO_SLACK,
     LinearHomotopy,
+    SliceHomotopy,
     classify,
     newton_refine,
     refine_dd,
@@ -166,7 +167,7 @@ def test_newton_refine_does_not_accept_worse_point():
 def test_refine_dd_improves_multiple_point():
     f = eq6_system()
     x = np.array([2.0 + 1e-5, 1e-5], dtype=complex)
-    out = refine_dd(f, x, steps=12)
+    (out,) = refine_dd(f, x[None], steps=12)
     assert abs(out[0] - 2.0) < 1e-8
     assert abs(out[1]) < 1e-8
 
@@ -176,8 +177,30 @@ def test_refine_dd_near_a_line_stays_within_the_move_cap(t):
     # (4, 2, 1, t) is a line of the demo system: Newton there can slide
     # a point far along it, which is no polish of the point
     p = np.array([4, 2, 1, t]) + 1e-7 * np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
-    out = refine_dd(demo_system(), p, 12)
+    (out,) = refine_dd(demo_system(), p[None], 12)
     assert np.max(np.abs(out - p)) <= 0.05 * (1.0 + np.max(np.abs(p)))
+
+
+def test_batched_refine_dd_matches_one_point_calls():
+    # one batch on the demo system: (4, 2, 2, 1) and (4, 3, 2, 1) are
+    # regular roots, whose rows stop early; near the line (4, 2, 1, t)
+    # the point at t = 2 settles and the one at t = 3+1j slides past the
+    # move cap, so it comes back as it was; at 1e300 the residual
+    # overflows, so that row comes back as it was too
+    f = demo_system()
+    near = 1e-7 * np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
+    x = np.array([[4, 2, 2, 1], [4, 2, 1, 2], [4, 2, 1, 3 + 1j], [1e300] * 4, [4, 3, 2, 1]]) + near
+    shift = np.zeros((len(x), 4), dtype=complex)
+    shift[:, 3] = 1e-9 * np.arange(len(x))  # row i solves demo + shift[i]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in (shift, None):
+            batch = refine_dd(f, x, 12, s)
+            for i in range(len(x)):
+                alone = refine_dd(f, x[i : i + 1], 12, None if s is None else s[i : i + 1])
+                assert alone.tobytes() == batch[i : i + 1].tobytes()
+    assert np.array_equal(batch[2:4], x[2:4])
+    assert np.max(np.abs(batch[[0, 4]] - [[4, 2, 2, 1], [4, 3, 2, 1]])) < 1e-15
+    assert 0 < np.max(np.abs(batch[1] - x[1])) < 1e-5
 
 
 def test_classify_thresholds():
@@ -229,12 +252,14 @@ def _assert_batch_size_independent(h, starts):
     for size in (1, 2):
         chunked = []
         for i in range(0, len(starts), size):
-            chunked.extend(_bits(r) for r in track_paths(h, starts[i : i + size]))
+            idx = np.arange(i, min(i + size, len(starts)))
+            chunked.extend(_bits(r) for r in track_paths(h.select(idx), starts[idx]))
         assert chunked == everything
     # strided chunks, the way a work crew splits a stage
     strided = [None] * len(starts)
     for i in range(3):
-        strided[i::3] = [_bits(r) for r in track_paths(h, starts[i::3])]
+        idx = np.arange(i, len(starts), 3)
+        strided[i::3] = [_bits(r) for r in track_paths(h.select(idx), starts[idx])]
     assert strided == everything
 
 
@@ -247,6 +272,29 @@ def test_linear_homotopy_results_independent_of_batch_size():
     gamma = complex(rngmod.unit_complex(rngmod.stream(11, rngmod.GAMMA)))
     h = LinearHomotopy(g, e.system, gamma)
     starts = np.array([s.coordinates for s in sols[:8]])
+    _assert_batch_size_independent(h, starts)
+
+
+def test_slice_homotopy_results_independent_of_batch_size():
+    # x^2 - 1 = 0, y = x, with the constant of the first row moved by a
+    # shift of its own on each path; a shift of 1 ends both of its paths
+    # at the double root (0, 0), whose endpoints the batched
+    # double-double polish takes
+    w = PolySystem(
+        2,
+        (
+            make_poly(2, [((2, 0), 1), ((0, 0), -1)]),
+            make_poly(2, [((0, 1), 1), ((1, 0), -1)]),
+        ),
+    )
+    shifts = np.repeat([1.0, 0.5, -3.0, 1.0 + 1.0j], 2)
+    h = SliceHomotopy(w, np.stack([shifts, np.zeros(8)], axis=1).astype(complex))
+    starts = np.tile([[1.0, 1.0], [-1.0, -1.0]], (4, 1)).astype(complex)
+    results = track_paths(h, starts)
+    assert all(r.status == CONVERGED for r in results)
+    assert [r.endpoint.condition > 1e4 for r in results] == [True] * 2 + [False] * 6
+    roots = np.sqrt(1.0 - shifts)
+    assert np.allclose([abs(r.endpoint.coordinates[0]) for r in results], np.abs(roots), atol=1e-6)
     _assert_batch_size_independent(h, starts)
 
 
