@@ -10,7 +10,7 @@ from .cascade import run_cascade, solve_top
 from .filtering import classify_isolated, filter_junk
 from .parallel import check_backend
 from .polynomials import PolySystem
-from .report import DecompositionReport, Timings
+from .report import DecompositionReport, Timings, jump_warnings
 from .systems import embed, square_up, zero_rows
 from .tracker import _dd_polished, vanishing
 
@@ -83,6 +83,7 @@ def decompose(
         isolated = _dd_polished(square, isolated, 3)
         suspects = _dd_polished(square, suspects, 3)
     timings.filtering = time.perf_counter() - t0
+    warnings += jump_warnings(top_stats, superset.levels, stages + iso_stages)
 
     return DecompositionReport(
         seed=seed,

@@ -8,6 +8,11 @@ hyperplane row to the corresponding slack variable, carrying solutions
 with nonzero slacks one dimension down; endpoints classify three ways
 (at infinity / zero slack / nonzero slack) and the zero-slack points
 are the candidate generic points at that dimension.
+
+Every stage ends with ``guard_jumps`` on its gathered paths: the start
+system over all its cells, the continuation, and each cascade step.
+The number of paths that still coincide after the re-track is kept for
+the report's warnings.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from . import rng as rngmod
 from .parallel import PipelineConfig, pipeline_run, raise_failures, work_crew
 from .polyhedral import (  # noqa: F401  (``lift_supports`` stays a module attribute for tracing tools)
     MixedCell,
+    cell_homotopy,
     enumerate_cells,
     generic_lifting,
     lift_supports,
@@ -39,7 +45,9 @@ from .tracker import (  # noqa: F401  (``track`` stays a module attribute for tr
     PathResult,
     Solution,
     classify,
+    guard_jumps,
     newton_refine,
+    retracker,
     track,
     track_paths,
 )
@@ -58,6 +66,8 @@ class TopStats:
     lifting_attempt: int = 0
     time_start_system: float = 0.0
     time_continuation: float = 0.0
+    start_jumps: int = 0  # paths whose endpoints still coincide after the re-track
+    continuation_jumps: int = 0
 
 
 @dataclass
@@ -66,7 +76,8 @@ class CascadeLevel:
 
     ``starts`` counts the paths tracked into this level (for the top
     level, the continuation paths), so starts = at_infinity +
-    len(zero_slack) + len(nonzero_slack) + failures.
+    len(zero_slack) + len(nonzero_slack) + failures.  ``jumps`` counts
+    those whose endpoints still coincide after the re-track.
     """
 
     dimension: int
@@ -76,6 +87,7 @@ class CascadeLevel:
     zero_slack: list[Solution] = field(default_factory=list)
     nonzero_slack: list[Solution] = field(default_factory=list)
     failures: int = 0
+    jumps: int = 0
 
     @property
     def counts(self) -> dict:
@@ -116,13 +128,15 @@ def solve_start_system(
     in the calling thread and hands each cell to one ``emit``: at p = 1
     its paths are tracked right there, at p >= 2 it goes to the p-1
     forked consumers of a 2-stage pipeline.  A tie restarts the search, counters and cell
-    log included, on the next lifting (``generic_lifting``)."""
+    log included, on the next lifting (``generic_lifting``).  The paths
+    of all cells end on roots of g, so they are guarded as one stage."""
     stats = TopStats()
     supports = with_origin(supports_of(emb_system))
     g = random_coefficient_system(supports, emb_system.nvars, seed)
 
-    def search(lifted) -> list[PathResult]:
+    def search(lifted) -> tuple[list[MixedCell], list[list[PathResult]]]:
         stats.cells = stats.mixed_volume = 0
+        cells: list[MixedCell] = []
         if cell_log is not None:
             cell_log.clear()
 
@@ -130,6 +144,7 @@ def solve_start_system(
             def emit(cell: MixedCell):
                 stats.cells += 1
                 stats.mixed_volume += cell.volume
+                cells.append(cell)
                 if cell_log is not None:
                     cell_log.append(cell)
                 put(cell)
@@ -137,16 +152,27 @@ def solve_start_system(
             enumerate_cells(lifted, emit)
 
         if p == 1:
-            results: list[PathResult] = []
-            produce(lambda cell: results.extend(solve_cell(cell, g, supports)))
-            return results
+            outs: list[list[PathResult]] = []
+            produce(lambda cell: outs.append(solve_cell(cell, g, supports)))
+            return cells, outs
         cfg = PipelineConfig(p=p)
         pairs, _ = pipeline_run(produce, lambda cell: solve_cell(cell, g, supports), cfg)
-        outs = raise_failures([out for _, out in pairs], "cell worker")
-        return [r for out in outs for r in out]
+        return cells, raise_failures([out for _, out in pairs], "cell worker")
 
     t0 = time.perf_counter()
-    results, stats.lifting_attempt = generic_lifting(supports, seed, search)
+    (cells, outs), stats.lifting_attempt = generic_lifting(supports, seed, search)
+    cell_of = np.repeat(np.arange(len(outs)), [len(out) for out in outs])
+    first = np.cumsum([0] + [len(out) for out in outs])
+
+    def retrack(idx: np.ndarray) -> list[PathResult]:
+        again: dict[int, PathResult] = {}
+        for c in np.unique(cell_of[idx]):
+            mine = idx[cell_of[idx] == c]
+            h, starts = cell_homotopy(cells[c], g, supports)
+            again.update(zip(mine, track_paths(h, starts[mine - first[c]], _cautious=True)))
+        return [again[i] for i in idx]
+
+    results, stats.start_jumps = guard_jumps([r for out in outs for r in out], retrack)
     stats.time_start_system = time.perf_counter() - t0
     sols = []
     for r in results:
@@ -158,7 +184,7 @@ def solve_start_system(
     return g, sols, stats
 
 
-def track_on_crew(h: Homotopy, starts: list[np.ndarray], p: int) -> list[PathResult]:
+def track_on_crew(h: Homotopy, starts: np.ndarray, p: int) -> list[PathResult]:
     """Track one stage's paths on p workers: worker i takes the strided
     chunk starts[i::p] as one batch.  Results come back in the order of
     starts; a job that raised fails the run with a RuntimeError."""
@@ -181,7 +207,9 @@ def solve_top(
     gamma = complex(rngmod.unit_complex(rngmod.stream(emb.seed, rngmod.GAMMA)))
     h = LinearHomotopy(g, system, gamma)
     t0 = time.perf_counter()
-    results = track_on_crew(h, [s.coordinates for s in g_sols], p)
+    starts = np.array([s.coordinates for s in g_sols])
+    results = track_on_crew(h, starts, p)
+    results, stats.continuation_jumps = guard_jumps(results, retracker(h, starts))
     stats.time_continuation = time.perf_counter() - t0
     out = []
     for r in results:
@@ -248,14 +276,18 @@ def cascade_step(level: CascadeLevel, p: int = 1) -> CascadeLevel:
         return CascadeLevel(level.dimension - 1, next_emb, starts=0, at_infinity=0)
     gamma = complex(rngmod.unit_complex(rngmod.stream(emb.seed, rngmod.GAMMA, level.dimension)))
     h = _slack_removal_homotopy(emb, gamma)
+    starts = np.array([s.coordinates for s in level.nonzero_slack])
+    tracked, jumps = guard_jumps(track_on_crew(h, starts, p), retracker(h, starts))
     results = []
-    for r in track_on_crew(h, [s.coordinates for s in level.nonzero_slack], p):
+    for r in tracked:
         if r.succeeded and r.endpoint is not None:
             # the target row pins z_d = 0: drop that coordinate
             coords = r.endpoint.coordinates[:-1]
             r = PathResult(r.status, Solution(coords, r.endpoint.residual, r.endpoint.condition), r.steps_used, r.t_reached)
         results.append(r)
-    return _classify_level(results, next_emb, level.dimension - 1)
+    next_level = _classify_level(results, next_emb, level.dimension - 1)
+    next_level.jumps = jumps
+    return next_level
 
 
 def run_cascade(

@@ -13,8 +13,11 @@ Each (candidate level, witness set) pair is one stage, run in the
 calling process as one batch: every witness point moves toward the
 hyperplanes through every candidate not already on one, and these
 n_k * d_k paths (the count ``filter_speedup`` models) are one
-``track_paths`` call on a ``SliceHomotopy``.  The dimension-0
-candidates are polished in one batched ``refine_dd`` call.
+``track_paths`` call on a ``SliceHomotopy``.  The paths of one
+candidate share a target, so ``guard_jumps`` checks each candidate's
+group for paths that jumped; paths of different candidates may end at
+one point.  The dimension-0 candidates are polished in one batched
+``refine_dd`` call.
 """
 
 from __future__ import annotations
@@ -29,16 +32,17 @@ from .parallel import work_crew  # noqa: F401  (a module attribute for tracing t
 from .polynomials import jacobian
 from .systems import EmbeddedSystem, slice_to_zero
 from .tracker import (  # noqa: F401  (``track`` stays a module attribute for tracing tools)
+    MATCH_FLOOR,
+    MATCH_TOL,
     SliceHomotopy,
     Solution,
+    guard_jumps,
     newton_refine,
     refine_dd,
+    retracker,
     track,
     track_paths,
 )
-
-MATCH_TOL = 1e-6
-MATCH_FLOOR = 1e-8
 
 
 class MembershipIndeterminate(RuntimeError):
@@ -70,6 +74,7 @@ class FilterStage:
     degree: int
     paths_tracked: int
     removed: int
+    jumps: int = 0  # paths whose endpoints still coincide after the re-track
 
 
 def points_match(a, b, tol: float = MATCH_TOL, floor: float = MATCH_FLOOR) -> bool:
@@ -80,9 +85,10 @@ def points_match(a, b, tol: float = MATCH_TOL, floor: float = MATCH_FLOOR) -> bo
     return float(np.max(np.abs(a - b))) <= max(floor, tol * scale)
 
 
-def membership_verdicts(w: WitnessSet, queries) -> tuple[list[bool | None], int]:
-    """Whether each candidate q of queries lies on w's component, and
-    the number of paths tracked.
+def membership_verdicts(w: WitnessSet, queries) -> tuple[list[bool | None], int, int]:
+    """Whether each candidate q of queries lies on w's component, the
+    number of paths tracked, and the number of paths whose endpoints
+    still coincide after ``guard_jumps`` (grouped by candidate).
 
     Shifting their constants moves the hyperplanes of w through q (with
     slack variables at zero), for all candidates in one batch of one
@@ -101,16 +107,19 @@ def membership_verdicts(w: WitnessSet, queries) -> tuple[list[bool | None], int]
     for row, i in zip(shift, moved):
         row[n:] = -(hyper[:, 1:] @ queries[i]) - hyper[:, 0]
     h = SliceHomotopy(w.embedding.system, np.repeat(shift, w.degree, axis=0))
-    results = track_paths(h, np.tile(points, (len(moved), 1)))
+    starts = np.tile(points, (len(moved), 1))
+    results = track_paths(h, starts)
+    candidate = np.repeat(np.arange(len(moved)), w.degree)
+    results, jumps = guard_jumps(results, retracker(h, starts), candidate)
     for i, first in zip(moved, range(0, len(results), w.degree)):
         ends = [r.endpoint.coordinates[:n] for r in results[first : first + w.degree] if r.succeeded]
         verdicts[i] = any(points_match(e, queries[i]) for e in ends) if ends else None
-    return verdicts, len(results)
+    return verdicts, len(results), jumps
 
 
 def membership_test(w: WitnessSet, q) -> bool:
     """The one-candidate case of ``membership_verdicts``; indeterminate raises."""
-    (verdict,), paths = membership_verdicts(w, [q])
+    (verdict,), paths, _ = membership_verdicts(w, [q])
     if verdict is None:
         raise MembershipIndeterminate(f"all {paths} membership paths failed at dim {w.dimension}")
     return verdict
@@ -126,12 +135,12 @@ def _membership_stage(
     stage that raised fails the run with a RuntimeError."""
     n = w.embedding.n_original
     try:
-        verdicts, tracked = membership_verdicts(w, [c.coordinates[:n] for c in candidates])
+        verdicts, tracked, jumps = membership_verdicts(w, [c.coordinates[:n] for c in candidates])
     except Exception as exc:
         raise RuntimeError(f"membership stage failed: {exc!r}") from exc
     kept = [c for c, member in zip(candidates, verdicts) if not member]
     stage = FilterStage(candidate_dimension, w.dimension, len(candidates), w.degree, tracked,
-                        len(candidates) - len(kept))
+                        len(candidates) - len(kept), jumps)
     return kept, stage
 
 

@@ -818,6 +818,14 @@ class PolyhedralHomotopy:
 def solve_cell(cell: MixedCell, g: PolySystem, supports: Support) -> list[PathResult]:
     """Track the cell's volume-many paths from its binomial system to
     solutions of the start system g at t=1."""
+    return track_paths(*cell_homotopy(cell, g, supports))
+
+
+def cell_homotopy(
+    cell: MixedCell, g: PolySystem, supports: Support
+) -> tuple[PolyhedralHomotopy, np.ndarray]:
+    """The cell's homotopy to g and its start points, the solutions of
+    its binomial system, one row per path."""
     coeff_of = [dict(p.terms) for p in g.polys]
     V = []
     beta = []
@@ -825,6 +833,4 @@ def solve_cell(cell: MixedCell, g: PolySystem, supports: Support) -> list[PathRe
         V.append([b_pt[j] - a[j] for j in range(g.nvars)])
         ca, cb = coeff_of[i][a], coeff_of[i][b_pt]
         beta.append(-ca / cb)
-    starts = binomial_solutions(V, beta)
-    h = PolyhedralHomotopy(g, cell, supports)
-    return track_paths(h, np.array(starts))
+    return PolyhedralHomotopy(g, cell, supports), np.array(binomial_solutions(V, beta))

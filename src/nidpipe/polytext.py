@@ -2,15 +2,15 @@
 
 First line: ``nvars npolys``.  Then one polynomial per ``;``-terminated
 entry, written as a sum of terms like ``(-1.0+0.5*i)*x1^2*x3``.
-Variables are x1..xN.  Coefficients print with shortest-repr decimals,
-so a parse/print round trip reproduces them to the last ulp.
+Variables are x1..xN.  A coefficient written with shortest-repr
+decimals parses back to the same double.
 """
 
 from __future__ import annotations
 
 import re
 
-from .polynomials import PolySystem, SparsePolynomial, make_poly
+from .polynomials import PolySystem, make_poly
 
 _VAR_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(\d+))?$")
 _NUM_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
@@ -130,33 +130,6 @@ def parse_system(text: str) -> PolySystem:
         terms = [_parse_term(t, nvars) for t in _split_terms(chunk)]
         polys.append(make_poly(nvars, terms))
     return PolySystem(nvars, tuple(polys))
-
-
-def _format_coef(c: complex) -> str:
-    if c.imag >= 0 or c.imag != c.imag:
-        return f"({c.real!r}+{c.imag!r}*i)"
-    return f"({c.real!r}-{abs(c.imag)!r}*i)"
-
-
-def format_poly(p: SparsePolynomial) -> str:
-    if not p.terms:
-        return "(0.0+0.0*i)"
-    parts = []
-    for expo, coef in p.terms:
-        factors = [_format_coef(coef)]
-        for j, e in enumerate(expo):
-            if e == 1:
-                factors.append(f"x{j + 1}")
-            elif e > 1:
-                factors.append(f"x{j + 1}^{e}")
-        parts.append("*".join(factors))
-    return " + ".join(parts)
-
-
-def format_system(f: PolySystem) -> str:
-    lines = [f"{f.nvars} {len(f.polys)}"]
-    lines.extend(format_poly(p) + ";" for p in f.polys)
-    return "\n".join(lines) + "\n"
 
 
 def load_system(path) -> PolySystem:

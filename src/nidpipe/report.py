@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cascade import TopStats
+from .cascade import CascadeLevel, TopStats
 from .filtering import FilterStage, WitnessSet
 from .tracker import Solution
 
@@ -68,6 +68,23 @@ class DecompositionReport:
     @property
     def degrees(self) -> dict[int, int]:
         return {w.dimension: w.degree for w in self.witness_sets}
+
+
+def jump_warnings(top: TopStats, levels: list[CascadeLevel], stages: list[FilterStage]) -> list[str]:
+    """One warning per stage whose paths still end on one regular root
+    after the cautious re-track of ``tracker.guard_jumps``."""
+    named = [("start system", top.start_jumps), ("continuation", top.continuation_jumps)]
+    named += [(f"cascade step to dimension {lv.dimension}", lv.jumps) for lv in levels[1:]]
+    named += [
+        (f"membership of dimension-{s.candidate_dimension} candidates in dimension {s.against_dimension}", s.jumps)
+        for s in stages
+    ]
+    return [
+        f"{stage}: {count} paths end on a regular root shared with another path after a "
+        "cautious re-track; a path may have jumped and a point may be missing"
+        for stage, count in named
+        if count
+    ]
 
 
 def _point_jsonable(coords: np.ndarray) -> list[list[float]]:

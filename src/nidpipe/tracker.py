@@ -20,7 +20,20 @@ each path its own target (``SliceHomotopy``), so the tracker evaluates
 a subset of paths through ``select``.
 
 Paths are tracked in double with one fixed step-control recipe, the
-module constants below; the tracker takes no options.  With the gamma
+module constants below; the tracker takes no options.  A rejected step
+halves; an accepted one doubles the next step when its corrector
+converged in fewer than ``MAX_CORRECTOR_ITERS`` iterations (at most
+``GROW_ITERS``: a quadratic Newton needs 3 for the 1e-10 tolerance from
+a secant prediction) and keeps its size otherwise, always capped by
+``MAX_STEP``, the remaining t and, in the endgame, a share of it.
+
+Larger steps make a jump from one path to a nearby one more likely.
+Two paths of one homotopy cannot end on the same regular root, so
+``guard_jumps`` looks, after a stage is tracked and gathered, for
+converged regular endpoints that coincide under the ``points_match``
+rule, and tracks those paths again under the cautious rule of growing
+only after at most ``CAUTIOUS_GROW_ITERS`` iterations: the private
+``_cautious`` argument of ``track_paths``.  With the gamma
 trick every path stays finite for t < 1 with probability one, so
 nothing cuts a path off in mid-path: a path is at infinity only by its
 endpoint, when the t=1 polish fails and the point is large or grew
@@ -71,6 +84,8 @@ MIN_STEP = 1e-8
 MAX_STEP = 0.2
 CORRECTOR_TOL = 1e-10
 MAX_CORRECTOR_ITERS = 4
+GROW_ITERS = MAX_CORRECTOR_ITERS - 1  # the next step doubles after at most this many
+CAUTIOUS_GROW_ITERS = 2  # ... and after at most this many on a re-tracked path
 MAX_STEPS = 2000
 ENDGAME_START = 0.9
 ENDGAME_CONTRACTION = 0.5
@@ -84,6 +99,11 @@ INFINITE_ENDPOINT = 1e8  # a refined endpoint this large classifies as at infini
 # this share of 1 + |x|: farther, it slides along a solution set or
 # diverges, and the point it reaches is not the limit of x
 MOVE_CAP = 0.05
+
+# two endpoints are one point when every coordinate differs by at most
+# MATCH_TOL times the larger of 1 and the point's size, or MATCH_FLOOR
+MATCH_TOL = 1e-6
+MATCH_FLOOR = 1e-8
 
 # a double-double Newton correction this far below the point's size
 # is below what double-double resolves: the iteration has converged
@@ -372,6 +392,7 @@ def track_paths(
     h: Homotopy,
     x0: np.ndarray,
     traces: list[list] | None = None,
+    _cautious: bool = False,
 ) -> list[PathResult]:
     """Track the P paths of h that start at the rows of x0 (P, n) from
     t=0 to t=1, all together; results come in row order.
@@ -379,6 +400,10 @@ def track_paths(
     Each start point must satisfy h(x0, 0) = 0 (a correction at t=0 is
     applied first).  When given, ``traces`` holds one list per path,
     which receives (t, step, corrector_iterations) per accepted step.
+    The step of a path doubles after an accepted step that did not
+    arrive and took at most ``GROW_ITERS`` corrector iterations, or
+    ``CAUTIOUS_GROW_ITERS`` with ``_cautious``: the rule under which
+    ``guard_jumps`` tracks a jumped path again, and no user option.
     """
     x0 = np.asarray(x0, dtype=np.complex128)
     npaths = len(x0)
@@ -389,6 +414,7 @@ def track_paths(
     for i in np.flatnonzero(~ok):
         results[i] = PathResult(FAILED, None, 0, 0.0)
 
+    grow_iters = CAUTIOUS_GROW_ITERS if _cautious else GROW_ITERS
     t = np.zeros(npaths)
     step = np.full(npaths, INITIAL_STEP)
     prev_x = x.copy()
@@ -447,7 +473,7 @@ def track_paths(
         arrived = t[acc] >= 1.0
         for i in acc[arrived]:
             finish(i)
-        grow = acc[~arrived & (iters[ok] <= 2)]
+        grow = acc[~arrived & (iters[ok] <= grow_iters)]
         step[grow] = np.minimum(step[grow] * 2.0, MAX_STEP)
 
         rej = active[~ok]
@@ -464,6 +490,68 @@ def track_paths(
     for i, sol in zip(ill, _dd_polished(h.target, sols, 14, 1e-14, h.select(ill).shift)):
         results[i] = replace(results[i], endpoint=sol)
     return results
+
+
+def _coinciding(points: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Mask of the rows of points (P, n) that match another row of the
+    same group: every coordinate within the ``points_match`` tolerance
+    of either point.  The rows are sorted by group and by a real
+    projection with unit weights, which two matching rows cannot differ
+    in by more than n times the largest tolerance, and each row is
+    compared with the rows after it up to that distance: no P x P array."""
+    tol = np.maximum(MATCH_FLOOR, MATCH_TOL * np.maximum(1.0, _row_max_abs(points)))
+    key = (points @ np.exp(1j * np.arange(1, points.shape[1] + 1))).real
+    reach = points.shape[1] * tol.max()
+    order = np.lexsort((key, groups))
+    points, groups, key, tol = points[order], groups[order], key[order], tol[order]
+    hit = np.zeros(len(points), dtype=bool)
+    for s in range(1, len(points)):
+        near = np.flatnonzero((groups[s:] == groups[:-s]) & (key[s:] - key[:-s] <= reach))
+        if not near.size:  # sorted keys: no row farther apart is nearer
+            break
+        same = near[_row_max_abs(points[near + s] - points[near]) <= np.fmax(tol[near], tol[near + s])]
+        hit[same] = hit[same + s] = True
+    out = np.empty_like(hit)
+    out[order] = hit
+    return out
+
+
+def _jumped(results: list[PathResult], groups) -> np.ndarray:
+    """Indices of the converged paths whose regular endpoint coincides
+    with another's of the same group."""
+    idx = np.array(
+        [i for i, r in enumerate(results) if r.status == CONVERGED and r.endpoint.is_regular],
+        dtype=int,
+    )
+    if len(idx) < 2:
+        return idx[:0]
+    points = np.array([results[i].endpoint.coordinates for i in idx])
+    return idx[_coinciding(points, np.zeros(len(idx), int) if groups is None else groups[idx])]
+
+
+def guard_jumps(results: list[PathResult], retrack, groups=None) -> tuple[list[PathResult], int]:
+    """The results of one stage with the paths that jumped tracked again,
+    and the number of paths whose endpoints still coincide.
+
+    Paths of one homotopy, or of one group of paths (``groups[i]`` for
+    path i) that share a target, cannot end on the same regular root:
+    when two do, a path jumped.  ``retrack(idx)`` tracks the paths idx
+    again under the cautious rule (see ``retracker``).  The check sorts
+    the endpoints and runs on a whole gathered stage, so its outcome
+    does not depend on how the stage was split among workers."""
+    groups = None if groups is None else np.asarray(groups)
+    jumped = _jumped(results, groups)
+    if not jumped.size:
+        return results, 0
+    results = list(results)
+    for i, r in zip(jumped, retrack(jumped)):
+        results[i] = r
+    return results, len(_jumped(results, groups))
+
+
+def retracker(h: Homotopy, x0: np.ndarray):
+    """The ``retrack`` of ``guard_jumps`` for the paths of h from the rows of x0."""
+    return lambda idx: track_paths(h.select(idx), x0[idx], _cautious=True)
 
 
 def track(h: Homotopy, x0: np.ndarray, trace: list | None = None) -> PathResult:

@@ -14,8 +14,9 @@ from nidpipe.filtering import (
     membership_test,
     points_match,
 )
+from nidpipe.report import report_to_json, summary_text
 from nidpipe.systems import cyclic, demo_system
-from nidpipe.tracker import Solution
+from nidpipe.tracker import CONVERGED, Solution
 
 NEAR = 1e-7 * np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
 CYCLIC4_DIM1 = ["bench", "cyclic", "--n", "4", "--dim", "1", "--seed", "7", "--tasks", "1"]
@@ -58,7 +59,7 @@ def test_a_membership_test_that_raises_fails_the_run(monkeypatch, capsys):
 
 def test_an_indeterminate_membership_test_keeps_the_candidate(monkeypatch):
     def indeterminate(w, queries):
-        return [None] * len(queries), w.degree * len(queries)
+        return [None] * len(queries), w.degree * len(queries), 0
 
     monkeypatch.setattr(filtering, "membership_verdicts", indeterminate)
     rep = decompose(cyclic(4), top_dimension=1, seed=7, tasks=1)
@@ -118,3 +119,75 @@ def test_dedup_keeps_what_the_scalar_rule_keeps(seed):
         kept = _dedup(points, n)
         assert [id(s) for s in kept] == [id(s) for s in _scalar_dedup(points, n)]
         assert 8 < len(kept) < len(points)
+
+
+# -- the jump guard of each stage ----------------------------------------------
+
+
+def _jump_in_the_continuation(monkeypatch, stick=False):
+    """Make the second converged regular path of the continuation end on
+    the first one's root, as a path that jumped does; with ``stick`` the
+    re-track gives the same endpoints back.  Returns the list of index
+    arrays re-tracked, per stage."""
+    real_crew, real_retracker = cascade.track_on_crew, cascade.retracker
+    retracked, jumped = [], []
+
+    def crew(h, starts, p):
+        results = real_crew(h, starts, p)
+        if not jumped:  # the first crew stage is the continuation
+            i, j = [k for k, r in enumerate(results) if r.status == CONVERGED and r.endpoint.is_regular][:2]
+            results[j] = results[i]
+            jumped.append(list(results))
+        return results
+
+    def retracker(h, starts):
+        again = real_retracker(h, starts)
+
+        def retrack(idx):
+            retracked.append(list(idx))
+            return [jumped[0][i] for i in idx] if stick else again(idx)
+
+        return retrack
+
+    monkeypatch.setattr(cascade, "track_on_crew", crew)
+    monkeypatch.setattr(cascade, "retracker", retracker)
+    return retracked, jumped
+
+
+def test_a_path_that_jumped_is_retracked_alone_and_the_payload_is_task_independent(monkeypatch):
+    reference = decompose(cyclic(4), top_dimension=1, seed=7, tasks=1)
+    payloads = []
+    for tasks in (1, 2):
+        retracked, jumped = _jump_in_the_continuation(monkeypatch)
+        rep = decompose(cyclic(4), top_dimension=1, seed=7, tasks=tasks)
+        first = [k for k, r in enumerate(jumped[0]) if r.status == CONVERGED and r.endpoint.is_regular][:2]
+        assert retracked == [first]
+        assert rep.degrees == reference.degrees == {1: 4} and not rep.warnings
+        payloads.append(report_to_json(rep).replace(f'"tasks": {tasks}', '"tasks": 0'))
+    assert payloads[0] == payloads[1]
+
+
+def test_paths_that_still_coincide_after_the_retrack_give_a_warning(monkeypatch):
+    retracked, _ = _jump_in_the_continuation(monkeypatch, stick=True)
+    rep = decompose(cyclic(4), top_dimension=1, seed=7, tasks=1)
+    assert len(retracked) == 1
+    (warning,) = rep.warnings
+    assert warning.startswith("continuation: 2 paths end on a regular root shared with another path")
+    assert f"WARNING: {warning}" in summary_text(rep)
+
+
+def test_membership_paths_of_different_candidates_may_end_at_one_point(monkeypatch):
+    # the same candidate twice, on a curve of cyclic-4: every path of the
+    # first ends where the same path of the second does, and no path of
+    # one candidate where another of that candidate does
+    w = decompose(cyclic(4), top_dimension=1, seed=7, tasks=1).witness_sets[0]
+    a = 0.3 + 0.4j
+    q = np.array([a, 1 / a, -a, -1 / a])
+    retracked = []
+    real = filtering.retracker
+    monkeypatch.setattr(
+        filtering, "retracker", lambda h, x0: lambda idx: retracked.append(idx) or real(h, x0)(idx)
+    )
+    verdicts, paths, jumps = filtering.membership_verdicts(w, [q, q])
+    assert verdicts == [True, True] and paths == 2 * w.degree and jumps == 0
+    assert retracked == []

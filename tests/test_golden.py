@@ -90,6 +90,15 @@ def test_cyclic5_dim0_seed3_has_70_isolated_points():
     assert not rep.suspects
 
 
+def test_cyclic5_dim0_seed106_has_70_isolated_points():
+    # two continuation paths end on one root when steps grow after three
+    # corrector iterations; the jump guard tracks them again
+    rep = decompose(cyclic(5), top_dimension=0, seed=106, tasks=1)
+    assert rep.degrees == {}
+    assert len(rep.isolated) == 70
+    assert not rep.suspects and not rep.warnings
+
+
 def test_cyclic4_dim1_is_one_curve_of_degree_4():
     rep = decompose(cyclic(4), top_dimension=1, seed=7, tasks=1)
     assert rep.degrees == {1: 4}
@@ -180,3 +189,26 @@ def test_two_lines_given_three_times():
     )
     assert rep.degrees == {1: 2}
     assert [len(p) for p in report_to_jsonable(rep)["witness_sets"]["1"]["points"]] == [2, 2]
+
+
+# (system, top dimension, seeds, known answer: degrees, isolated points)
+SWEEP = [
+    (demo_system, 3, range(100, 120), {3: 1, 2: 1, 1: 12}, 4),
+    (lambda: cyclic(5), 0, range(100, 130), {}, 70),
+    (lambda: cyclic(4), 1, range(100, 130), {1: 4}, 0),
+]
+
+
+@pytest.mark.slow
+def test_no_wrong_answer_over_a_sweep_of_seeds():
+    # the wrong-answer rate: every case against its known answer, with
+    # no suspect and no warning
+    wrong = []
+    for system, dim, seeds, degrees, isolated in SWEEP:
+        f = system()
+        for seed in seeds:
+            rep = decompose(f, top_dimension=dim, seed=seed, tasks=1)
+            got = (rep.degrees, len(rep.isolated), len(rep.suspects), rep.warnings)
+            if got != (degrees, isolated, 0, []):
+                wrong.append((dim, seed, got))
+    assert wrong == []

@@ -17,7 +17,7 @@ from nidpipe.polynomials import (
     poly_add,
     residual,
 )
-from nidpipe.polytext import ParseError, format_system, parse_system
+from nidpipe.polytext import ParseError, parse_system
 from nidpipe.systems import cyclic
 
 
@@ -208,6 +208,19 @@ def test_parse_errors():
         parse_system("2 1\ny1 + x2;")
     with pytest.raises(ParseError):
         parse_system("2 2\nx1;")
+
+
+def format_system(f: PolySystem) -> str:
+    """f in the text format, coefficients in shortest-repr decimals."""
+
+    def term(expo, c):
+        sign = "-" if c.imag < 0 else "+"
+        factors = [f"({c.real!r}{sign}{abs(c.imag)!r}*i)"]
+        factors += [f"x{j + 1}" + (f"^{e}" if e > 1 else "") for j, e in enumerate(expo) if e]
+        return "*".join(factors)
+
+    rows = [" + ".join(term(e, c) for e, c in p.terms) or "(0.0+0.0*i)" for p in f.polys]
+    return "\n".join([f"{f.nvars} {len(f.polys)}"] + [row + ";" for row in rows]) + "\n"
 
 
 def test_round_trip_cyclic4():

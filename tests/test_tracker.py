@@ -320,3 +320,165 @@ def test_polyhedral_cell_results_independent_of_batch_size():
     beta = [-coeff_of[i][a] / coeff_of[i][b] for i, (a, b) in enumerate(cell.pairs)]
     starts = np.array(binomial_solutions(V, beta))
     _assert_batch_size_independent(PolyhedralHomotopy(g, cell, supports), starts)
+
+
+# -- step growth --------------------------------------------------------------
+
+
+def _script_corrector(monkeypatch, script):
+    """Replace the verdict of the corrector on the k-th step of a
+    one-path track by script[k]: an iteration count for an accepted
+    step, None for a rejected one; later steps keep the real verdict."""
+    real, calls = tracker._correct, []
+
+    def scripted(h, x, t, tol, iters):
+        x, resid, its, ok = real(h, x, t, tol, iters)
+        calls.append(float(t[0]))
+        k = len(calls) - 2  # call 0 is the correction at t = 0
+        if 0 <= k < len(script):
+            if script[k] is None:
+                return x, resid, its, np.zeros_like(ok)
+            its = np.full_like(its, script[k])
+        return x, resid, its, ok
+
+    monkeypatch.setattr(tracker, "_correct", scripted)
+    return calls
+
+
+def _next_step(t, h, iters, grow_iters=tracker.GROW_ITERS):
+    """The step the rule takes after an accepted step (t, h, iters)."""
+    step = min(2.0 * h if iters <= grow_iters else h, tracker.MAX_STEP)
+    remaining = 1.0 - t
+    cap = tracker.ENDGAME_CONTRACTION * remaining if t >= tracker.ENDGAME_START else remaining
+    return min(step, remaining, cap)
+
+
+def _line():
+    # x - 1 deforms to x - 2 along x = 1 + t
+    g = PolySystem(1, (make_poly(1, [((1,), 1), ((0,), -1)]),))
+    f = PolySystem(1, (make_poly(1, [((1,), 1), ((0,), -2)]),))
+    return LinearHomotopy(g, f)
+
+
+def test_a_rejected_step_halves_four_iterations_keep_and_three_double(monkeypatch):
+    _script_corrector(monkeypatch, [None, 4, 3, 3, 3, 2])
+    trace = []
+    r = track(_line(), np.array([1.0]), trace=trace)
+    assert r.status == CONVERGED
+    steps = [h for _, h, _ in trace]
+    # 0.1 rejected; 0.05 at 4 iterations keeps, then 3 iterations double
+    # up to MAX_STEP; the last step is capped by the remaining t
+    assert steps == pytest.approx([0.05, 0.05, 0.1, 0.2, 0.2, 0.2, 0.2], rel=1e-12)
+    assert trace[-1][0] == 1.0
+    for (t, h, it), (_, h_next, _) in zip(trace[:-1], trace[1:]):
+        assert h_next == _next_step(t, h, it)
+
+
+def test_a_cautious_track_grows_only_after_two_iterations(monkeypatch):
+    _script_corrector(monkeypatch, [3, 3, 2, 3])
+    trace = []
+    track_paths(_line(), np.array([[1.0]]), [trace], _cautious=True)
+    steps = [h for _, h, _ in trace]
+    assert steps[:5] == pytest.approx([0.1, 0.1, 0.1, 0.2, 0.2], rel=1e-12)
+    for (t, h, it), (_, h_next, _) in zip(trace[:-1], trace[1:]):
+        assert h_next == _next_step(t, h, it, tracker.CAUTIOUS_GROW_ITERS)
+
+
+def test_every_accepted_step_of_a_real_path_sets_the_next_by_the_rule(monkeypatch):
+    # x^2 - 1 deforms to x^2 + x - 3: the path from -1 takes steps of
+    # three and of four corrector iterations, and none is rejected
+    calls = _script_corrector(monkeypatch, [])
+    trace = []
+    g = PolySystem(1, (make_poly(1, [((2,), 1), ((0,), -1)]),))
+    f = PolySystem(1, (make_poly(1, [((2,), 1), ((1,), 1), ((0,), -3)]),))
+    r = track(LinearHomotopy(g, f, gamma=0.6 + 0.8j), np.array([-1.0]), trace=trace)
+    assert r.status == CONVERGED
+    assert len(calls) - 1 == len(trace)
+    assert {it for _, _, it in trace[:-1]} == {3, 4}
+    for (t, h, it), (_, h_next, _) in zip(trace[:-1], trace[1:]):
+        assert h_next == _next_step(t, h, it)
+
+
+def test_in_the_endgame_a_step_is_half_the_remaining_t(monkeypatch):
+    # two rejections make the steps 0.025, 0.05, 0.1, 0.2, ..., so the
+    # path lands at t = 0.975, inside the endgame, and halves its way in
+    _script_corrector(monkeypatch, [None, None])
+    trace = []
+    assert track(_line(), np.array([1.0]), trace=trace).status == CONVERGED
+    assert trace[0][1] == pytest.approx(0.025, rel=1e-12)
+    endgame = [entry for entry in trace if entry[0] >= tracker.ENDGAME_START]
+    assert len(endgame) > 10
+    for (t, h, it), (_, h_next, _) in zip(trace[:-1], trace[1:]):
+        assert h_next == _next_step(t, h, it)
+
+
+# -- the jump guard -----------------------------------------------------------
+
+
+def _never(idx):
+    raise AssertionError(f"paths {list(idx)} re-tracked")
+
+
+def test_coinciding_double_root_endpoints_are_not_retracked():
+    # x^2 - 1, y = x deforms to (x - 1)^2, y = x: both paths end on the
+    # double root (1, 1)
+    line = make_poly(2, [((0, 1), 1), ((1, 0), -1)])
+    g = PolySystem(2, (make_poly(2, [((2, 0), 1), ((0, 0), -1)]), line))
+    f = PolySystem(2, (make_poly(2, [((2, 0), 1), ((1, 0), -2), ((0, 0), 1)]), line))
+    results = track_paths(LinearHomotopy(g, f, gamma=0.6 + 0.8j), np.array([[1.0, 1.0], [-1.0, -1.0]]))
+    ends = [r.endpoint for r in results]
+    assert all(e is not None and not e.is_regular for e in ends)
+    assert np.max(np.abs(ends[0].coordinates - ends[1].coordinates)) < 1e-6
+    assert tracker.guard_jumps(results, _never) == (results, 0)
+
+
+def test_a_jump_is_found_by_sorting_and_only_within_a_group():
+    # x^2 = 1 - s, y = x for the shifts s of two groups of two paths;
+    # both groups have the same shift, so paths 0 and 2 end at one point
+    w = PolySystem(
+        2,
+        (
+            make_poly(2, [((2, 0), 1), ((0, 0), -1)]),
+            make_poly(2, [((0, 1), 1), ((1, 0), -1)]),
+        ),
+    )
+    h = SliceHomotopy(w, np.array([[0.5, 0.0]] * 4, dtype=complex))
+    starts = np.array([[1.0, 1.0], [-1.0, -1.0]] * 2, dtype=complex)
+    results = track_paths(h, starts)
+    assert all(r.status == CONVERGED and r.endpoint.is_regular for r in results)
+    assert tracker.guard_jumps(results, _never, [0, 0, 1, 1]) == (results, 0)
+    # path 1 jumped onto path 0's root: only those two are tracked again,
+    # as one batch under the cautious rule, which brings path 1 back
+    jumped = results[:1] * 2 + results[2:]
+    again = []
+
+    def retrack(idx):
+        again.append(list(idx))
+        return tracker.retracker(h, starts)(idx)
+
+    mended, left = tracker.guard_jumps(jumped, retrack, [0, 0, 1, 1])
+    assert again == [[0, 1]] and left == 0
+    assert mended[2:] == results[2:]
+    for a, b in zip(mended[:2], results[:2]):
+        assert a.status == CONVERGED
+        assert np.max(np.abs(a.endpoint.coordinates - b.endpoint.coordinates)) < 1e-10
+
+
+def test_coinciding_finds_every_matching_pair_that_a_scan_finds():
+    rng = np.random.default_rng(3)
+    centers = rng.normal(size=(30, 3)) + 1j * rng.normal(size=(30, 3))
+    centers[:10] *= 1e3
+    points = centers[rng.integers(0, 30, size=60)]
+    points = points + 10.0 ** rng.uniform(-10, -5, size=(60, 1)) * np.maximum(1, np.abs(points))
+    groups = rng.integers(0, 3, size=60)
+    tol = np.maximum(tracker.MATCH_FLOOR, tracker.MATCH_TOL * np.maximum(1, np.max(np.abs(points), axis=1)))
+    scan = np.array([
+        any(
+            j != i and groups[j] == groups[i]
+            and np.max(np.abs(points[i] - points[j])) <= max(tol[i], tol[j])
+            for j in range(60)
+        )
+        for i in range(60)
+    ])
+    assert 0 < scan.sum() < 60
+    assert np.array_equal(tracker._coinciding(points, groups), scan)
