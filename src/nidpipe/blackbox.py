@@ -63,6 +63,8 @@ def decompose(
     top_results, top_stats = solve_top(emb, tasks, cell_log=cell_log)
     timings.start_system = top_stats.time_start_system
     timings.continuation = top_stats.time_continuation
+    timings.cell_search = top_stats.time_cell_search
+    timings.first_cell = top_stats.time_first_cell
 
     t0 = time.perf_counter()
     superset = run_cascade(top_results, emb, tasks)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rngmod
-from .parallel import PipelineConfig, pipeline_run, raise_failures, work_crew
+from .parallel import PipelineConfig, PipelineStats, pipeline_run, raise_failures, work_crew
 from .polyhedral import (  # noqa: F401  (``lift_supports`` stays a module attribute for tracing tools)
     MixedCell,
     cell_homotopy,
@@ -66,6 +66,9 @@ class TopStats:
     lifting_attempt: int = 0
     time_start_system: float = 0.0
     time_continuation: float = 0.0
+    time_cell_search: float = 0.0  # the search's own time over every lifting tried, consumers excluded
+    time_first_cell: float | None = None  # from the stage's start to the accepted lifting's first cell
+    pipeline: PipelineStats | None = None  # the cell pipeline's counts, at p >= 2
     start_jumps: int = 0  # paths whose endpoints still coincide after the re-track
     continuation_jumps: int = 0
 
@@ -129,37 +132,51 @@ def solve_start_system(
     its paths are tracked right there, at p >= 2 it goes to the p-1
     forked consumers of a 2-stage pipeline.  A tie restarts the search, counters and cell
     log included, on the next lifting (``generic_lifting``).  The paths
-    of all cells end on roots of g, so they are guarded as one stage."""
+    of all cells end on roots of g, so they are guarded as one stage.
+    The search's own time leaves out the time ``put`` takes: the paths
+    tracked at p = 1, the waits on a full queue at p >= 2."""
     stats = TopStats()
     supports = with_origin(supports_of(emb_system))
     g = random_coefficient_system(supports, emb_system.nvars, seed)
+    t0 = time.perf_counter()
 
     def search(lifted) -> tuple[list[MixedCell], list[list[PathResult]]]:
         stats.cells = stats.mixed_volume = 0
+        stats.time_first_cell = None
         cells: list[MixedCell] = []
         if cell_log is not None:
             cell_log.clear()
 
         def produce(put):
+            handing = 0.0
+
             def emit(cell: MixedCell):
+                nonlocal handing
+                t = time.perf_counter()
+                if stats.time_first_cell is None:
+                    stats.time_first_cell = t - t0
                 stats.cells += 1
                 stats.mixed_volume += cell.volume
                 cells.append(cell)
                 if cell_log is not None:
                     cell_log.append(cell)
                 put(cell)
+                handing += time.perf_counter() - t
 
-            enumerate_cells(lifted, emit)
+            t = time.perf_counter()
+            try:
+                enumerate_cells(lifted, emit)
+            finally:
+                stats.time_cell_search += time.perf_counter() - t - handing
 
         if p == 1:
             outs: list[list[PathResult]] = []
             produce(lambda cell: outs.append(solve_cell(cell, g, supports)))
             return cells, outs
         cfg = PipelineConfig(p=p)
-        pairs, _ = pipeline_run(produce, lambda cell: solve_cell(cell, g, supports), cfg)
+        pairs, stats.pipeline = pipeline_run(produce, lambda cell: solve_cell(cell, g, supports), cfg)
         return cells, raise_failures([out for _, out in pairs], "cell worker")
 
-    t0 = time.perf_counter()
     (cells, outs), stats.lifting_attempt = generic_lifting(supports, seed, search)
     cell_of = np.repeat(np.arange(len(outs)), [len(out) for out in outs])
     first = np.cumsum([0] + [len(out) for out in outs])

@@ -1,16 +1,22 @@
 """Mixed cells of randomly lifted Newton polytopes, streamed one at a
 time, plus the binomial start systems they induce.
 
-Enumeration walks candidate edge tuples depth first over the supports,
-pruning with an LP that asks for a lower-hull normal compatible with
-the edges chosen so far (the LP maximizes the worst separation slack).
-The tests of one search node run together, as in MixedVol (Gao, Li and
-Wu, ACM TOMS 31, 2005): one simplex call solves the stacked LPs of all
-its edges, or of all its points.  A tuple that survives to full depth
-is certified exactly, in integers: one power of two makes the float
-lifting integral, fraction-free elimination solves the edge equalities,
-and every non-cell point must keep strictly positive slack.  A tie
-means the lifting was degenerate: the search raises TieDetected, and
+Enumeration searches candidate edge tuples over the supports, pruning
+with an LP that asks for a lower-hull normal compatible with the edges
+chosen so far (the LP maximizes the worst separation slack).  The
+search expands its frontier a batch at a time: a batch is a contiguous
+run of nodes at one depth, and their tests run as stacks, as MixedVol
+(Gao, Li and Wu, ACM TOMS 31, 2005) solves many small LPs at once: one
+array pass for the point-survival test, the line screen and the
+projection of every candidate edge, and one simplex call for the open
+LPs, at most STACK_CAP of them.  The batch's children are searched in
+contiguous chunks, first chunk first, so the tuples come out in the
+depth-first order of a search that expands one node at a time.  A tuple
+that survives to full depth is certified exactly, in integers: one
+power of two makes the float lifting integral, fraction-free
+elimination solves the edge equalities, and every non-cell point must
+keep strictly positive slack.  A tie means the lifting was degenerate:
+the search raises TieDetected once its walk reaches the tied node, and
 ``generic_lifting``, the one relift loop, starts over on the next
 lifting of the same seed.
 
@@ -32,6 +38,8 @@ from .polynomials import PolySystem, _StackedEvaluator, make_poly
 from .tracker import PathResult, track, track_paths  # noqa: F401
 
 SLACK_MARGIN = 1e-9
+STACK_CAP = 96  # most programs in a stacked call, and most candidate edges in one pass of ``_verdicts``
+PLANE_BOX = 1e7  # half width of the box that bounds a two-dimensional child cone
 LIFTING_ATTEMPTS = 6  # liftings of one seed tried before giving up
 
 
@@ -180,11 +188,13 @@ def _max_slack_simplex(G: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
         row = np.abs(T[:, i, : m + 1])
         j = np.argmax(row, axis=1)
         ok = row[np.arange(K), j] > 1e-11
-        if ok.any():
+        if ok.all():  # pivot in place: a copy of a large stack costs memory
+            _pivot(T, np.arange(K), np.full(K, i), j)
+        elif ok.any():
             sub = T[ok]
             _pivot(sub, np.arange(len(sub)), np.full(len(sub), i), j[ok])
             T[ok] = sub
-            basis[ok, i] = j[ok]
+        basis[ok, i] = j[ok]
     prog = np.arange(K)  # the program of each tableau still pivoting
     k = np.arange(K)
     stall = np.zeros(K, dtype=int)
@@ -219,25 +229,128 @@ def _max_slack_simplex(G: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
     return eps, v
 
 
-class _CellSearch:
-    """Depth-first edge-tuple search with lower-hull pruning.
+@dataclass
+class _Level:
+    """A contiguous run of search nodes at one depth, in depth-first
+    order: each node's chosen edges and, stacked over the nodes, the
+    orthonormal basis U (N, n, d) of its free normal directions, a point
+    alpha (N, n) deep inside its cone, and the inequality rows
+    A alpha <= b (N, m, n), (N, m) its edges impose."""
 
-    Each chosen edge adds one equality on the normal; the search keeps
-    an orthonormal basis of the remaining free directions and a point
-    deep inside the current feasibility cone.  The candidate edges of a
-    node are tested together.  A strictly feasible projected point
-    certifies an edge by itself; otherwise the cheapest complete test
-    for the child's free dimensions decides: a direct point check (0,
-    vectorized over all edges of the last support), interval
-    intersection on a line (1), vertex enumeration of half planes (2),
-    and otherwise the max-slack simplex, one stacked call for all the
-    node's edges.  At lines, one array pass over the node's edges first
-    drops those that surely prune.  Points of a support that cannot be
-    minimal anywhere in the parent cone are dropped before edges are
-    formed, with their LPs stacked likewise.  Feasible children are
-    explored fattest cone first, which gets the first cells out long
-    before the search space is exhausted.  Verdicts in the grey zone
-    below the slack margin raise TieDetected instead of guessing.
+    chosen: list[tuple[tuple[int, int], ...]]
+    U: np.ndarray
+    alpha: np.ndarray
+    A: np.ndarray
+    b: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.chosen)
+
+    def __getitem__(self, run: slice) -> "_Level":
+        return _Level(self.chosen[run], self.U[run], self.alpha[run], self.A[run], self.b[run])
+
+
+def _slack_lps(G: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_max_slack_simplex`` in stacks of at most STACK_CAP programs;
+    a program's answer does not depend on its stack."""
+    parts = [_max_slack_simplex(G[i : i + STACK_CAP], b[i : i + STACK_CAP]) for i in range(0, len(G), STACK_CAP)]
+    return np.concatenate([eps for eps, _ in parts]), np.concatenate([v for _, v in parts])
+
+
+def _first_true(rows: np.ndarray) -> np.ndarray:
+    """Per row of a boolean (N, E) array, the index of its first True,
+    or E when it has none."""
+    return np.where(rows.any(axis=1), rows.argmax(axis=1), rows.shape[1])
+
+
+def _line_verdicts(Uc: np.ndarray, A_c: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Feasibility of the rows A alpha <= b on each child line
+    alpha_c + s Uc[:, 0], stacked: A_c (C, M, n), Uc (C, n, 1) and
+    off = b - A alpha_c (C, M).  Interval intersection at the margin,
+    and at zero to tell a prune from a tie."""
+    slope = (A_c @ Uc[:, :, :1])[..., 0]
+    pos, neg = slope > 1e-13, slope < -1e-13
+    flat_min = np.where(pos | neg, np.inf, off).min(axis=1)
+    qp = np.divide(off, slope, out=np.zeros_like(off), where=pos)
+    rp = np.divide(1.0, slope, out=np.zeros_like(off), where=pos)
+    qn = np.divide(off, slope, out=np.zeros_like(off), where=neg)
+    rn = np.divide(1.0, slope, out=np.zeros_like(off), where=neg)
+
+    def empty(margin) -> np.ndarray:
+        # window at margin m: max((off-m)/slope_neg) <= s <= min((off-m)/slope_pos)
+        hi = np.where(pos, qp - margin * rp, np.inf).min(axis=1)
+        lo = np.where(neg, qn - margin * rn, -np.inf).max(axis=1)
+        return (flat_min < margin) | (lo > hi)
+
+    return np.where(~empty(SLACK_MARGIN), _FEASIBLE, np.where(empty(0.0), _PRUNE, _TIE))
+
+
+def _plane_screen(G: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Child cones with two free dimensions, G v <= h with G (C, M, 2)
+    and h (C, M), one max-slack program each in one stack: _PRUNE where
+    the plane stays empty even with every row relaxed by twice
+    SLACK_MARGIN, _FEASIBLE where a point well inside the box of
+    ``_verdict_plane`` keeps twice the margin, and _LP where only
+    ``_verdict_plane`` decides (a simplex that gives up decides
+    nothing)."""
+    eps, V = _slack_lps(G, h)
+    inside = np.abs(V).max(axis=1) < 0.1 * PLANE_BOX
+    sure = (eps > 2.0 * SLACK_MARGIN) & inside
+    return np.where(eps < -2.0 * SLACK_MARGIN, _PRUNE, np.where(sure, _FEASIBLE, _LP))
+
+
+def _verdict_plane(G: np.ndarray, h: np.ndarray) -> int:
+    """Feasibility of the half planes G v <= h, G (M, 2), by vertex
+    enumeration inside a large box."""
+    # a large box guarantees vertices exist; normals at desk scale are O(1)
+    box = PLANE_BOX
+    G = np.vstack([G, [[1, 0], [-1, 0], [0, 1], [0, -1]]])
+    h = np.concatenate([h, [box, box, box, box]])
+
+    def nonempty(margin) -> bool:
+        hh = h - margin
+        m = len(hh)
+        ii, jj = np.triu_indices(m, k=1)
+        det = G[ii, 0] * G[jj, 1] - G[ii, 1] * G[jj, 0]
+        ok = np.abs(det) > 1e-12
+        ii, jj, det = ii[ok], jj[ok], det[ok]
+        vx = (hh[ii] * G[jj, 1] - hh[jj] * G[ii, 1]) / det
+        vy = (G[ii, 0] * hh[jj] - G[jj, 0] * hh[ii]) / det
+        V = np.stack([vx, vy])
+        feas = np.all(G @ V <= hh[:, None] + 1e-9, axis=0)
+        return bool(feas.any())
+
+    if nonempty(SLACK_MARGIN):
+        return _FEASIBLE
+    return _PRUNE if not nonempty(0.0) else _TIE
+
+
+class _CellSearch:
+    """Edge-tuple search with lower-hull pruning, expanded one level
+    batch at a time and walked depth first.
+
+    Each chosen edge adds one equality on the normal; a node keeps an
+    orthonormal basis of the remaining free directions and a point deep
+    inside its feasibility cone.  Nodes at one depth share the support,
+    the free dimension and the row counts, so a contiguous run of them
+    (a ``_Level``) is tested as one stack: the point-survival test, the
+    line screen, the projection of every candidate edge into its child
+    cone, and the max-slack programs, one simplex call per stack of at
+    most STACK_CAP programs.  A strictly feasible projected point
+    certifies an edge by itself; otherwise the child's free dimensions
+    decide: interval intersection on a line (1), the plane screen and
+    vertex enumeration of half planes (2), and the max-slack simplex (3
+    and more).  At the last support the normal is pinned per edge and
+    checked directly.
+
+    A node's children keep the order (-slack, p, q), fattest cone
+    first; the children of a run are searched in contiguous chunks,
+    first chunk first, so tuples reach ``visit`` in exactly the order of
+    a search that expands one node at a time, and the first cells
+    surface long before the search space is exhausted.  A verdict in the
+    grey zone below the slack margin is a tie of its node; it raises
+    TieDetected only when the walk reaches that node, so a search that
+    ``visit`` stops earlier never raises it.
     """
 
     def __init__(self, lifted: LiftedSupport):
@@ -255,322 +368,247 @@ class _CellSearch:
             range(len(lifted.points)), key=lambda i: (len(lifted.points[i]), i)
         )
 
-    def _own_rows(self, sup: int, p: int, q: int):
-        """Inequality rows stating the pair is minimal on its support."""
-        pts, ws = self.points[sup], self.lifts[sup]
-        keep = np.ones(len(pts), dtype=bool)
-        keep[[p, q]] = False
-        rows = pts[p] - pts[keep]
-        rhs = ws[keep] - ws[p]
-        return rows, rhs
+    def _root(self) -> _Level:
+        n = self.n
+        return _Level([()], np.eye(n)[None], np.zeros((1, n)), np.zeros((1, 0, n)), np.zeros((1, 0)))
 
-    def feasible_edges(self, sup: int) -> list[tuple[int, int]]:
-        pairs = list(itertools.combinations(range(len(self.points[sup])), 2))
-        empty_A, empty_b = np.zeros((0, self.n)), np.zeros(0)
-        verdicts = self._edge_verdicts(sup, pairs, np.eye(self.n), np.zeros(self.n), empty_A, empty_b)
-        if any(verdict == _TIE for verdict, _, _ in verdicts):
+    def feasible_edges(self, sup: int) -> np.ndarray:
+        """The (E, 2) point pairs of the support that are a lower edge
+        for some normal."""
+        pq = np.array(list(itertools.combinations(range(len(self.points[sup])), 2)), dtype=np.intp).reshape(-1, 2)
+        verdict, _, _ = self._verdicts(sup, self._root(), np.zeros(len(pq), dtype=np.intp), pq[:, 0], pq[:, 1])
+        if (verdict == _TIE).any():
             raise TieDetected(f"support {sup}: an edge at the margin")
-        return [pq for pq, (verdict, _, _) in zip(pairs, verdicts) if verdict == _FEASIBLE]
+        return pq[verdict == _FEASIBLE]
 
-    def _split_direction(self, U, a_vec, r):
-        """Eliminate the equality <a_vec, alpha> = r inside the subspace.
+    def _verdicts(self, sup, level: _Level, node, p, q):
+        """Verdicts on the candidate edges (p[c], q[c]) of the nodes
+        node[c] of the level, all in one stack.  Returns the verdicts
+        (C,), the slacks (C,) that order feasible children, and the
+        children's stacked (Uc, alpha_c, A_c, b_c), meaningful in the
+        feasible rows.
 
-        Returns (g, complement_basis, |g|^2); the complement comes from
-        the Householder reflector sending g to a coordinate axis.
-        """
-        g = a_vec @ U
-        g2 = float(g @ g)
-        if g2 < 1e-24:
-            return None, None, g2
-        d = len(g)
-        norm = np.sqrt(g2)
-        v = g.copy()
-        v[0] += norm if v[0] >= 0 else -norm
-        H = np.eye(d) - np.outer(v, v) * (2.0 / float(v @ v))
-        # H maps e_1 to +-g/|g|, so its remaining columns span g's complement
-        return g, H[:, 1:], g2
-
-    def _edge_verdict(self, sup, p, q, U, alpha0, A_acc, b_acc):
-        """Screen one candidate edge; returns (verdict, slack, child).
-
-        child = (alpha_c, Uc, A_c, b_c) when the verdict is feasible, or
-        when it is _LP: the child cone has three or more free dimensions
-        and only the max-slack LP decides (``_edge_verdicts``).
-        """
-        pts, ws = self.points[sup], self.lifts[sup]
-        a_vec = pts[p] - pts[q]
-        r = ws[q] - ws[p]
-        g, W, g2 = self._split_direction(U, a_vec, r)
-        if g is None:
-            rho0 = r - a_vec @ alpha0
-            if abs(rho0) < SLACK_MARGIN:
-                return _TIE, 0.0, None
-            return _PRUNE, 0.0, None
-        rho = r - a_vec @ alpha0
-        alpha_c = alpha0 + U @ (g * (rho / g2))
-        Uc = U @ W
-        own_rows, own_rhs = self._own_rows(sup, p, q)
-        A_c = np.vstack([A_acc, own_rows]) if len(b_acc) else own_rows
-        b_c = np.concatenate([b_acc, own_rhs]) if len(b_acc) else own_rhs
-        child = (alpha_c, Uc, A_c, b_c)
-        # a strictly feasible projected point certifies the child outright
-        quick = float(np.min(b_c - A_c @ alpha_c)) if len(b_c) else 1.0
-        if quick > SLACK_MARGIN:
-            return _FEASIBLE, quick, child
-        dc = Uc.shape[1]
-        if dc == 0:
-            if quick <= 0.0:
-                return _PRUNE, quick, None
-            return _TIE, quick, None
-        if dc == 1:
-            verdict = self._verdict_line(alpha_c, Uc[:, 0], A_c, b_c)
-            return verdict, 0.0, child if verdict == _FEASIBLE else None
-        if dc == 2:
-            verdict = self._verdict_plane(alpha_c, Uc, A_c, b_c)
-            return verdict, 0.0, child if verdict == _FEASIBLE else None
-        return _LP, 0.0, child
-
-    def _edge_verdicts(self, sup, pairs, U, alpha0, A_acc, b_acc) -> list:
-        """``_edge_verdict`` for every candidate edge of one node.  The
-        LPs still open are stacked into one simplex call: each gives the
-        max separation slack over the child's affine subspace and its
+        An edge's equality, eliminated inside the node's free subspace,
+        gives the child's point alpha_c, and a Householder reflector
+        gives the child's basis Uc.  Every product keeps the shapes of a
+        one-edge computation, stacked along a leading axis, so each
+        row's bits do not depend on the stack.  The LPs still open give
+        the max separation slack over the child's affine subspace and its
         maximizer, the deepest point of the cone and a good base for the
-        grandchildren.  A simplex that gives up makes the lifting count
-        as degenerate."""
-        out = [self._edge_verdict(sup, p, q, U, alpha0, A_acc, b_acc) for p, q in pairs]
-        lp = [i for i, (verdict, _, _) in enumerate(out) if verdict == _LP]
-        if not lp:
-            return out
-        children = [out[i][2] for i in lp]
-        G = np.stack([A_c @ Uc for _, Uc, A_c, _ in children])
-        b = np.stack([b_c - A_c @ alpha_c for alpha_c, _, A_c, b_c in children])
-        eps, V = _max_slack_simplex(G, b)
-        if np.isnan(eps).any():
-            raise TieDetected("max-slack simplex gave up")
-        for i, e, v, (alpha_c, Uc, A_c, b_c) in zip(lp, eps.tolist(), V, children):
-            if e > SLACK_MARGIN:
-                out[i] = (_FEASIBLE, e, (alpha_c + Uc @ v, Uc, A_c, b_c))
-            else:
-                out[i] = (_PRUNE if e <= 0.0 else _TIE, e, None)
-        return out
-
-    def _surviving_points(self, sup, U, alpha0, A_acc, b_acc) -> set[int]:
-        """One-point tests: which points of the support can be minimal
-        somewhere in the parent cone."""
+        grandchildren; a simplex that gives up makes its edge a tie."""
         pts, ws = self.points[sup], self.lifts[sup]
-        k = len(pts)
+        U, alpha = level.U[node], level.alpha[node]
+        C, d = len(node), U.shape[2]
+        a_vec = pts[p] - pts[q]
+        g = (a_vec[:, None, :] @ U)[:, 0]
+        g2 = (g[:, None, :] @ g[:, :, None])[:, 0, 0]
+        rho = ws[q] - ws[p] - (a_vec[:, None, :] @ alpha[:, :, None])[:, 0, 0]
+        # an equality outside the free subspace: prune, or tie at the margin
+        degenerate = g2 < 1e-24
+        verdict = np.where(degenerate & (np.abs(rho) < SLACK_MARGIN), _TIE, _PRUNE)
+        g2 = np.where(degenerate, 1.0, g2)  # degenerate rows compute throwaway values
+        alpha_c = alpha + (U @ (g * (rho / g2)[:, None])[:, :, None])[..., 0]
+        # the reflector sends g to +-|g| e_1, so its other columns span g's complement
+        v = g.copy()
+        norm = np.sqrt(g2)
+        v[:, 0] += np.where(v[:, 0] >= 0, norm, -norm)
+        vv = (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+        H = np.eye(d) - (v[:, :, None] * v[:, None, :]) * (2.0 / vv)[:, None, None]
+        Uc = U @ H[:, :, 1:]
+        # the pair is minimal on its support: rows pts[p] - pts[c] <= ws[c] - ws[p]
+        keep = np.ones((C, len(pts)), dtype=bool)
+        keep[np.arange(C), p] = keep[np.arange(C), q] = False
+        others = np.nonzero(keep)[1].reshape(C, max(len(pts) - 2, 0))  # a one-point support has no pair
+        A_c = np.concatenate([level.A[node], pts[p][:, None, :] - pts[others]], axis=1)
+        b_c = np.concatenate([level.b[node], ws[others] - ws[p][:, None]], axis=1)
+        off = b_c - (A_c @ alpha_c[:, :, None])[..., 0]
+        # a strictly feasible projected point certifies the child outright
+        quick = off.min(axis=1) if off.shape[1] else np.ones(C)
+        sure = ~degenerate & (quick > SLACK_MARGIN)
+        verdict[sure] = _FEASIBLE
+        slack = np.where(sure, quick, 0.0)
+        rest = np.flatnonzero(~degenerate & ~sure)
+        if not len(rest):
+            return verdict, slack, (Uc, alpha_c, A_c, b_c)
+        if d == 1:
+            verdict[rest] = np.where(quick[rest] <= 0.0, _PRUNE, _TIE)
+        elif d == 2:
+            verdict[rest] = _line_verdicts(Uc[rest], A_c[rest], off[rest])
+        elif d == 3:
+            G, h = A_c[rest] @ Uc[rest], off[rest]
+            verdict[rest] = screened = _plane_screen(G, h)
+            for c in np.flatnonzero(screened == _LP):
+                verdict[rest[c]] = _verdict_plane(G[c], h[c])
+        else:
+            eps, V = _slack_lps(A_c[rest] @ Uc[rest], off[rest])
+            won = eps > SLACK_MARGIN
+            verdict[rest] = np.where(won, _FEASIBLE, np.where(eps <= 0.0, _PRUNE, _TIE))  # NaN ties
+            slack[rest[won]] = eps[won]
+            alpha_c[rest[won]] += (Uc[rest[won]] @ V[won][:, :, None])[..., 0]
+        return verdict, slack, (Uc, alpha_c, A_c, b_c)
+
+    def _surviving_points(self, sup, level: _Level) -> tuple[np.ndarray, np.ndarray]:
+        """One-point tests: which points of the support can be minimal
+        somewhere in each node's cone, (N, k), and which nodes tie, (N,)."""
+        pts, ws = self.points[sup], self.lifts[sup]
+        N, k, n, m = len(level), len(pts), self.n, level.b.shape[1]
         # point a is minimal: rows pts[a] - pts[c] <= ws[c] - ws[a], c != a
         others = ~np.eye(k, dtype=bool)
-        rows = (pts[:, None, :] - pts[None, :, :])[others].reshape(k, k - 1, self.n)
+        rows = (pts[:, None, :] - pts[None, :, :])[others].reshape(k, k - 1, n)
         rhs = (ws[None, :] - ws[:, None])[others].reshape(k, k - 1)
-        A_c = np.concatenate([np.broadcast_to(A_acc, (k,) + A_acc.shape), rows], axis=1)
-        b_c = np.concatenate([np.broadcast_to(b_acc, (k,) + b_acc.shape), rhs], axis=1)
-        off = b_c - A_c @ alpha0
-        slack = off.min(axis=1)
+        A_c = np.concatenate(
+            [np.broadcast_to(level.A[:, None], (N, k, m, n)), np.broadcast_to(rows, (N, k, k - 1, n))], axis=2
+        )
+        b_c = np.concatenate([np.broadcast_to(level.b[:, None], (N, k, m)), np.broadcast_to(rhs, (N, k, k - 1))], axis=2)
+        off = b_c - (A_c @ level.alpha[:, None, :, None])[..., 0]
+        slack = off.min(axis=2)
         # one stacked simplex for every point whose quick check fails
-        lp = slack <= SLACK_MARGIN
-        if lp.any():
-            eps, _ = _max_slack_simplex(A_c[lp] @ U, off[lp])
-            if np.isnan(eps).any():
-                raise TieDetected("max-slack simplex gave up")
-            slack[lp] = eps
-        if ((slack > 0.0) & (slack <= SLACK_MARGIN)).any():
-            raise TieDetected(f"support {sup}: a point's minimality at the margin")
-        return {a for a in range(k) if slack[a] > SLACK_MARGIN}
+        i, a = np.nonzero(slack <= SLACK_MARGIN)
+        G, h = A_c[i, a] @ level.U[i], off[i, a]
+        del A_c, b_c, off  # the simplex is this test's peak of memory
+        tie = np.zeros(N, dtype=bool)
+        if len(i):
+            eps, _ = _slack_lps(G, h)
+            tie[i[np.isnan(eps)]] = True
+            slack[i, a] = eps
+        tie |= ((slack > 0.0) & (slack <= SLACK_MARGIN)).any(axis=1)
+        return slack > SLACK_MARGIN, tie
 
-    def _line_screen(self, sup, pairs, U, alpha0, A_acc, b_acc) -> list[tuple[int, int]]:
-        """At two free dimensions, drop in one array pass the candidate
-        edges whose child line surely holds no feasible point.
+    def _line_screen(self, sup, level: _Level) -> np.ndarray:
+        """At two free dimensions, the (N, E) mask of candidate edges
+        that survive one array pass: an edge is dropped when its child
+        line surely holds no feasible point.
 
-        Each edge's line is the one ``_edge_verdict`` builds (alpha_c and
+        Each edge's line is the one ``_verdicts`` builds (alpha_c and
         the same Householder column); an edge is dropped when the
         interval test finds the line empty even with every row relaxed
         by SLACK_MARGIN, or when the edge's equality misses the parent's
-        subspace by more than twice the margin, so ``_edge_verdict``
-        would prune it.  The others go to ``_edge_verdict`` unchanged."""
-        pq = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        subspace by more than twice the margin, so ``_verdicts`` would
+        prune it.  The others go to ``_verdicts`` unchanged."""
+        pq = self.edges[sup]
         pts, ws = self.points[sup], self.lifts[sup]
+        U, alpha0, A_acc, b_acc = level.U, level.alpha, level.A, level.b
         p, q = pq[:, 0], pq[:, 1]
         e = np.arange(len(pq))
         a_vec = pts[p] - pts[q]
-        g = a_vec @ U
-        g2 = np.einsum("ij,ij->i", g, g)
+        g = a_vec @ U  # (N, E, 2)
+        g2 = np.einsum("...ij,...ij->...i", g, g)
         degenerate = g2 < 1e-24  # no line: the verdict prunes unless rho ties
         g2 = np.where(degenerate, 1.0, g2)
-        rho = ws[q] - ws[p] - a_vec @ alpha0
-        alpha_c = alpha0 + (g * (rho / g2)[:, None]) @ U.T
+        rho = ws[q] - ws[p] - (a_vec @ alpha0[:, :, None])[..., 0]
+        UT = U.transpose(0, 2, 1)
+        alpha_c = alpha0[:, None, :] + (g * (rho / g2)[..., None]) @ UT
         # second column of the reflector I - 2 w w^T / w.w, w = g + sign(g0)|g| e1
+        g0, g1 = g[..., 0], g[..., 1]
         norm = np.sqrt(g2)
-        w0 = g[:, 0] + np.where(g[:, 0] >= 0, norm, -norm)
-        ww = w0 * w0 + g[:, 1] * g[:, 1]
-        col = np.stack([-2.0 * w0 * g[:, 1] / ww, 1.0 - 2.0 * g[:, 1] * g[:, 1] / ww], axis=1)
-        direction = col @ U.T
+        w0 = g0 + np.where(g0 >= 0, norm, -norm)
+        ww = w0 * w0 + g1 * g1
+        direction = np.stack([-2.0 * w0 * g1 / ww, 1.0 - 2.0 * g1 * g1 / ww], axis=-1) @ UT
         # rows A alpha <= b on alpha_c + s direction: (A direction) s <= off
         vals = alpha_c @ pts.T + ws
         dvals = direction @ pts.T
-        off = np.concatenate([b_acc - alpha_c @ A_acc.T, vals - vals[e, p][:, None]], axis=1)
-        slope = np.concatenate([direction @ A_acc.T, dvals[e, p][:, None] - dvals], axis=1)
-        own = len(b_acc) + pq.T  # the pair's own points give no row
-        off[e, own] = np.inf
-        slope[e, own] = 0.0
+        AT = A_acc.transpose(0, 2, 1)
+        off = np.concatenate([b_acc[:, None, :] - alpha_c @ AT, vals - vals[:, e, p][..., None]], axis=2)
+        slope = np.concatenate([direction @ AT, dvals[:, e, p][..., None] - dvals], axis=2)
+        own = b_acc.shape[1] + pq.T  # the pair's own points give no row
+        off[:, e, own] = np.inf
+        slope[:, e, own] = 0.0
         off += SLACK_MARGIN
         up, down = slope > 1e-13, slope < -1e-13
         flat = ~(up | down)
-        hi = np.divide(off, slope, out=np.full(off.shape, np.inf), where=up).min(axis=1)
-        lo = np.divide(off, slope, out=np.full(off.shape, -np.inf), where=down).max(axis=1)
-        empty = (flat & (off < 0.0)).any(axis=1) | (lo > hi)
-        drop = np.where(degenerate, np.abs(rho) > 2.0 * SLACK_MARGIN, empty)
-        return [pair for pair, dropped in zip(pairs, drop) if not dropped]
+        hi = np.divide(off, slope, out=np.full(off.shape, np.inf), where=up).min(axis=2)
+        lo = np.divide(off, slope, out=np.full(off.shape, -np.inf), where=down).max(axis=2)
+        empty = (flat & (off < 0.0)).any(axis=2) | (lo > hi)
+        return ~np.where(degenerate, np.abs(rho) > 2.0 * SLACK_MARGIN, empty)
 
-    def _verdict_line(self, alpha, direction, inA, inb) -> int:
-        """Feasibility of the inequalities on a parameterized line."""
-        if not len(inb):
-            return _FEASIBLE
-        d = inA @ direction
-        off = inb - inA @ alpha
-        pos = d > 1e-13
-        neg = d < -1e-13
-        flat_min = np.inf
-        flat = ~(pos | neg)
-        if flat.any():
-            flat_min = float(np.min(off[flat]))
-        # window at margin m: max((off-m)/d_neg) <= s <= min((off-m)/d_pos)
-        qp = off[pos] / d[pos]
-        rp = 1.0 / d[pos]
-        qn = off[neg] / d[neg]
-        rn = 1.0 / d[neg]
+    def _expand(self, sup, level: _Level) -> tuple[_Level, bool]:
+        """The children of the level's nodes in depth-first order, up to
+        the first node that ties, and whether one ties.  The candidate
+        edges that pass the screens go to ``_verdicts`` at most STACK_CAP
+        at a time."""
+        pq = self.edges[sup]
+        N, d, m = len(level), level.U.shape[2], level.b.shape[1]
+        tie = np.zeros(N, dtype=bool)
+        if d >= 3 and len(self.points[sup]) >= 6 and m >= 10:
+            alive, tie = self._surviving_points(sup, level)
+            mask = alive[:, pq[:, 0]] & alive[:, pq[:, 1]]
+        elif d == 2:
+            mask = self._line_screen(sup, level)
+        else:
+            mask = np.ones((N, len(pq)), dtype=bool)
+        node, e = np.nonzero(mask)
+        found = []
+        for s in range(0, len(node) or 1, STACK_CAP):  # one call even without candidates gives the shapes
+            nd, pe = node[s : s + STACK_CAP], pq[e[s : s + STACK_CAP]]
+            verdict, slack, kids = self._verdicts(sup, level, nd, pe[:, 0], pe[:, 1])
+            tie[nd[verdict == _TIE]] = True
+            won = verdict == _FEASIBLE
+            found.append((nd[won], pe[won], slack[won], *(x[won] for x in kids)))
+        node, pe, slack, *kids = (np.concatenate(x) for x in zip(*found))
+        stop = _first_true(tie[None])[0]
+        rows = np.flatnonzero(node < stop)
+        # fattest cone first within each node
+        rows = rows[np.lexsort((pe[rows, 1], pe[rows, 0], -slack[rows], node[rows]))]
+        chosen = [level.chosen[node[r]] + (tuple(pe[r].tolist()),) for r in rows]
+        return _Level(chosen, *(x[rows] for x in kids)), stop < N
 
-        def empty(margin) -> bool:
-            if flat_min < margin:
-                return True
-            hi = np.min(qp - margin * rp) if len(qp) else np.inf
-            lo = np.max(qn - margin * rn) if len(qn) else -np.inf
-            return lo > hi
-
-        if not empty(SLACK_MARGIN):
-            return _FEASIBLE
-        return _PRUNE if empty(0.0) else _TIE
-
-    def _verdict_plane(self, alpha, basis, inA, inb) -> int:
-        """Feasibility of half planes in two free dimensions."""
-        if not len(inb):
-            return _FEASIBLE
-        G = inA @ basis
-        h = inb - inA @ alpha
-        # a large box guarantees vertices exist; normals at desk scale are O(1)
-        box = 1e7
-        G = np.vstack([G, [[1, 0], [-1, 0], [0, 1], [0, -1]]])
-        h = np.concatenate([h, [box, box, box, box]])
-
-        def nonempty(margin) -> bool:
-            hh = h - margin
-            m = len(hh)
-            ii, jj = np.triu_indices(m, k=1)
-            det = G[ii, 0] * G[jj, 1] - G[ii, 1] * G[jj, 0]
-            ok = np.abs(det) > 1e-12
-            ii, jj, det = ii[ok], jj[ok], det[ok]
-            vx = (hh[ii] * G[jj, 1] - hh[jj] * G[ii, 1]) / det
-            vy = (G[ii, 0] * hh[jj] - G[jj, 0] * hh[ii]) / det
-            V = np.stack([vx, vy])
-            feas = np.all(G @ V <= hh[:, None] + 1e-9, axis=0)
-            return bool(feas.any())
-
-        if nonempty(SLACK_MARGIN):
-            return _FEASIBLE
-        return _PRUNE if not nonempty(0.0) else _TIE
+    def _leaves(self, sup, level: _Level) -> tuple[list[np.ndarray], np.ndarray]:
+        """At one free dimension the normal is pinned per candidate edge:
+        one stacked check of every edge of every node.  Returns, per
+        node, the edges that complete a tuple, in edge order and up to
+        its first tie, and which nodes tie."""
+        pq = self.edges[sup]
+        N, E = len(level), len(pq)
+        if not E:
+            return [pq] * N, np.zeros(N, dtype=bool)
+        pts, ws = self.points[sup], self.lifts[sup]
+        U, alpha0, inA, inb = level.U, level.alpha, level.A, level.b
+        p, q = pq[:, 0], pq[:, 1]
+        Aed, red = pts[p] - pts[q], ws[q] - ws[p]
+        g = Aed @ U  # (N, E, 1)
+        rho = red - (Aed @ alpha0[:, :, None])[..., 0]
+        gnorm2 = np.einsum("nij,nij->ni", g, g)
+        degenerate = gnorm2 < 1e-24
+        v0 = rho / np.where(degenerate, 1.0, gnorm2)
+        ALPH = alpha0[:, :, None] + U @ (g.transpose(0, 2, 1) * v0[:, None, :])  # (N, n, E)
+        VALS = pts @ ALPH + ws[:, None]
+        idx = np.arange(E)
+        SL = VALS - VALS[:, p, idx][:, None, :]
+        SL[:, p, idx] = np.inf
+        SL[:, q, idx] = np.inf
+        mins = SL.min(axis=1)
+        if inb.shape[1]:
+            mins = np.minimum(mins, (inb[:, :, None] - inA @ ALPH).min(axis=1))
+        tied = np.where(degenerate, np.abs(rho) < SLACK_MARGIN, (mins > 0.0) & (mins <= SLACK_MARGIN))
+        stop = _first_true(tied)
+        leaf = ~degenerate & (mins > SLACK_MARGIN) & (idx < stop[:, None])
+        return [pq[row] for row in leaf], stop < E
 
     def run(self, visit: Callable[[list[tuple[int, int]]], bool]) -> bool:
-        """DFS over edge tuples; visit receives edges in search order and
-        returns False to stop the whole search early."""
-        edges = {sup: self.feasible_edges(sup) for sup in self.order}
-        nsup = len(self.order)
-        chosen: list[tuple[int, int]] = []
+        """Visit every edge tuple that survives the search, in depth-first
+        order; visit returns False to stop the whole search early."""
+        self.edges = {sup: self.feasible_edges(sup) for sup in self.order}
+        return self._walk(0, self._root(), visit)
 
-        # per-support candidate arrays for the batched last-support test
-        cand: dict[int, dict] = {}
-        for sup in self.order:
-            pts, ws = self.points[sup], self.lifts[sup]
-            pq = np.array(edges[sup], dtype=np.intp).reshape(-1, 2)
-            cand[sup] = {
-                "pq": pq,
-                "A": pts[pq[:, 0]] - pts[pq[:, 1]] if len(pq) else np.zeros((0, self.n)),
-                "r": ws[pq[:, 1]] - ws[pq[:, 0]] if len(pq) else np.zeros(0),
-            }
-
-        def last_support(sup, U, alpha0, inA, inb) -> bool:
-            # the normal is pinned per candidate edge: one batched check
-            info = cand[sup]
-            pq, Aed, red = info["pq"], info["A"], info["r"]
-            if not len(pq):
-                return True
-            pts, ws = self.points[sup], self.lifts[sup]
-            g = Aed @ U
-            rho = red - Aed @ alpha0
-            gnorm2 = np.einsum("ij,ij->i", g, g)
-            degenerate = gnorm2 < 1e-24
-            safe = np.where(degenerate, 1.0, gnorm2)
-            v0 = rho / safe
-            ALPH = alpha0[:, None] + U @ (g.T * v0[None, :])
-            VALS = pts @ ALPH + ws[:, None]
-            idx = np.arange(len(pq))
-            base = VALS[pq[:, 0], idx]
-            SL = VALS - base[None, :]
-            SL[pq[:, 0], idx] = np.inf
-            SL[pq[:, 1], idx] = np.inf
-            mins = SL.min(axis=0)
-            if len(inb):
-                mins = np.minimum(mins, (inb[:, None] - inA @ ALPH).min(axis=0))
-            for e in range(len(pq)):
-                if degenerate[e]:
-                    if abs(rho[e]) < SLACK_MARGIN:
-                        raise TieDetected("degenerate edge direction")
-                    continue
-                if mins[e] <= 0.0:
-                    continue
-                if mins[e] <= SLACK_MARGIN:
-                    raise TieDetected("pinned normal slack below margin")
-                chosen.append((int(pq[e, 0]), int(pq[e, 1])))
-                try:
-                    if not visit(chosen):
+    def _walk(self, depth: int, level: _Level, visit) -> bool:
+        sup = self.order[depth]
+        if level.U.shape[2] == 1:
+            ends, ties = self._leaves(sup, level)
+            for chosen, end, tie in zip(level.chosen, ends, ties):
+                for p, q in end.tolist():
+                    if not visit([*chosen, (p, q)]):
                         return False
-                finally:
-                    chosen.pop()
+                if tie:
+                    raise TieDetected("pinned normal slack at the margin")
             return True
-
-        def descend(depth, U, alpha0, inA, inb) -> bool:
-            if depth == nsup:
-                return visit(chosen)
-            sup = self.order[depth]
-            d = U.shape[1]
-            if d == 1:
-                return last_support(sup, U, alpha0, inA, inb)
-            pairs = edges[sup]
-            if d >= 3 and len(self.points[sup]) >= 6 and len(inb) >= 10:
-                alive = self._surviving_points(sup, U, alpha0, inA, inb)
-                pairs = [(p, q) for p, q in pairs if p in alive and q in alive]
-            elif d == 2:
-                pairs = self._line_screen(sup, pairs, U, alpha0, inA, inb)
-            children = []
-            for (p, q), (verdict, slack, child) in zip(
-                pairs, self._edge_verdicts(sup, pairs, U, alpha0, inA, inb)
-            ):
-                if verdict == _TIE:
-                    raise TieDetected("partial tuple slack below margin")
-                if verdict == _FEASIBLE:
-                    children.append((slack, p, q, child))
-            # fattest cone first: early cells surface long before the
-            # search space is exhausted
-            children.sort(key=lambda t: (-t[0], t[1], t[2]))
-            for slack, p, q, (alpha_c, Uc, A_c, b_c) in children:
-                chosen.append((p, q))
-                try:
-                    if not descend(depth + 1, Uc, alpha_c, A_c, b_c):
-                        return False
-                finally:
-                    chosen.pop()
-            return True
-
-        return descend(0, np.eye(self.n), np.zeros(self.n), np.zeros((0, self.n)), np.zeros(0))
+        children, tie = self._expand(sup, level)
+        size = max(1, STACK_CAP // len(self.points[self.order[depth + 1]]))
+        for start in range(0, len(children), size):
+            if not self._walk(depth + 1, children[start : start + size], visit):
+                return False
+        if tie:
+            raise TieDetected("partial tuple slack at the margin")
+        return True
 
     def certify(self, chosen: Sequence[tuple[int, int]]) -> MixedCell | None:
         """Exact certificate for a full tuple; None if not a cell.

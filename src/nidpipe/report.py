@@ -3,8 +3,9 @@
 The JSON payload is fully deterministic for a fixed seed and
 configuration (points are canonically sorted, no timestamps), so equal
 runs produce byte-identical files.  Timings live next to the report and
-print as a five-row table (start system, continuation, top total,
-cascade, filter) plus the grand total.
+print as a table: start system, with the cell search's own time and the
+time its first cell came out, continuation, top total, cascade, filter
+and the grand total.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ class Timings:
     continuation: float = 0.0
     cascade: float = 0.0
     filtering: float = 0.0
+    cell_search: float = 0.0  # within the start system
+    first_cell: float | None = None  # from the start system's start; None when no cell came out
 
     @property
     def top_total(self) -> float:
@@ -37,6 +40,8 @@ class Timings:
     def table(self) -> str:
         rows = [
             ("start system", self.start_system),
+            ("  cell search", self.cell_search),
+            ("  first cell", self.first_cell),
             ("continuation", self.continuation),
             ("top total", self.top_total),
             ("cascade", self.cascade),
@@ -44,7 +49,10 @@ class Timings:
             ("grand total", self.grand_total),
         ]
         width = max(len(name) for name, _ in rows)
-        return "\n".join(f"{name:<{width}}  {sec:10.3f} s" for name, sec in rows)
+        return "\n".join(
+            f"{name:<{width}}  {sec:10.3f} s" if sec is not None else f"{name:<{width}}  {'-':>10}"
+            for name, sec in rows
+        )
 
 
 @dataclass

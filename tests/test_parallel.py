@@ -24,6 +24,7 @@ from nidpipe.parallel import (
     simulate_pipeline,
     work_crew,
 )
+from nidpipe.report import Timings
 from nidpipe.systems import cyclic, embed
 
 
@@ -371,3 +372,19 @@ def test_start_system_pipeline_forks_with_no_thread_alive(alive_at_fork):
     assert stats.mixed_volume == 20 and len(sols) == 20
     assert alive_at_fork
     assert all(threads == [threading.main_thread()] for threads in alive_at_fork)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_the_start_system_times_its_cell_search(p):
+    _, sols, stats = solve_start_system(embed(cyclic(4), 1, 7).system, 7, p=p)
+    assert len(sols) == 20
+    assert 0.0 < stats.time_first_cell <= stats.time_start_system
+    assert 0.0 < stats.time_cell_search <= stats.time_start_system
+    if p == 1:
+        assert stats.pipeline is None
+    else:
+        assert stats.pipeline.produced == stats.pipeline.consumed == stats.cells
+    table = Timings(cell_search=stats.time_cell_search, first_cell=stats.time_first_cell).table()
+    assert "\n  cell search " in table and "\n  first cell " in table
+    assert Timings().table().splitlines()[2].split() == ["first", "cell", "-"]
+

@@ -1,5 +1,7 @@
 """Mixed cells, mixed volumes, binomial starts, and the max-slack LP."""
 
+import collections
+import hashlib
 import itertools
 import os
 import subprocess
@@ -12,17 +14,24 @@ import pytest
 from scipy.optimize import linprog
 
 import nidpipe
+from nidpipe import polyhedral
 from nidpipe.polynomials import PolySystem, make_poly, residual
 from nidpipe.polyhedral import (
     SLACK_MARGIN,
+    STACK_CAP,
     LiftedSupport,
     MixedCell,
     TieDetected,
     _CellSearch,
     _max_slack_simplex,
+    _verdict_plane,
+    _FEASIBLE,
+    _LP,
     _PRUNE,
+    _TIE,
     binomial_solutions,
     enumerate_cells,
+    generic_lifting,
     lift_supports,
     mixed_volume,
     random_coefficient_system,
@@ -87,6 +96,12 @@ def test_cyclic4_embedded_mixed_volume_20():
     assert mixed_volume(e.system, 13) == 20
 
 
+def test_a_one_term_polynomial_gives_mixed_volume_zero():
+    # a support of one point has no edge, so no cell
+    f = PolySystem(2, (make_poly(2, [((1, 1), 1.0)]), make_poly(2, [((0, 0), 1.0), ((1, 0), 2.0), ((0, 1), 3.0)])))
+    assert mixed_volume(f, 9) == 0
+
+
 def test_mixed_volume_requires_square():
     f = PolySystem(2, (make_poly(2, [((1, 0), 1)]),))
     with pytest.raises(ValueError):
@@ -99,16 +114,63 @@ def test_mixed_volume_invariant_over_liftings():
     assert values == {20}
 
 
-def test_cells_streamed_incrementally():
+def test_cells_streamed_incrementally(monkeypatch):
     e = embed(cyclic(4), 1, 11)
     lifted = lift_supports(supports_of(e.system), 13)
+    events = []
+
+    def logged(fn):
+        def call(*args):
+            events.append("stacked call")
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(polyhedral, "_max_slack_simplex", logged(polyhedral._max_slack_simplex))
+    monkeypatch.setattr(_CellSearch, "_expand", logged(_CellSearch._expand))
+    monkeypatch.setattr(_CellSearch, "_leaves", logged(_CellSearch._leaves))
     seen = []
-    count = enumerate_cells(lifted, lambda c: (seen.append(c), len(seen) < 2)[1])
+
+    def emit(cell):
+        seen.append(cell)
+        events.append("cell")
+        return len(seen) < 2
+
+    count = enumerate_cells(lifted, emit)
     # the consumer stopped the search after two cells: production had
-    # not finished when the first cells arrived
+    # not finished when the first cells arrived, and nothing ran after
     assert count == 2 and len(seen) == 2
+    assert "stacked call" in events and events[-1] == "cell"
     full = enumerate_cells(lifted, lambda c: True)
     assert full > 2
+
+
+def test_a_tie_the_walk_stops_before_is_never_raised(monkeypatch):
+    # a tie is injected on the last node with candidate edges in the first
+    # batch of several nodes; that node's subtree comes after its siblings'
+    lifted = lift_supports(supports_of(embed(cyclic(4), 1, 11).system), 13)
+    real = _CellSearch._verdicts
+    events = []
+
+    def tied(self, sup, level, node, p, q):
+        verdict, slack, kids = real(self, sup, level, node, p, q)
+        if len(level) > 1 and "tie" not in events and len(node):
+            verdict[node == node.max()] = _TIE
+            events.append("tie")
+        return verdict, slack, kids
+
+    monkeypatch.setattr(_CellSearch, "_verdicts", tied)
+
+    def first_only(cell):
+        events.append("cell")
+        return False
+
+    assert enumerate_cells(lifted, first_only) == 1
+    assert events == ["tie", "cell"]
+    events.clear()
+    with pytest.raises(TieDetected):
+        enumerate_cells(lifted, lambda cell: events.append("cell"))
+    assert events[:2] == ["tie", "cell"]
 
 
 def test_emitted_cells_certified_strictly():
@@ -472,33 +534,106 @@ def test_integer_certificates_of_lifts_with_long_binary_expansions(monkeypatch):
     assert cells and sum(c.volume for c in cells) == 6
 
 
-# -- the line screen at two free dimensions -----------------------------------
+# -- the screens, and the order of emission ----------------------------------
+
+
+def _supports(name, seed):
+    if name == "demo start supports":
+        return with_origin(supports_of(embed(demo_system(), 3, seed).system))
+    n = int(name[len("cyclic-")])  # "cyclic-<n>@1"
+    return supports_of(embed(cyclic(n), 1, seed).system)
+
+
+def _edge_verdict(search, sup, level, i, p, q):
+    """The verdict of one edge of node i of a level, tested alone."""
+    verdict, _, _ = search._verdicts(sup, level[i : i + 1], np.array([0]), np.array([p]), np.array([q]))
+    return verdict[0]
 
 
 @pytest.mark.parametrize("name", ["demo start supports", "cyclic-5@1"])
 def test_the_line_screen_drops_only_edges_the_verdict_prunes(monkeypatch, name):
-    if name == "cyclic-5@1":
-        supports = supports_of(embed(cyclic(5), 1, 7).system)
-    else:
-        supports = with_origin(supports_of(embed(demo_system(), 3, 7).system))
     real = _CellSearch._line_screen
-    nodes = []
+    batches = []
 
-    def recorded(self, sup, pairs, U, alpha0, A_acc, b_acc):
-        kept = real(self, sup, pairs, U, alpha0, A_acc, b_acc)
-        nodes.append((self, sup, pairs, kept, U.copy(), alpha0.copy(), A_acc.copy(), b_acc.copy()))
+    def recorded(self, sup, level):
+        kept = real(self, sup, level)
+        batches.append((self, sup, level, kept))
         return kept
 
     monkeypatch.setattr(_CellSearch, "_line_screen", recorded)
-    enumerate_cells(lift_supports(supports, 7), lambda cell: None)
+    enumerate_cells(lift_supports(_supports(name, 7), 7), lambda cell: None)
     dropped = 0
-    for search, sup, pairs, kept, U, alpha0, A_acc, b_acc in nodes:
-        assert U.shape[1] == 2
-        for p, q in set(pairs) - set(kept):
-            verdict, _, _ = search._edge_verdict(sup, p, q, U, alpha0, A_acc, b_acc)
-            assert verdict == _PRUNE
+    for search, sup, level, kept in batches:
+        assert level.U.shape[2] == 2 and kept.shape == (len(level), len(search.edges[sup]))
+        for i, e in zip(*np.nonzero(~kept)):
+            p, q = search.edges[sup][e]
+            assert _edge_verdict(search, sup, level, i, p, q) == _PRUNE
             dropped += 1
     assert dropped > 0
+    assert max(len(level) for _, _, level, _ in batches) > 1
+
+
+@pytest.mark.parametrize("name", ["demo start supports", "cyclic-5@1"])
+def test_the_plane_screen_decides_as_vertex_enumeration(monkeypatch, name):
+    # every child plane it drops, vertex enumeration prunes, and every
+    # one it passes, vertex enumeration finds feasible
+    real = polyhedral._plane_screen
+    screened = []
+
+    def recorded(G, h):
+        out = real(G, h)
+        screened.append((G, h, out))
+        return out
+
+    monkeypatch.setattr(polyhedral, "_plane_screen", recorded)
+    enumerate_cells(lift_supports(_supports(name, 7), 7), lambda cell: None)
+    counts = collections.Counter()
+    for G, h, out in screened:
+        for c, verdict in enumerate(out.tolist()):
+            if verdict != _LP:
+                assert _verdict_plane(G[c], h[c]) == verdict
+            counts[verdict] += 1
+    assert counts[_PRUNE] > 0 and counts[_FEASIBLE] > 0
+
+
+# sha1 of the ``_bits`` of every emitted cell in emission order, the
+# cell count and the lifting attempt, as the search gave them when it
+# expanded one node at a time
+NODE_BY_NODE = {
+    ("cyclic-5@1", 7): ("4568bafde10aa741d1b46d5047ef5b95d60e3a4e", 25, 0),
+    ("demo start supports", 7): ("6dccde9d3ba2642c0407bb67e0535ed8b19e84ba", 10, 0),
+    ("cyclic-6@1", 3): ("632fbd2b7c468539c8908eb75964825880f8e333", 92, 0),
+}
+
+
+@pytest.mark.parametrize(
+    "name, seed",
+    [("cyclic-5@1", 7), ("demo start supports", 7), pytest.param("cyclic-6@1", 3, marks=pytest.mark.slow)],
+)
+def test_cells_come_out_in_the_order_of_a_node_by_node_search(monkeypatch, name, seed):
+    real = polyhedral._max_slack_simplex
+    stacks = []
+
+    def recorded(G, b):
+        stacks.append(len(G))
+        return real(G, b)
+
+    monkeypatch.setattr(polyhedral, "_max_slack_simplex", recorded)
+
+    def search(lifted):
+        digest, count = hashlib.sha1(), 0
+
+        def emit(cell):
+            nonlocal count
+            digest.update(repr(_bits(cell)).encode())
+            count += 1
+
+        enumerate_cells(lifted, emit)
+        return digest.hexdigest(), count
+
+    (digest, count), attempt = generic_lifting(_supports(name, seed), seed, search)
+    assert (digest, count, attempt) == NODE_BY_NODE[name, seed]
+    assert stacks and max(stacks) <= STACK_CAP
 
 
 # -- a seed sweep --------------------------------------------------------------
