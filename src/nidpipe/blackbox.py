@@ -61,6 +61,11 @@ def decompose(
 
     emb = embed(square, top_dimension, seed)
     top_results, top_stats = solve_top(emb, tasks, cell_log=cell_log)
+    if top_stats.start_failures:
+        warnings.append(
+            f"start system: {top_stats.start_failures} of {top_stats.start_paths} start paths failed; "
+            "a point may be missing"
+        )
     timings.start_system = top_stats.time_start_system
     timings.continuation = top_stats.time_continuation
     timings.cell_search = top_stats.time_cell_search

@@ -130,11 +130,14 @@ def solve_start_system(
     that roots with a zero coordinate are reached.  The cell search runs
     in the calling thread and hands each cell to one ``emit``: at p = 1
     its paths are tracked right there, at p >= 2 it goes to the p-1
-    forked consumers of a 2-stage pipeline.  A tie restarts the search, counters and cell
-    log included, on the next lifting (``generic_lifting``).  The paths
-    of all cells end on roots of g, so they are guarded as one stage.
-    The search's own time leaves out the time ``put`` takes: the paths
-    tracked at p = 1, the waits on a full queue at p >= 2."""
+    forked consumers of a 2-stage pipeline.  A tie restarts the search,
+    counters and cell log included, on the next lifting
+    (``generic_lifting``).  The paths of all cells end on roots of g, so
+    they are guarded as one stage: once a jump is found, ``retracker``
+    tracks the jumped paths again on the homotopy of all the cells
+    (``cell_homotopy``), as every other stage does.  The search's own
+    time leaves out the time ``put`` takes: the paths tracked at p = 1,
+    the waits on a full queue at p >= 2."""
     stats = TopStats()
     supports = with_origin(supports_of(emb_system))
     g = random_coefficient_system(supports, emb_system.nvars, seed)
@@ -178,18 +181,9 @@ def solve_start_system(
         return cells, raise_failures([out for _, out in pairs], "cell worker")
 
     (cells, outs), stats.lifting_attempt = generic_lifting(supports, seed, search)
-    cell_of = np.repeat(np.arange(len(outs)), [len(out) for out in outs])
-    first = np.cumsum([0] + [len(out) for out in outs])
-
-    def retrack(idx: np.ndarray) -> list[PathResult]:
-        again: dict[int, PathResult] = {}
-        for c in np.unique(cell_of[idx]):
-            mine = idx[cell_of[idx] == c]
-            h, starts = cell_homotopy(cells[c], g, supports)
-            again.update(zip(mine, track_paths(h, starts[mine - first[c]], _cautious=True)))
-        return [again[i] for i in idx]
-
-    results, stats.start_jumps = guard_jumps([r for out in outs for r in out], retrack)
+    results, stats.start_jumps = guard_jumps(
+        [r for out in outs for r in out], lambda idx: retracker(*cell_homotopy(cells, g, supports))(idx)
+    )
     stats.time_start_system = time.perf_counter() - t0
     sols = []
     for r in results:

@@ -202,7 +202,13 @@ def filter_junk(superset: WitnessSuperset) -> tuple[list[WitnessSet], list[Filte
 
 def _refine_isolated(base_system, cands: list[Solution]) -> list[tuple[Solution, bool]]:
     """Refine dimension-0 candidates against the base system; each comes
-    with True when its Jacobian there has full rank."""
+    with True when its Jacobian there has full rank.
+
+    A singular value counts as zero below SINGULARITY_TOL times the
+    largest entry of the absolute-coefficient Jacobian at |x|, the
+    system's own scale there: the Jacobian at a multiple root shrinks in
+    every direction, and a rank relative to its largest singular value
+    would call that root regular."""
     if not cands:
         return []
     refined = [newton_refine(base_system, c.coordinates, tol=1e-13, max_iters=8) for c in cands]
@@ -216,7 +222,9 @@ def _refine_isolated(base_system, cands: list[Solution]) -> list[tuple[Solution,
         remeasured = newton_refine(base_system, x, tol=0.0, max_iters=0)
         if remeasured.residual <= max(r.residual * 10, 1e-12):
             r = remeasured
-        _, rank = condition_and_rank(jacobian(base_system, r.coordinates))
+        size = np.abs(r.coordinates)[None].astype(np.complex128)
+        scale = float(base_system._abs_jac_evaluator()(size).real.max())
+        _, rank = condition_and_rank(jacobian(base_system, r.coordinates), scale=scale)
         out.append((r, rank == base_system.nvars))
     return out
 

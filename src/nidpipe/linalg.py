@@ -8,12 +8,13 @@ import numpy as np
 SINGULARITY_TOL = 1e-8
 
 
-def condition_and_rank(J, tol: float = SINGULARITY_TOL) -> tuple[float, int]:
+def condition_and_rank(J, tol: float = SINGULARITY_TOL, scale: float | None = None) -> tuple[float, int]:
     """Condition estimate and numerical rank from singular values.
 
-    Rank counts singular values above ``tol`` times the largest one;
-    the relative threshold makes the rank invariant under uniform row
-    or column scaling.
+    Rank counts singular values above ``tol`` times ``scale``.  The
+    default scale, the largest singular value, makes the rank invariant
+    under uniform row or column scaling; a caller that knows how large
+    the entries would be without cancellation passes that size instead.
     """
     J = np.asarray(J, dtype=np.complex128)
     if J.size == 0:
@@ -24,7 +25,7 @@ def condition_and_rank(J, tol: float = SINGULARITY_TOL) -> tuple[float, int]:
     smax = float(s[0])
     if smax == 0.0:
         return float("inf"), 0
-    rank = int(np.sum(s > tol * smax))
+    rank = int(np.sum(s > tol * (smax if scale is None else scale)))
     smin = float(s[min(J.shape) - 1])
     cond = float("inf") if smin == 0.0 else smax / smin
     return cond, rank

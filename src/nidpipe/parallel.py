@@ -30,6 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+QUEUE_CAPACITY = 64  # items the pipeline's queue holds before ``put`` blocks
+
 
 @dataclass
 class JobFailure:
@@ -206,18 +208,15 @@ def _forked(produce: Callable, worker: Callable, workers: int, capacity: int,
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """One producer plus p-1 consumers over a bounded cell queue."""
+    """One producer plus p-1 consumers over a queue of QUEUE_CAPACITY items."""
 
     p: int
-    queue_capacity: int = 64
     mode: str = "process"
 
     def __post_init__(self):
         check_backend(self.mode)
         if self.p < 2:
             raise ValueError("pipeline mode needs p >= 2 (one producer, one consumer)")
-        if self.queue_capacity < 1:
-            raise ValueError("queue capacity must be positive")
 
 
 @dataclass
@@ -242,7 +241,7 @@ def pipeline_run(
     propagates once the consumers are stopped.
     """
     stats = PipelineStats()
-    return _forked(produce, consumer, cfg.p - 1, cfg.queue_capacity, stats), stats
+    return _forked(produce, consumer, cfg.p - 1, QUEUE_CAPACITY, stats), stats
 
 
 # -- analytic speedup models ------------------------------------------------

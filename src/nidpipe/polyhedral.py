@@ -3,17 +3,18 @@ time, plus the binomial start systems they induce.
 
 Enumeration searches candidate edge tuples over the supports, pruning
 with an LP that asks for a lower-hull normal compatible with the edges
-chosen so far (the LP maximizes the worst separation slack).  The
-search expands its frontier a batch at a time: a batch is a contiguous
-run of nodes at one depth, and their tests run as stacks, as MixedVol
-(Gao, Li and Wu, ACM TOMS 31, 2005) solves many small LPs at once: one
-array pass for the point-survival test, the line screen and the
-projection of every candidate edge, and one simplex call for the open
-LPs, at most STACK_CAP of them.  The batch's children are searched in
-contiguous chunks, first chunk first, so the tuples come out in the
-depth-first order of a search that expands one node at a time.  A tuple
-that survives to full depth is certified exactly, in integers: one
-power of two makes the float lifting integral, fraction-free
+chosen so far (the LP maximizes the worst separation slack); interval
+intersection decides a child cone of one free direction, the LP every
+larger one.  The search expands its frontier a batch at a time: a batch
+is a contiguous run of nodes at one depth, and their tests run as
+stacks, as MixedVol (Gao, Li and Wu, ACM TOMS 31, 2005) solves many
+small LPs at once: one array pass for the point-survival test, the line
+screen and the projection of every candidate edge, and one simplex call
+for the open LPs, at most STACK_CAP of them.  The batch's children are
+searched in contiguous chunks, first chunk first, so the tuples come out
+in the depth-first order of a search that expands one node at a time.
+A tuple that survives to full depth is certified exactly, in integers:
+one power of two makes the float lifting integral, fraction-free
 elimination solves the edge equalities, and every non-cell point must
 keep strictly positive slack.  A tie means the lifting was degenerate:
 the search raises TieDetected once its walk reaches the tied node, and
@@ -22,6 +23,8 @@ lifting of the same seed.
 
 Each cell is emitted through a callback as soon as it is certified, so
 consumers can start tracking paths while the search is still running.
+One ``PolyhedralHomotopy`` carries the paths of any list of cells, one
+row of t-exponents per path.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .tracker import PathResult, track, track_paths  # noqa: F401
 
 SLACK_MARGIN = 1e-9
 STACK_CAP = 96  # most programs in a stacked call, and most candidate edges in one pass of ``_verdicts``
-PLANE_BOX = 1e7  # half width of the box that bounds a two-dimensional child cone
 LIFTING_ATTEMPTS = 6  # liftings of one seed tried before giving up
 
 
@@ -135,7 +137,7 @@ def _bareiss_solve(A: list[list[int]], b: list[int]) -> tuple[list[int] | None, 
     return N, det
 
 
-_FEASIBLE, _PRUNE, _TIE, _LP = 1, 0, -1, 2
+_FEASIBLE, _PRUNE, _TIE = 1, 0, -1
 
 
 def _pivot(T: np.ndarray, k: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
@@ -285,46 +287,6 @@ def _line_verdicts(Uc: np.ndarray, A_c: np.ndarray, off: np.ndarray) -> np.ndarr
     return np.where(~empty(SLACK_MARGIN), _FEASIBLE, np.where(empty(0.0), _PRUNE, _TIE))
 
 
-def _plane_screen(G: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Child cones with two free dimensions, G v <= h with G (C, M, 2)
-    and h (C, M), one max-slack program each in one stack: _PRUNE where
-    the plane stays empty even with every row relaxed by twice
-    SLACK_MARGIN, _FEASIBLE where a point well inside the box of
-    ``_verdict_plane`` keeps twice the margin, and _LP where only
-    ``_verdict_plane`` decides (a simplex that gives up decides
-    nothing)."""
-    eps, V = _slack_lps(G, h)
-    inside = np.abs(V).max(axis=1) < 0.1 * PLANE_BOX
-    sure = (eps > 2.0 * SLACK_MARGIN) & inside
-    return np.where(eps < -2.0 * SLACK_MARGIN, _PRUNE, np.where(sure, _FEASIBLE, _LP))
-
-
-def _verdict_plane(G: np.ndarray, h: np.ndarray) -> int:
-    """Feasibility of the half planes G v <= h, G (M, 2), by vertex
-    enumeration inside a large box."""
-    # a large box guarantees vertices exist; normals at desk scale are O(1)
-    box = PLANE_BOX
-    G = np.vstack([G, [[1, 0], [-1, 0], [0, 1], [0, -1]]])
-    h = np.concatenate([h, [box, box, box, box]])
-
-    def nonempty(margin) -> bool:
-        hh = h - margin
-        m = len(hh)
-        ii, jj = np.triu_indices(m, k=1)
-        det = G[ii, 0] * G[jj, 1] - G[ii, 1] * G[jj, 0]
-        ok = np.abs(det) > 1e-12
-        ii, jj, det = ii[ok], jj[ok], det[ok]
-        vx = (hh[ii] * G[jj, 1] - hh[jj] * G[ii, 1]) / det
-        vy = (G[ii, 0] * hh[jj] - G[jj, 0] * hh[ii]) / det
-        V = np.stack([vx, vy])
-        feas = np.all(G @ V <= hh[:, None] + 1e-9, axis=0)
-        return bool(feas.any())
-
-    if nonempty(SLACK_MARGIN):
-        return _FEASIBLE
-    return _PRUNE if not nonempty(0.0) else _TIE
-
-
 class _CellSearch:
     """Edge-tuple search with lower-hull pruning, expanded one level
     batch at a time and walked depth first.
@@ -337,11 +299,10 @@ class _CellSearch:
     line screen, the projection of every candidate edge into its child
     cone, and the max-slack programs, one simplex call per stack of at
     most STACK_CAP programs.  A strictly feasible projected point
-    certifies an edge by itself; otherwise the child's free dimensions
-    decide: interval intersection on a line (1), the plane screen and
-    vertex enumeration of half planes (2), and the max-slack simplex (3
-    and more).  At the last support the normal is pinned per edge and
-    checked directly.
+    certifies an edge by itself; otherwise interval intersection decides
+    a child line, and the max-slack simplex every child cone with two or
+    more free dimensions, as in MixedVol.  At the last support the normal
+    is pinned per edge and checked directly.
 
     A node's children keep the order (-slack, p, q), fattest cone
     first; the children of a run are searched in contiguous chunks,
@@ -395,7 +356,9 @@ class _CellSearch:
         row's bits do not depend on the stack.  The LPs still open give
         the max separation slack over the child's affine subspace and its
         maximizer, the deepest point of the cone and a good base for the
-        grandchildren; a simplex that gives up makes its edge a tie."""
+        grandchildren; a child plane keeps its projected point and zero
+        slack, which fixes the order of the cells.  A simplex that gives
+        up makes its edge a tie."""
         pts, ws = self.points[sup], self.lifts[sup]
         U, alpha = level.U[node], level.alpha[node]
         C, d = len(node), U.shape[2]
@@ -434,17 +397,13 @@ class _CellSearch:
             verdict[rest] = np.where(quick[rest] <= 0.0, _PRUNE, _TIE)
         elif d == 2:
             verdict[rest] = _line_verdicts(Uc[rest], A_c[rest], off[rest])
-        elif d == 3:
-            G, h = A_c[rest] @ Uc[rest], off[rest]
-            verdict[rest] = screened = _plane_screen(G, h)
-            for c in np.flatnonzero(screened == _LP):
-                verdict[rest[c]] = _verdict_plane(G[c], h[c])
         else:
             eps, V = _slack_lps(A_c[rest] @ Uc[rest], off[rest])
             won = eps > SLACK_MARGIN
             verdict[rest] = np.where(won, _FEASIBLE, np.where(eps <= 0.0, _PRUNE, _TIE))  # NaN ties
-            slack[rest[won]] = eps[won]
-            alpha_c[rest[won]] += (Uc[rest[won]] @ V[won][:, :, None])[..., 0]
+            if d > 3:  # a child plane keeps its projected point and zero slack
+                slack[rest[won]] = eps[won]
+                alpha_c[rest[won]] += (Uc[rest[won]] @ V[won][:, :, None])[..., 0]
         return verdict, slack, (Uc, alpha_c, A_c, b_c)
 
     def _surviving_points(self, sup, level: _Level) -> tuple[np.ndarray, np.ndarray]:
@@ -696,19 +655,6 @@ def generic_lifting(supports: Support, seed: int, search: Callable[[LiftedSuppor
     raise RuntimeError(f"no generic lifting found in {LIFTING_ATTEMPTS} attempts")
 
 
-def mixed_volume(f: PolySystem, seed: int) -> int:
-    """Sum of cell volumes; independent of the lifting seed."""
-    if not f.is_square:
-        raise ValueError("mixed volume requires a square system")
-
-    def volume(lifted: LiftedSupport) -> int:
-        volumes: list[int] = []
-        enumerate_cells(lifted, lambda cell: volumes.append(cell.volume))
-        return sum(volumes)
-
-    return generic_lifting(supports_of(f), seed, volume)[0]
-
-
 def random_coefficient_system(supports: Support, nvars: int, seed: int) -> PolySystem:
     """Unit-modulus random coefficients on exactly the given supports."""
     gen = rngmod.stream(seed, rngmod.START_COEFFS)
@@ -795,51 +741,54 @@ def binomial_solutions(V: list[list[int]], beta: Sequence[complex]) -> list[np.n
 
 
 class PolyhedralHomotopy:
-    """Per-cell continuation: coefficients weighted by t raised to the
-    (rescaled) lifted slacks.  At t=0 only the cell's binomial survives;
-    at t=1 every weight is 1 and the system is the start system g itself,
-    which is the homotopy's ``target``."""
+    """The continuations of a list of cells, one path per row: the
+    coefficients of g weighted by t raised to the (rescaled) lifted
+    slacks of the path's cell.  At t=0 only the cell's binomial
+    survives; at t=1 every weight is 1 and the system is the start
+    system g itself, which is the homotopy's ``target``.  The evaluators
+    are the same for every cell, so ``select`` slices the rows of
+    t-exponents."""
 
     shift = None
 
-    def __init__(self, g: PolySystem, cell: MixedCell, supports: Support):
+    def __init__(self, g: PolySystem, cells: Sequence[MixedCell], supports: Support):
         self.target = g
         self.dim = g.nvars
         rows = []
-        texps = []
         jrows = []
-        jtexps = []
+        jterm = []  # the term of g each Jacobian term differentiates
         for i, p in enumerate(g.polys):
             pts = supports[i]
             if len(p.terms) != len(pts):
                 raise ValueError("start system terms must align with the support")
             row = list(zip(pts, [c for _, c in p.terms]))
-            rows.append(tuple(row))
-            texps.extend(cell.texps[i])
             for j in range(g.nvars):
                 dterms = []
-                for (e, c), w in zip(row, cell.texps[i]):
+                for k, (e, c) in enumerate(row):
                     if e[j] == 0:
                         continue
                     de = list(e)
                     de[j] -= 1
                     dterms.append((tuple(de), c * e[j]))
-                    jtexps.append(w)
+                    jterm.append(sum(map(len, rows)) + k)
                 jrows.append(tuple(dterms))
+            rows.append(tuple(row))
         self._ev = _StackedEvaluator(rows, g.nvars)
         self._aev = _StackedEvaluator(
             [tuple((e, abs(c)) for e, c in row) for row in rows], g.nvars
         )
         self._jev = _StackedEvaluator(jrows, g.nvars)
-        raw = np.array(texps, dtype=float)
-        positive = raw[raw > SLACK_MARGIN]
-        scale = 1.0 / positive.min() if positive.size else 1.0
-        self._texp = np.where(raw > SLACK_MARGIN, raw * scale, 0.0)
-        jraw = np.array(jtexps, dtype=float)
-        self._jtexp = np.where(jraw > SLACK_MARGIN, jraw * scale, 0.0)
+        raw = np.array([[w for ws in cell.texps for w in ws] for cell in cells], dtype=float)
+        positive = raw > SLACK_MARGIN
+        scale = 1.0 / np.where(positive, raw, np.inf).min(axis=1, keepdims=True)
+        volumes = [cell.volume for cell in cells]
+        self._texp = np.repeat(np.where(positive, raw * scale, 0.0), volumes, axis=0)
+        self._jtexp = np.repeat(np.where(positive[:, jterm], raw[:, jterm] * scale, 0.0), volumes, axis=0)
 
     def select(self, idx) -> "PolyhedralHomotopy":
-        return self
+        out = object.__new__(PolyhedralHomotopy)  # not copy.copy: the tracker selects at every corrector iteration
+        out.__dict__.update(self.__dict__, _texp=self._texp[idx], _jtexp=self._jtexp[idx])
+        return out
 
     def eval(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         return self._ev(x, weights=t[:, None] ** self._texp)
@@ -856,19 +805,19 @@ class PolyhedralHomotopy:
 def solve_cell(cell: MixedCell, g: PolySystem, supports: Support) -> list[PathResult]:
     """Track the cell's volume-many paths from its binomial system to
     solutions of the start system g at t=1."""
-    return track_paths(*cell_homotopy(cell, g, supports))
+    return track_paths(*cell_homotopy([cell], g, supports))
 
 
 def cell_homotopy(
-    cell: MixedCell, g: PolySystem, supports: Support
+    cells: Sequence[MixedCell], g: PolySystem, supports: Support
 ) -> tuple[PolyhedralHomotopy, np.ndarray]:
-    """The cell's homotopy to g and its start points, the solutions of
-    its binomial system, one row per path."""
+    """The homotopy of the cells' paths to g and their start points, the
+    solutions of each cell's binomial system, one row per path in the
+    order of the cells."""
     coeff_of = [dict(p.terms) for p in g.polys]
-    V = []
-    beta = []
-    for i, (a, b_pt) in enumerate(cell.pairs):
-        V.append([b_pt[j] - a[j] for j in range(g.nvars)])
-        ca, cb = coeff_of[i][a], coeff_of[i][b_pt]
-        beta.append(-ca / cb)
-    return PolyhedralHomotopy(g, cell, supports), np.array(binomial_solutions(V, beta))
+    starts = []
+    for cell in cells:
+        V = [[b[j] - a[j] for j in range(g.nvars)] for a, b in cell.pairs]
+        beta = [-coeff_of[i][a] / coeff_of[i][b] for i, (a, b) in enumerate(cell.pairs)]
+        starts += binomial_solutions(V, beta)
+    return PolyhedralHomotopy(g, cells, supports), np.array(starts)

@@ -199,6 +199,17 @@ class PolySystem:
             self._cache["aev"] = ev
         return ev
 
+    def _abs_jac_evaluator(self) -> "_StackedEvaluator":
+        """The Jacobian of the system with every coefficient replaced by
+        its modulus, row-major like ``_jac_evaluator``: at |x| it bounds
+        the size of each Jacobian entry."""
+        ev = self._cache.get("ajev")
+        if ev is None:
+            rows = [tuple((e, abs(c)) for e, c in poly_diff(p, j).terms) for p in self.polys for j in range(self.nvars)]
+            ev = _StackedEvaluator(rows, self.nvars)
+            self._cache["ajev"] = ev
+        return ev
+
 
 class _StackedEvaluator:
     """All terms of several polynomials in one numpy block.

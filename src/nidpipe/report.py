@@ -163,11 +163,11 @@ def summary_text(rep: DecompositionReport) -> str:
         f"{rep.top_stats.failures} failed)"
     )
     lines.append("")
-    lines.append("cascade levels (starts / at infinity / zero slack / nonzero slack):")
+    lines.append("cascade levels (starts / at infinity / zero slack / nonzero slack / failed):")
     for c in rep.cascade_counts:
         lines.append(
             f"  dim {c['dimension']}: {c['starts']:>4} / {c['at_infinity']:>3} / "
-            f"{c['zero_slack']:>3} / {c['nonzero_slack']:>3}"
+            f"{c['zero_slack']:>3} / {c['nonzero_slack']:>3} / {c['failures']:>3}"
         )
     if rep.filter_stages:
         lines.append("")

@@ -16,7 +16,7 @@ from nidpipe.filtering import (
 )
 from nidpipe.report import report_to_json, summary_text
 from nidpipe.systems import cyclic, demo_system
-from nidpipe.tracker import CONVERGED, Solution
+from nidpipe.tracker import CONVERGED, FAILED, PathResult, Solution
 
 NEAR = 1e-7 * np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
 CYCLIC4_DIM1 = ["bench", "cyclic", "--n", "4", "--dim", "1", "--seed", "7", "--tasks", "1"]
@@ -174,6 +174,31 @@ def test_paths_that_still_coincide_after_the_retrack_give_a_warning(monkeypatch)
     (warning,) = rep.warnings
     assert warning.startswith("continuation: 2 paths end on a regular root shared with another path")
     assert f"WARNING: {warning}" in summary_text(rep)
+
+
+def test_a_failed_start_path_gives_a_warning(monkeypatch):
+    # the first path of the first cell fails: the run says so, and the
+    # text summary lists each cascade level's failed paths
+    real = cascade.solve_cell
+
+    def first_fails(cell, g, supports):
+        results = real(cell, g, supports)
+        if not first_fails.done:
+            results[0] = PathResult(FAILED, None, results[0].steps_used, results[0].t_reached)
+            first_fails.done = True
+        return results
+
+    first_fails.done = False
+    monkeypatch.setattr(cascade, "solve_cell", first_fails)
+    rep = decompose(cyclic(4), top_dimension=1, seed=7, tasks=1)
+    assert (rep.top_stats.start_failures, rep.top_stats.start_paths, rep.top_stats.continuation_paths) == (1, 20, 19)
+    assert rep.warnings == ["start system: 1 of 20 start paths failed; a point may be missing"]
+    text = summary_text(rep)
+    assert f"WARNING: {rep.warnings[0]}" in text
+    assert "(starts / at infinity / zero slack / nonzero slack / failed):" in text
+    for c in rep.cascade_counts:
+        fields = [c[k] for k in ("at_infinity", "zero_slack", "nonzero_slack", "failures")]
+        assert f"  dim {c['dimension']}: {c['starts']:>4} / " + " / ".join(f"{x:>3}" for x in fields) in text.splitlines()
 
 
 def test_membership_paths_of_different_candidates_may_end_at_one_point(monkeypatch):

@@ -156,6 +156,20 @@ def test_two_roots_on_the_coordinate_axes():
     assert len(rep.isolated) == 2
 
 
+@pytest.mark.parametrize(
+    "text, root", [("2 2\nx1^2 - 2*x1 + 1;\nx2^2 - 4*x2 + 4;\n", [1, 2]), ("1 1\nx1^2 - 2*x1 + 1;\n", [1])]
+)
+def test_a_multiple_root_is_a_suspect_not_a_regular_point(text, root):
+    # (x1 - 1)^2, (x2 - 2)^2 has one root of multiplicity 4, and
+    # (x1 - 1)^2 one of multiplicity 2: the Jacobian there shrinks in
+    # every direction, so a rank relative to its largest singular value
+    # would call the root regular
+    rep = decompose(parse_system(text), top_dimension=0, seed=7)
+    assert rep.degrees == {} and rep.isolated == []
+    (suspect,) = rep.suspects
+    assert np.allclose(suspect.coordinates, root, atol=1e-4)
+
+
 def test_two_lines_one_of_them_a_coordinate_axis():
     # x1*(x2 - 1) = 0 is the lines x1 = 0 and x2 = 1
     rep = decompose(parse_system("2 2\nx1*x2 - x1;\nx1*x2 - x1;\n"), top_dimension=1, seed=7)

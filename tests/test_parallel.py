@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nidpipe import parallel
 from nidpipe.blackbox import decompose
 from nidpipe.cascade import solve_start_system
 from nidpipe.parallel import (
@@ -111,8 +112,9 @@ def test_work_crew_process_mode_dead_worker_raises():
     assert time.perf_counter() - t0 < 5.0
 
 
-def test_pipeline_process_mode_dead_worker_raises():
-    cfg = PipelineConfig(p=3, queue_capacity=2, mode="process")
+def test_pipeline_process_mode_dead_worker_raises(monkeypatch):
+    monkeypatch.setattr(parallel, "QUEUE_CAPACITY", 2)
+    cfg = PipelineConfig(p=3, mode="process")
     t0 = time.perf_counter()
     with pytest.raises(RuntimeError, match="exit code 3"):
         pipeline_run(_puts(range(20)), _die_on_one, cfg)
@@ -271,8 +273,9 @@ def test_pipeline_requires_two_workers():
         PipelineConfig(p=1)
 
 
-def test_pipeline_run_collects_everything_in_order():
-    cfg = PipelineConfig(p=3, queue_capacity=4)
+def test_pipeline_run_collects_everything_in_order(monkeypatch):
+    monkeypatch.setattr(parallel, "QUEUE_CAPACITY", 4)
+    cfg = PipelineConfig(p=3)
     results, stats = pipeline_run(_puts(range(20)), lambda x: x * 2, cfg)
     assert [v for _, v in results] == [2 * x for x in range(20)]
     assert stats.produced == stats.consumed == 20
@@ -290,7 +293,7 @@ def test_pipeline_process_mode_overlaps_production_and_consumption():
         time.sleep(3 * unit)
         return i
 
-    cfg = PipelineConfig(p=4, queue_capacity=64, mode="process")
+    cfg = PipelineConfig(p=4, mode="process")
     t0 = time.perf_counter()
     results, stats = pipeline_run(producer, consumer, cfg)
     elapsed = time.perf_counter() - t0
@@ -338,8 +341,9 @@ def test_dead_consumer_found_after_the_producer_is_done():
     assert mp.active_children() == []
 
 
-def test_pipeline_process_mode():
-    cfg = PipelineConfig(p=3, queue_capacity=8, mode="process")
+def test_pipeline_process_mode(monkeypatch):
+    monkeypatch.setattr(parallel, "QUEUE_CAPACITY", 8)
+    cfg = PipelineConfig(p=3, mode="process")
     results, stats = pipeline_run(_puts(range(15)), lambda x: x + 100, cfg)
     assert [v for _, v in results] == [x + 100 for x in range(15)]
     assert stats.produced == 15

@@ -24,16 +24,13 @@ from nidpipe.polyhedral import (
     TieDetected,
     _CellSearch,
     _max_slack_simplex,
-    _verdict_plane,
     _FEASIBLE,
-    _LP,
     _PRUNE,
     _TIE,
     binomial_solutions,
     enumerate_cells,
     generic_lifting,
     lift_supports,
-    mixed_volume,
     random_coefficient_system,
     solve_cell,
     supports_of,
@@ -79,6 +76,17 @@ def test_single_linear_polynomial_one_cell():
     assert n == 1 and cells[0].volume == 1
 
 
+def mixed_volume(f, seed):
+    """Sum of the cell volumes of the first generic lifting of the seed."""
+
+    def volume(lifted):
+        volumes = []
+        enumerate_cells(lifted, lambda cell: volumes.append(cell.volume))
+        return sum(volumes)
+
+    return generic_lifting(supports_of(f), seed, volume)[0]
+
+
 def test_univariate_dense_mixed_volume_is_degree():
     for d in (1, 2, 3, 5):
         terms = [((k,), 1.0 + 0.5j * k) for k in range(d + 1)]
@@ -100,12 +108,6 @@ def test_a_one_term_polynomial_gives_mixed_volume_zero():
     # a support of one point has no edge, so no cell
     f = PolySystem(2, (make_poly(2, [((1, 1), 1.0)]), make_poly(2, [((0, 0), 1.0), ((1, 0), 2.0), ((0, 1), 3.0)])))
     assert mixed_volume(f, 9) == 0
-
-
-def test_mixed_volume_requires_square():
-    f = PolySystem(2, (make_poly(2, [((1, 0), 1)]),))
-    with pytest.raises(ValueError):
-        mixed_volume(f, 1)
 
 
 def test_mixed_volume_invariant_over_liftings():
@@ -323,6 +325,48 @@ def test_start_system_solutions_count_and_residual():
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             assert np.max(np.abs(pts[i] - pts[j])) > 1e-6
+
+
+def _result_bits(r):
+    """Everything a path result reports, exactly."""
+    e = r.endpoint
+    point = None if e is None else (e.coordinates.tobytes(), e.residual, e.condition, e.regularity)
+    return r.status, r.steps_used, r.t_reached, point
+
+
+def test_start_paths_that_jumped_are_retracked_each_on_its_own_cell(monkeypatch):
+    # a jump is forced between the first paths of the first two cells:
+    # each re-tracked result is the cautious track of that path on its
+    # own cell's homotopy, bit for bit
+    from nidpipe import cascade, tracker
+
+    system = embed(cyclic(4), 1, 7).system
+    real_jumped, real_guard = tracker._jumped, cascade.guard_jumps
+    cells, forced, retracked, guarded = [], [], [], []
+
+    def jumped(results, groups):
+        if forced:
+            return real_jumped(results, groups)
+        forced.extend([0, cells[0].volume])
+        return np.array(forced)
+
+    def guard(results, retrack, groups=None):
+        out = real_guard(results, lambda idx: retracked.append(idx.tolist()) or retrack(idx), groups)
+        guarded.append(out)
+        return out
+
+    monkeypatch.setattr(tracker, "_jumped", jumped)
+    monkeypatch.setattr(cascade, "guard_jumps", guard)
+    g, sols, stats = cascade.solve_start_system(system, 7, cell_log=cells)
+    ((results, jumps),) = guarded
+    assert retracked == [forced] and jumps == stats.start_jumps == 0
+    assert len(sols) == stats.mixed_volume == 20
+    supports = with_origin(supports_of(system))
+    for i, cell in zip(forced, cells[:2]):
+        h, starts = polyhedral.cell_homotopy([cell], g, supports)
+        (alone,) = tracker.track_paths(h, starts[:1], _cautious=True)
+        assert alone.status == "converged"
+        assert _result_bits(results[i]) == _result_bits(alone)
 
 
 # -- the max-slack LP ---------------------------------------------------------
@@ -573,27 +617,52 @@ def test_the_line_screen_drops_only_edges_the_verdict_prunes(monkeypatch, name):
     assert max(len(level) for _, _, level, _ in batches) > 1
 
 
+def _vertex_enumeration(G, h):
+    """Feasibility of the half planes G v <= h, G (M, 2), by vertex
+    enumeration inside a large box: the reference verdict on a plane."""
+    box = 1e7  # normals at desk scale are O(1)
+    G = np.vstack([G, [[1, 0], [-1, 0], [0, 1], [0, -1]]])
+    h = np.concatenate([h, [box] * 4])
+
+    def nonempty(margin):
+        hh = h - margin
+        ii, jj = np.triu_indices(len(hh), k=1)
+        det = G[ii, 0] * G[jj, 1] - G[ii, 1] * G[jj, 0]
+        ok = np.abs(det) > 1e-12
+        ii, jj, det = ii[ok], jj[ok], det[ok]
+        vx = (hh[ii] * G[jj, 1] - hh[jj] * G[ii, 1]) / det
+        vy = (G[ii, 0] * hh[jj] - G[jj, 0] * hh[ii]) / det
+        return bool(np.all(G @ np.stack([vx, vy]) <= hh[:, None] + 1e-9, axis=0).any())
+
+    if nonempty(SLACK_MARGIN):
+        return _FEASIBLE
+    return _PRUNE if not nonempty(0.0) else _TIE
+
+
 @pytest.mark.parametrize("name", ["demo start supports", "cyclic-5@1"])
-def test_the_plane_screen_decides_as_vertex_enumeration(monkeypatch, name):
-    # every child plane it drops, vertex enumeration prunes, and every
-    # one it passes, vertex enumeration finds feasible
-    real = polyhedral._plane_screen
-    screened = []
+def test_the_lp_decides_every_child_plane_as_vertex_enumeration(monkeypatch, name):
+    # every candidate edge of a node with three free directions opens a
+    # child cone with two; the verdict on each is vertex enumeration's
+    real = _CellSearch._verdicts
+    planes = []
 
-    def recorded(G, h):
-        out = real(G, h)
-        screened.append((G, h, out))
-        return out
+    def recorded(self, sup, level, node, p, q):
+        verdict, slack, kids = real(self, sup, level, node, p, q)
+        if level.U.shape[2] == 3:
+            planes.append((self.points[sup], level.U[node], p, q, verdict, kids))
+        return verdict, slack, kids
 
-    monkeypatch.setattr(polyhedral, "_plane_screen", recorded)
+    monkeypatch.setattr(_CellSearch, "_verdicts", recorded)
     enumerate_cells(lift_supports(_supports(name, 7), 7), lambda cell: None)
     counts = collections.Counter()
-    for G, h, out in screened:
-        for c, verdict in enumerate(out.tolist()):
-            if verdict != _LP:
-                assert _verdict_plane(G[c], h[c]) == verdict
-            counts[verdict] += 1
-    assert counts[_PRUNE] > 0 and counts[_FEASIBLE] > 0
+    for pts, U, p, q, verdict, (Uc, alpha_c, A_c, b_c) in planes:
+        g = ((pts[p] - pts[q])[:, None, :] @ U)[:, 0]
+        for c in np.flatnonzero((g * g).sum(axis=1) >= 1e-24):  # an edge outside the subspace has no plane
+            h = b_c[c] - A_c[c] @ alpha_c[c]
+            quick = h.min() > SLACK_MARGIN
+            assert _vertex_enumeration(A_c[c] @ Uc[c], h) == verdict[c]
+            counts[verdict[c], quick] += 1
+    assert counts[_PRUNE, False] > 0 and counts[_FEASIBLE, False] > 0 and counts[_FEASIBLE, True] > 0
 
 
 # sha1 of the ``_bits`` of every emitted cell in emission order, the

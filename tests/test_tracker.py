@@ -299,27 +299,28 @@ def test_slice_homotopy_results_independent_of_batch_size():
 
 
 def test_polyhedral_cell_results_independent_of_batch_size():
-    from nidpipe.polyhedral import (
-        PolyhedralHomotopy,
-        binomial_solutions,
-        enumerate_cells,
-        lift_supports,
-        random_coefficient_system,
-        supports_of,
-    )
+    from nidpipe.polyhedral import cell_homotopy, enumerate_cells, lift_supports, random_coefficient_system, supports_of
 
     system = embed(cyclic(4), 1, 11).system
     supports = supports_of(system)
     g = random_coefficient_system(supports, system.nvars, 11)
     cells = []
     enumerate_cells(lift_supports(supports, 11), lambda c: cells.append(c) or c.volume < 4)
-    cell = cells[-1]
-    assert cell.volume >= 4
-    coeff_of = [dict(p.terms) for p in g.polys]
-    V = [[b[j] - a[j] for j in range(g.nvars)] for a, b in cell.pairs]
-    beta = [-coeff_of[i][a] / coeff_of[i][b] for i, (a, b) in enumerate(cell.pairs)]
-    starts = np.array(binomial_solutions(V, beta))
-    _assert_batch_size_independent(PolyhedralHomotopy(g, cell, supports), starts)
+    assert len(cells) > 1 and cells[-1].volume >= 4
+    h, starts = cell_homotopy(cells, g, supports)
+    assert len(starts) == sum(cell.volume for cell in cells)
+    # the rows of a cell's paths are that cell's own homotopy, bit for bit
+    t = np.random.default_rng(5).random(len(starts))
+    first = 0
+    for cell in cells:
+        one, own = cell_homotopy([cell], g, supports)
+        idx = np.arange(first, first + cell.volume)
+        assert own.tobytes() == starts[idx].tobytes()
+        for name in ("eval", "jac", "eval_scale"):
+            rows = getattr(h.select(idx), name)(own, t[idx])
+            assert rows.tobytes() == getattr(one, name)(own, t[idx]).tobytes()
+        first += cell.volume
+    _assert_batch_size_independent(h, starts)
 
 
 # -- step growth --------------------------------------------------------------
