@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 
@@ -214,9 +215,11 @@ def _run_bench(args) -> int:
         state, _ = generic_lifting(with_origin(supports_of(emb.system)), seed, search)
         elapsed = time.monotonic() - t0
         verdict = "aborted cleanly" if state["aborted"] else "enumeration complete"
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
         print(
             f"cyclic({args.n}) embedded at dimension {args.dim}: {state['cells']} cells, "
-            f"volume {state['volume']} in {elapsed:.1f} s ({verdict})"
+            f"volume {state['volume']} in {elapsed:.1f} s ({verdict}), "
+            f"{state['cells'] / max(elapsed, 1e-9):.1f} cells/s, peak resident set {peak_mb:.1f} MB"
         )
         return EXIT_OK
     return _run_solve(f, args, input_path=f"cyclic({args.n})")

@@ -10,9 +10,12 @@ is a contiguous run of nodes at one depth, and their tests run as
 stacks, as MixedVol (Gao, Li and Wu, ACM TOMS 31, 2005) solves many
 small LPs at once: one array pass for the point-survival test, the line
 screen and the projection of every candidate edge, and one simplex call
-for the open LPs, at most STACK_CAP of them.  The batch's children are
-searched in contiguous chunks, first chunk first, so the tuples come out
-in the depth-first order of a search that expands one node at a time.
+for a stack of open LPs.  One byte budget, STACK_BYTES, sizes every
+batch and stack: each holds as many nodes, candidate edges or programs
+as fit in it, so small programs go in large stacks and the peak of
+memory stays put.  The batch's children are searched in contiguous
+chunks, first chunk first, so the tuples come out in the depth-first
+order of a search that expands one node at a time.
 A tuple that survives to full depth is certified exactly, in integers:
 one power of two makes the float lifting integral, fraction-free
 elimination solves the edge equalities, and every non-cell point must
@@ -41,7 +44,7 @@ from .polynomials import PolySystem, _StackedEvaluator, make_poly
 from .tracker import PathResult, track, track_paths  # noqa: F401
 
 SLACK_MARGIN = 1e-9
-STACK_CAP = 96  # most programs in a stacked call, and most candidate edges in one pass of ``_verdicts``
+STACK_BYTES = 224 * 1024  # what the largest array of one stacked call may hold; sizes every run and stack
 LIFTING_ATTEMPTS = 6  # liftings of one seed tried before giving up
 
 
@@ -140,15 +143,44 @@ def _bareiss_solve(A: list[list[int]], b: list[int]) -> tuple[list[int] | None, 
 _FEASIBLE, _PRUNE, _TIE = 1, 0, -1
 
 
-def _pivot(T: np.ndarray, k: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
-    """One simplex pivot in every tableau of the stack T, in place; k is
-    np.arange(len(T))."""
-    prow = T[k, rows]
-    prow /= prow[k, cols][:, None]
-    T[k, rows] = prow
-    colvals = T[k, :, cols]
-    colvals[k, rows] = 0.0
-    T -= colvals[:, :, None] * prow[:, None, :]
+def _fit(item_bytes: int) -> int:
+    """How many items of item_bytes each one stacked call takes: as many
+    as STACK_BYTES holds, and at least one."""
+    return max(1, STACK_BYTES // max(item_bytes, 1))
+
+
+def _tableau_bytes(m: int, d: int) -> int:
+    """The bytes of the tableau of one max-slack program on m rows in d
+    free directions in ``_max_slack_simplex``, the largest array a
+    program holds."""
+    return 8 * (d + 2) * (m + d + 2)
+
+
+def _candidate_bytes(M: int, n: int, d: int) -> int:
+    """The bytes one candidate edge of a node with d free directions holds
+    in ``_verdicts``: its child's M rows in n variables, or the max-slack
+    program on them."""
+    return max(8 * M * n, _tableau_bytes(M, d - 1))
+
+
+def _pivot(T: np.ndarray, rows: np.ndarray, cols: np.ndarray, k: np.ndarray | None = None) -> None:
+    """One simplex pivot in programs of the stack T (tableau row, program,
+    column), in place: program k[i] (the i-th one when k is None) pivots
+    on row rows[i] and column cols[i].  The elimination runs one tableau
+    row at a time, a contiguous block of the stack, so no temporary is
+    the size of T."""
+    i = np.arange(len(rows))
+    at = i if k is None else k
+    prow = T[rows, at]
+    prow /= prow[i, cols][:, None]
+    T[rows, at] = prow
+    colvals = T[:, at, cols]
+    colvals[rows, i] = 0.0
+    for r in range(len(T)):
+        if k is None:
+            T[r] -= colvals[r, :, None] * prow
+        else:
+            T[r, k] -= colvals[r, :, None] * prow
 
 
 def _max_slack_simplex(G: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,20 +197,23 @@ def _max_slack_simplex(G: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
     multipliers.  A program whose pivot budget is spent or whose dual is
     numerically unbounded gets NaN.  The programs advance together, one
     pivot each per round, and each takes exactly the pivots it would
-    take alone.
+    take alone.  The stack holds one tableau per program and no copy of
+    it: pivots work in place, and finished programs give up their slots
+    to running ones.
     """
     K, m, d = G.shape
     ncols = m + 1 + d
-    # tableau rows: d+1 constraint rows, one cost row; last column = rhs
-    T = np.zeros((K, d + 2, ncols + 1))
-    T[:, :d, :m] = G.transpose(0, 2, 1)
-    T[:, d, : m + 1] = 1.0
+    # tableau rows: d+1 constraint rows, one cost row; last column = rhs.
+    # Row r of every program is one contiguous (K, ncols + 1) block.
+    T = np.zeros((d + 2, K, ncols + 1))
+    T[:d, :, :m] = G.transpose(2, 0, 1)
+    T[d, :, : m + 1] = 1.0
     for i in range(d):
-        T[:, i, m + 1 + i] = 1.0
-    T[:, d, ncols] = 1.0
+        T[i, :, m + 1 + i] = 1.0
+    T[d, :, ncols] = 1.0
     # reduced costs: cost c = [b, 1, 0...]; basis = artificials + eps column
-    T[:, d + 1, :m] = b - 1.0
-    T[:, d + 1, ncols] = -1.0  # negative objective value
+    T[d + 1, :, :m] = b - 1.0
+    T[d + 1, :, ncols] = -1.0  # negative objective value
     eps = np.full(K, np.nan)
     v = np.full((K, d), np.nan)
     basis = np.tile(np.r_[np.arange(m + 1, ncols), m], (K, 1))  # basic column of each row
@@ -187,21 +222,19 @@ def _max_slack_simplex(G: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
     # rows have rhs 0, so nothing moves); a row with no real support is
     # inert and can keep its artificial at zero forever
     for i in range(d):
-        row = np.abs(T[:, i, : m + 1])
+        row = np.abs(T[i, :, : m + 1])
         j = np.argmax(row, axis=1)
         ok = row[np.arange(K), j] > 1e-11
-        if ok.all():  # pivot in place: a copy of a large stack costs memory
-            _pivot(T, np.arange(K), np.full(K, i), j)
+        if ok.all():
+            _pivot(T, np.full(K, i), j)
         elif ok.any():
-            sub = T[ok]
-            _pivot(sub, np.arange(len(sub)), np.full(len(sub), i), j[ok])
-            T[ok] = sub
+            _pivot(T, np.full(int(ok.sum()), i), j[ok], np.flatnonzero(ok))
         basis[ok, i] = j[ok]
     prog = np.arange(K)  # the program of each tableau still pivoting
     k = np.arange(K)
     stall = np.zeros(K, dtype=int)
     for _ in range(800):
-        costs = T[:, d + 1, : m + 1]  # artificials may not enter
+        costs = T[d + 1, :, : m + 1]  # artificials may not enter
         enter = np.argmin(costs, axis=1)
         optimal = costs[k, enter] >= -1e-11
         bland = stall >= 3 * (d + 2)
@@ -209,53 +242,96 @@ def _max_slack_simplex(G: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
             neg = costs[bland] < -1e-11
             enter[bland] = np.argmax(neg, axis=1)
             optimal[bland] = ~neg.any(axis=1)
-        col = T[k, : d + 1, enter]
+        col = T[: d + 1, k, enter].T
         pos = col > 1e-11
         stop = optimal | ~pos.any(axis=1)  # optimal, or a numerically unbounded dual
         if stop.any():
-            eps[prog[optimal]] = -T[optimal, d + 1, ncols]
-            v[prog[optimal]] = -T[optimal, d + 1, m + 1 : ncols]
+            eps[prog[optimal]] = -T[d + 1, optimal, ncols]
+            v[prog[optimal]] = -T[d + 1, optimal, m + 1 : ncols]
             go = ~stop
             if not go.any():
                 return eps, v
-            T, prog, stall, enter, col, pos = T[go], prog[go], stall[go], enter[go], col[go], pos[go]
-            basis, bland, k = basis[go], bland[go], np.arange(len(T))
-        ratios = np.divide(T[:, : d + 1, ncols], col, out=np.full(col.shape, np.inf), where=pos)
+            # the running programs close ranks in place: those behind the
+            # first L slots move into the slots of programs that stopped
+            L = int(go.sum())
+            hole, mover = np.flatnonzero(stop[:L]), L + np.flatnonzero(go[L:])
+            T[:, hole] = T[:, mover]
+            T = T[:, :L]
+            keep = np.arange(L)
+            keep[hole] = mover
+            prog, stall, enter, col, pos, basis, bland = (
+                x[keep] for x in (prog, stall, enter, col, pos, basis, bland)
+            )
+            k = np.arange(L)
+        ratios = np.divide(T[: d + 1, :, ncols].T, col, out=np.full(col.shape, np.inf), where=pos)
         leave = np.argmin(ratios, axis=1)
         if bland.any():  # ... and, among tied ratios, smallest leaving basic column
             tied = ratios[bland] == ratios[bland].min(axis=1, keepdims=True)
             leave[bland] = np.argmin(np.where(tied, basis[bland], ncols), axis=1)
         basis[k, leave] = enter
         stall = np.where(ratios[k, leave] <= 1e-13, stall + 1, 0)
-        _pivot(T, k, leave, enter)
+        _pivot(T, leave, enter)
     return eps, v
 
 
 @dataclass
 class _Level:
     """A contiguous run of search nodes at one depth, in depth-first
-    order: each node's chosen edges and, stacked over the nodes, the
-    orthonormal basis U (N, n, d) of its free normal directions, a point
-    alpha (N, n) deep inside its cone, and the inequality rows
-    A alpha <= b (N, m, n), (N, m) its edges impose."""
+    order: each node's chosen edges, edge (N, depth), as indices into the
+    feasible edges of the supports searched so far, and, stacked over the
+    nodes, a point alpha (N, n) deep inside its cone and the orthonormal
+    basis U (N, n, d) of its free normal directions.
 
-    chosen: list[tuple[tuple[int, int], ...]]
-    U: np.ndarray
+    A level of children stores neither U nor rows: node i's parent is
+    node up[i] of the run ``parent``, and its basis is made again from
+    the parent's when the walk reaches its run (``_CellSearch._walk``),
+    in the very products that made it in ``_verdicts``.  The rows a
+    node's edges impose are shared by every node that chose the edge,
+    and ``_CellSearch._rows`` gathers them for the test that needs
+    them."""
+
+    edge: np.ndarray
     alpha: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
+    up: np.ndarray
+    parent: "_Level | None"
+    U: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.chosen)
+        return len(self.edge)
 
     def __getitem__(self, run: slice) -> "_Level":
-        return _Level(self.chosen[run], self.U[run], self.alpha[run], self.A[run], self.b[run])
+        U = None if self.U is None else self.U[run]
+        return _Level(self.edge[run], self.alpha[run], self.up[run], self.parent, U)
 
 
-def _slack_lps(G: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_max_slack_simplex`` in stacks of at most STACK_CAP programs;
-    a program's answer does not depend on its stack."""
-    parts = [_max_slack_simplex(G[i : i + STACK_CAP], b[i : i + STACK_CAP]) for i in range(0, len(G), STACK_CAP)]
+def _reflect(U: np.ndarray, a_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """An edge direction a_vec (C, n) in the free directions U (C, n, d)
+    of its node: g = a_vec U, its squared norm g2 (1 where a_vec misses
+    the subspace), that miss, and the child's basis Uc (C, n, d - 1).
+    The reflector that sends g to +-|g| e_1 keeps its other columns for
+    Uc, which span g's complement.  Every product keeps the shapes of a
+    one-edge computation, so a row's bits do not depend on the stack."""
+    d = U.shape[2]
+    g = (a_vec[:, None, :] @ U)[:, 0]
+    g2 = (g[:, None, :] @ g[:, :, None])[:, 0, 0]
+    degenerate = g2 < 1e-24
+    g2 = np.where(degenerate, 1.0, g2)  # degenerate rows compute throwaway values
+    v = g.copy()
+    norm = np.sqrt(g2)
+    v[:, 0] += np.where(v[:, 0] >= 0, norm, -norm)
+    vv = (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+    H = np.eye(d) - (v[:, :, None] * v[:, None, :]) * (2.0 / vv)[:, None, None]
+    return g, g2, degenerate, U @ H[:, :, 1:]
+
+
+def _slack_lps(count: int, m: int, d: int, program: Callable[[slice], tuple[np.ndarray, np.ndarray]]):
+    """``_max_slack_simplex`` on count programs of m rows in d free
+    directions, in stacks of as many programs as STACK_BYTES holds of
+    their tableaux.  program(s) gives the stacked (G, b) of the programs
+    in the slice s, so no array holds more than one stack of them.  A
+    program's answer does not depend on its stack."""
+    size = _fit(_tableau_bytes(m, d))
+    parts = [_max_slack_simplex(*program(slice(s, s + size))) for s in range(0, count, size)]
     return np.concatenate([eps for eps, _ in parts]), np.concatenate([v for _, v in parts])
 
 
@@ -265,12 +341,11 @@ def _first_true(rows: np.ndarray) -> np.ndarray:
     return np.where(rows.any(axis=1), rows.argmax(axis=1), rows.shape[1])
 
 
-def _line_verdicts(Uc: np.ndarray, A_c: np.ndarray, off: np.ndarray) -> np.ndarray:
+def _line_verdicts(slope: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Feasibility of the rows A alpha <= b on each child line
-    alpha_c + s Uc[:, 0], stacked: A_c (C, M, n), Uc (C, n, 1) and
-    off = b - A alpha_c (C, M).  Interval intersection at the margin,
-    and at zero to tell a prune from a tie."""
-    slope = (A_c @ Uc[:, :, :1])[..., 0]
+    alpha_c + s u, stacked: slope = A u and off = b - A alpha_c, both
+    (C, M).  Interval intersection at the margin, and at zero to tell a
+    prune from a tie."""
     pos, neg = slope > 1e-13, slope < -1e-13
     flat_min = np.where(pos | neg, np.inf, off).min(axis=1)
     qp = np.divide(off, slope, out=np.zeros_like(off), where=pos)
@@ -287,6 +362,20 @@ def _line_verdicts(Uc: np.ndarray, A_c: np.ndarray, off: np.ndarray) -> np.ndarr
     return np.where(~empty(SLACK_MARGIN), _FEASIBLE, np.where(empty(0.0), _PRUNE, _TIE))
 
 
+def _line_window(off: np.ndarray, slope: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows slope * s <= off (..., M) of a stack of lines, each
+    relaxed by SLACK_MARGIN: the highest and lowest s they allow, and
+    whether a flat row allows none.  off is overwritten."""
+    off += SLACK_MARGIN
+    up, down = slope > 1e-13, slope < -1e-13
+    flat_out = ((off < 0.0) & ~(up | down)).any(axis=-1)
+    np.divide(off, slope, out=off, where=up)
+    hi = np.minimum.reduce(off, axis=-1, where=up, initial=np.inf)
+    np.divide(off, slope, out=off, where=down)
+    lo = np.maximum.reduce(off, axis=-1, where=down, initial=-np.inf)
+    return hi, lo, flat_out
+
+
 class _CellSearch:
     """Edge-tuple search with lower-hull pruning, expanded one level
     batch at a time and walked depth first.
@@ -297,12 +386,22 @@ class _CellSearch:
     the free dimension and the row counts, so a contiguous run of them
     (a ``_Level``) is tested as one stack: the point-survival test, the
     line screen, the projection of every candidate edge into its child
-    cone, and the max-slack programs, one simplex call per stack of at
-    most STACK_CAP programs.  A strictly feasible projected point
-    certifies an edge by itself; otherwise interval intersection decides
-    a child line, and the max-slack simplex every child cone with two or
-    more free dimensions, as in MixedVol.  At the last support the normal
-    is pinned per edge and checked directly.
+    cone, and the max-slack programs.  One byte budget, STACK_BYTES,
+    sizes every stack: a run holds as many nodes as their largest
+    per-node arrays fit in it (``_node_bytes``), a pass of ``_verdicts``
+    as many candidate edges as their rows or simplex programs fit, and a
+    simplex call as many programs.  What one node costs is cut to what
+    it must hold: the nodes of a level share the rows of their chosen
+    edges (``_rows``), a run of children keeps only its points alpha
+    and is given its bases when the walk reaches it, and the screens bound the
+    lines and pinned normals in the node's own coordinates, one chosen
+    edge's rows at a time.
+
+    A strictly feasible projected point certifies an edge by itself;
+    otherwise interval intersection decides a child line, and the
+    max-slack simplex every child cone with two or more free dimensions,
+    as in MixedVol.  At the last support the normal is pinned per edge
+    and checked directly.
 
     A node's children keep the order (-slack, p, q), fattest cone
     first; the children of a run are searched in contiguous chunks,
@@ -328,33 +427,72 @@ class _CellSearch:
         self.order = sorted(
             range(len(lifted.points)), key=lambda i: (len(lifted.points[i]), i)
         )
+        # the rows of a node at each depth: k - 2 per chosen edge
+        self.width = np.cumsum([0] + [max(len(lifted.points[s]) - 2, 0) for s in self.order])
 
     def _root(self) -> _Level:
         n = self.n
-        return _Level([()], np.eye(n)[None], np.zeros((1, n)), np.zeros((1, 0, n)), np.zeros((1, 0)))
+        edge = np.zeros((1, 0), dtype=np.intp)
+        return _Level(edge, np.zeros((1, n)), np.zeros(1, dtype=np.intp), None, np.eye(n)[None])
 
     def feasible_edges(self, sup: int) -> np.ndarray:
         """The (E, 2) point pairs of the support that are a lower edge
         for some normal."""
         pq = np.array(list(itertools.combinations(range(len(self.points[sup])), 2)), dtype=np.intp).reshape(-1, 2)
-        verdict, _, _ = self._verdicts(sup, self._root(), np.zeros(len(pq), dtype=np.intp), pq[:, 0], pq[:, 1])
+        size = _fit(_candidate_bytes(max(len(self.points[sup]) - 2, 0), self.n, self.n))
+        root, verdict = self._root(), np.zeros(len(pq), dtype=int)
+        for s in range(0, len(pq), size):
+            p, q = pq[s : s + size].T
+            verdict[s : s + size] = self._verdicts(sup, root, np.zeros(len(p), dtype=np.intp), p, q)[0]
         if (verdict == _TIE).any():
             raise TieDetected(f"support {sup}: an edge at the margin")
         return pq[verdict == _FEASIBLE]
+
+    def _edge_rows(self, sup, p, q) -> tuple[np.ndarray, np.ndarray]:
+        """The rows pts[p] - pts[c] <= ws[c] - ws[p], c != p, q, that keep
+        each pair (p[i], q[i]) minimal on its support: (C, k-2, n) and
+        (C, k-2)."""
+        pts, ws = self.points[sup], self.lifts[sup]
+        C = len(p)
+        keep = np.ones((C, len(pts)), dtype=bool)
+        keep[np.arange(C), p] = keep[np.arange(C), q] = False
+        others = np.nonzero(keep)[1].reshape(C, max(len(pts) - 2, 0))  # a one-point support has no pair
+        return pts[p][:, None, :] - pts[others], ws[others] - ws[p][:, None]
+
+    def _row_blocks(self, edge: np.ndarray):
+        """The rows that the chosen edges edge (N, depth) of N nodes
+        impose, one depth at a time: (N, k-2, n) and (N, k-2) per depth,
+        gathered from the rows every node that chose an edge shares."""
+        for t, s in enumerate(self.order[: edge.shape[1]]):
+            rows, rhs = self.edge_rows[s]
+            yield rows[edge[:, t]], rhs[edge[:, t]]
+
+    def _rows(self, edge: np.ndarray, extra: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """All the rows A alpha <= b that the chosen edges edge (N, depth)
+        of N nodes impose, (N, m, n) and (N, m); ``extra`` more rows at the
+        end are left for the caller to fill."""
+        N, m = len(edge), self.width[edge.shape[1]]
+        A, b = np.empty((N, m + extra, self.n)), np.empty((N, m + extra))
+        for t, (rows, rhs) in enumerate(self._row_blocks(edge)):
+            at = slice(self.width[t], self.width[t + 1])
+            A[:, at], b[:, at] = rows, rhs
+        return A, b
 
     def _verdicts(self, sup, level: _Level, node, p, q):
         """Verdicts on the candidate edges (p[c], q[c]) of the nodes
         node[c] of the level, all in one stack.  Returns the verdicts
         (C,), the slacks (C,) that order feasible children, and the
-        children's stacked (Uc, alpha_c, A_c, b_c), meaningful in the
-        feasible rows.
+        children's points alpha_c (C, n), meaningful in the feasible
+        rows.
 
         An edge's equality, eliminated inside the node's free subspace,
         gives the child's point alpha_c, and a Householder reflector
         gives the child's basis Uc.  Every product keeps the shapes of a
         one-edge computation, stacked along a leading axis, so each
-        row's bits do not depend on the stack.  The LPs still open give
-        the max separation slack over the child's affine subspace and its
+        row's bits do not depend on the stack.  The child's rows A_c (C,
+        M, n) and its basis Uc live only inside this call; the walk makes
+        Uc again when it reaches the child.  The LPs still open give the max
+        separation slack over the child's affine subspace and its
         maximizer, the deepest point of the cone and a good base for the
         grandchildren; a child plane keeps its projected point and zero
         slack, which fixes the order of the cells.  A simplex that gives
@@ -363,27 +501,16 @@ class _CellSearch:
         U, alpha = level.U[node], level.alpha[node]
         C, d = len(node), U.shape[2]
         a_vec = pts[p] - pts[q]
-        g = (a_vec[:, None, :] @ U)[:, 0]
-        g2 = (g[:, None, :] @ g[:, :, None])[:, 0, 0]
+        g, g2, degenerate, Uc = _reflect(U, a_vec)
         rho = ws[q] - ws[p] - (a_vec[:, None, :] @ alpha[:, :, None])[:, 0, 0]
         # an equality outside the free subspace: prune, or tie at the margin
-        degenerate = g2 < 1e-24
         verdict = np.where(degenerate & (np.abs(rho) < SLACK_MARGIN), _TIE, _PRUNE)
-        g2 = np.where(degenerate, 1.0, g2)  # degenerate rows compute throwaway values
         alpha_c = alpha + (U @ (g * (rho / g2)[:, None])[:, :, None])[..., 0]
-        # the reflector sends g to +-|g| e_1, so its other columns span g's complement
-        v = g.copy()
-        norm = np.sqrt(g2)
-        v[:, 0] += np.where(v[:, 0] >= 0, norm, -norm)
-        vv = (v[:, None, :] @ v[:, :, None])[:, 0, 0]
-        H = np.eye(d) - (v[:, :, None] * v[:, None, :]) * (2.0 / vv)[:, None, None]
-        Uc = U @ H[:, :, 1:]
-        # the pair is minimal on its support: rows pts[p] - pts[c] <= ws[c] - ws[p]
-        keep = np.ones((C, len(pts)), dtype=bool)
-        keep[np.arange(C), p] = keep[np.arange(C), q] = False
-        others = np.nonzero(keep)[1].reshape(C, max(len(pts) - 2, 0))  # a one-point support has no pair
-        A_c = np.concatenate([level.A[node], pts[p][:, None, :] - pts[others]], axis=1)
-        b_c = np.concatenate([level.b[node], ws[others] - ws[p][:, None]], axis=1)
+        del U
+        # the node's rows, then the pair's: minimal on its support
+        m = self.width[level.edge.shape[1]]
+        A_c, b_c = self._rows(level.edge[node], extra=max(len(pts) - 2, 0))
+        A_c[:, m:], b_c[:, m:] = self._edge_rows(sup, p, q)
         off = b_c - (A_c @ alpha_c[:, :, None])[..., 0]
         # a strictly feasible projected point certifies the child outright
         quick = off.min(axis=1) if off.shape[1] else np.ones(C)
@@ -392,42 +519,56 @@ class _CellSearch:
         slack = np.where(sure, quick, 0.0)
         rest = np.flatnonzero(~degenerate & ~sure)
         if not len(rest):
-            return verdict, slack, (Uc, alpha_c, A_c, b_c)
+            return verdict, slack, alpha_c
         if d == 1:
             verdict[rest] = np.where(quick[rest] <= 0.0, _PRUNE, _TIE)
-        elif d == 2:
-            verdict[rest] = _line_verdicts(Uc[rest], A_c[rest], off[rest])
+            return verdict, slack, alpha_c
+        G = A_c @ Uc  # the rows in the child's free directions, (C, M, d - 1)
+        del A_c, b_c
+        G, off = G[rest], off[rest]
+        if d == 2:
+            verdict[rest] = _line_verdicts(G[:, :, 0], off)
         else:
-            eps, V = _slack_lps(A_c[rest] @ Uc[rest], off[rest])
+            eps, V = _slack_lps(len(rest), off.shape[1], d - 1, lambda s: (G[s], off[s]))
             won = eps > SLACK_MARGIN
             verdict[rest] = np.where(won, _FEASIBLE, np.where(eps <= 0.0, _PRUNE, _TIE))  # NaN ties
             if d > 3:  # a child plane keeps its projected point and zero slack
                 slack[rest[won]] = eps[won]
                 alpha_c[rest[won]] += (Uc[rest[won]] @ V[won][:, :, None])[..., 0]
-        return verdict, slack, (Uc, alpha_c, A_c, b_c)
+        return verdict, slack, alpha_c
 
     def _surviving_points(self, sup, level: _Level) -> tuple[np.ndarray, np.ndarray]:
         """One-point tests: which points of the support can be minimal
-        somewhere in each node's cone, (N, k), and which nodes tie, (N,)."""
+        somewhere in each node's cone, (N, k), and which nodes tie, (N,).
+
+        Point a is minimal where the rows pts[a] - pts[c] <= ws[c] -
+        ws[a], c != a, hold besides the node's own rows.  The two blocks
+        are multiplied out apart, the node's once per node, and joined
+        only in the stacks of the programs that the quick check leaves
+        open."""
         pts, ws = self.points[sup], self.lifts[sup]
-        N, k, n, m = len(level), len(pts), self.n, level.b.shape[1]
-        # point a is minimal: rows pts[a] - pts[c] <= ws[c] - ws[a], c != a
+        N, k, d = len(level), len(pts), level.U.shape[2]
         others = ~np.eye(k, dtype=bool)
-        rows = (pts[:, None, :] - pts[None, :, :])[others].reshape(k, k - 1, n)
+        rows = (pts[:, None, :] - pts[None, :, :])[others].reshape(k, k - 1, self.n)
         rhs = (ws[None, :] - ws[:, None])[others].reshape(k, k - 1)
-        A_c = np.concatenate(
-            [np.broadcast_to(level.A[:, None], (N, k, m, n)), np.broadcast_to(rows, (N, k, k - 1, n))], axis=2
-        )
-        b_c = np.concatenate([np.broadcast_to(level.b[:, None], (N, k, m)), np.broadcast_to(rhs, (N, k, k - 1))], axis=2)
-        off = b_c - (A_c @ level.alpha[:, None, :, None])[..., 0]
-        slack = off.min(axis=2)
+        U, alpha = level.U, level.alpha
+        A, b = self._rows(level.edge)
+        own = b - (A @ alpha[:, :, None])[..., 0]  # (N, m)
+        point = rhs - (rows @ alpha[:, None, :, None])[..., 0]  # (N, k, k-1)
+        slack = np.minimum(own.min(axis=1)[:, None], point.min(axis=2))
         # one stacked simplex for every point whose quick check fails
         i, a = np.nonzero(slack <= SLACK_MARGIN)
-        G, h = A_c[i, a] @ level.U[i], off[i, a]
-        del A_c, b_c, off  # the simplex is this test's peak of memory
         tie = np.zeros(N, dtype=bool)
         if len(i):
-            eps, _ = _slack_lps(G, h)
+            AU = A @ U
+            del A, b
+
+            def program(s: slice) -> tuple[np.ndarray, np.ndarray]:
+                ii, aa = i[s], a[s]
+                G = np.concatenate([AU[ii], rows[aa] @ U[ii]], axis=1)
+                return G, np.concatenate([own[ii], point[ii, aa]], axis=1)
+
+            eps, _ = _slack_lps(len(i), own.shape[1] + k - 1, d, program)
             tie[i[np.isnan(eps)]] = True
             slack[i, a] = eps
         tie |= ((slack > 0.0) & (slack <= SLACK_MARGIN)).any(axis=1)
@@ -438,15 +579,19 @@ class _CellSearch:
         that survive one array pass: an edge is dropped when its child
         line surely holds no feasible point.
 
-        Each edge's line is the one ``_verdicts`` builds (alpha_c and
-        the same Householder column); an edge is dropped when the
-        interval test finds the line empty even with every row relaxed
-        by SLACK_MARGIN, or when the edge's equality misses the parent's
-        subspace by more than twice the margin, so ``_verdicts`` would
-        prune it.  The others go to ``_verdicts`` unchanged."""
+        Each edge's line is the one ``_verdicts`` builds (the point that
+        solves the edge's equality and the same Householder column),
+        written in the node's coordinates U: alpha0 + U (c + s u).  An
+        edge is dropped when the interval test finds the line empty even
+        with every row relaxed by SLACK_MARGIN, or when the edge's
+        equality misses the parent's subspace by more than twice the
+        margin, so ``_verdicts`` would prune it.  The others go to
+        ``_verdicts`` unchanged.  The support's points and the rows of
+        each chosen edge bound the line in turn, and their windows are
+        intersected."""
         pq = self.edges[sup]
         pts, ws = self.points[sup], self.lifts[sup]
-        U, alpha0, A_acc, b_acc = level.U, level.alpha, level.A, level.b
+        U, alpha0 = level.U, level.alpha
         p, q = pq[:, 0], pq[:, 1]
         e = np.arange(len(pq))
         a_vec = pts[p] - pts[q]
@@ -455,40 +600,44 @@ class _CellSearch:
         degenerate = g2 < 1e-24  # no line: the verdict prunes unless rho ties
         g2 = np.where(degenerate, 1.0, g2)
         rho = ws[q] - ws[p] - (a_vec @ alpha0[:, :, None])[..., 0]
-        UT = U.transpose(0, 2, 1)
-        alpha_c = alpha0[:, None, :] + (g * (rho / g2)[..., None]) @ UT
+        c = g * (rho / g2)[..., None]
         # second column of the reflector I - 2 w w^T / w.w, w = g + sign(g0)|g| e1
         g0, g1 = g[..., 0], g[..., 1]
-        norm = np.sqrt(g2)
-        w0 = g0 + np.where(g0 >= 0, norm, -norm)
+        w0 = g0 + np.where(g0 >= 0, np.sqrt(g2), -np.sqrt(g2))
         ww = w0 * w0 + g1 * g1
-        direction = np.stack([-2.0 * w0 * g1 / ww, 1.0 - 2.0 * g1 * g1 / ww], axis=-1) @ UT
-        # rows A alpha <= b on alpha_c + s direction: (A direction) s <= off
-        vals = alpha_c @ pts.T + ws
-        dvals = direction @ pts.T
-        AT = A_acc.transpose(0, 2, 1)
-        off = np.concatenate([b_acc[:, None, :] - alpha_c @ AT, vals - vals[:, e, p][..., None]], axis=2)
-        slope = np.concatenate([direction @ AT, dvals[:, e, p][..., None] - dvals], axis=2)
-        own = b_acc.shape[1] + pq.T  # the pair's own points give no row
-        off[:, e, own] = np.inf
-        slope[:, e, own] = 0.0
-        off += SLACK_MARGIN
-        up, down = slope > 1e-13, slope < -1e-13
-        flat = ~(up | down)
-        hi = np.divide(off, slope, out=np.full(off.shape, np.inf), where=up).min(axis=2)
-        lo = np.divide(off, slope, out=np.full(off.shape, -np.inf), where=down).max(axis=2)
-        empty = (flat & (off < 0.0)).any(axis=2) | (lo > hi)
-        return ~np.where(degenerate, np.abs(rho) > 2.0 * SLACK_MARGIN, empty)
+        u = np.stack([-2.0 * w0 * g1 / ww, 1.0 - 2.0 * g1 * g1 / ww], axis=-1)
+        del g, g0, g1, g2, w0, ww
+        # a row a.alpha <= b on the line: (a U u) s <= b - a.alpha0 - (a U) c;
+        # first the support's points: pts[p] - pts[r] <= ws[r] - ws[p]
+        PU = (pts @ U).transpose(0, 2, 1)  # (N, 2, k)
+        off = c @ PU + (alpha0 @ pts.T + ws)[:, None, :]  # the lifted values, then the slacks
+        off -= off[:, e, p][..., None]
+        slope = u @ PU
+        np.subtract(slope[:, e, p][..., None], slope, out=slope)
+        off[:, e, pq.T] = np.inf  # the pair's own points give no row
+        slope[:, e, pq.T] = 0.0
+        hi, lo, empty = _line_window(off, slope)
+        del off, slope
+        for A, b in self._row_blocks(level.edge):
+            AU = (A @ U).transpose(0, 2, 1)  # (N, 2, w)
+            off = c @ AU
+            np.subtract((b - (A @ alpha0[:, :, None])[..., 0])[:, None, :], off, out=off)
+            hi_t, lo_t, empty_t = _line_window(off, u @ AU)
+            hi, lo, empty = np.minimum(hi, hi_t), np.maximum(lo, lo_t), empty | empty_t
+        return ~np.where(degenerate, np.abs(rho) > 2.0 * SLACK_MARGIN, empty | (lo > hi))
 
     def _expand(self, sup, level: _Level) -> tuple[_Level, bool]:
         """The children of the level's nodes in depth-first order, up to
         the first node that ties, and whether one ties.  The candidate
-        edges that pass the screens go to ``_verdicts`` at most STACK_CAP
-        at a time."""
+        edges that pass the screens go to ``_verdicts`` as many at a time
+        as STACK_BYTES holds of their rows or of their simplex programs.
+        The children keep their points and their parents; the walk gives
+        a run of them its bases when it gets there."""
         pq = self.edges[sup]
-        N, d, m = len(level), level.U.shape[2], level.b.shape[1]
+        N, d, k = len(level), level.U.shape[2], len(self.points[sup])
+        m = self.width[level.edge.shape[1]]
         tie = np.zeros(N, dtype=bool)
-        if d >= 3 and len(self.points[sup]) >= 6 and m >= 10:
+        if d >= 3 and k >= 6 and m >= 10:
             alive, tie = self._surviving_points(sup, level)
             mask = alive[:, pq[:, 0]] & alive[:, pq[:, 1]]
         elif d == 2:
@@ -496,48 +645,55 @@ class _CellSearch:
         else:
             mask = np.ones((N, len(pq)), dtype=bool)
         node, e = np.nonzero(mask)
-        found = []
-        for s in range(0, len(node) or 1, STACK_CAP):  # one call even without candidates gives the shapes
-            nd, pe = node[s : s + STACK_CAP], pq[e[s : s + STACK_CAP]]
-            verdict, slack, kids = self._verdicts(sup, level, nd, pe[:, 0], pe[:, 1])
+        size = _fit(_candidate_bytes(m + max(k - 2, 0), self.n, d))
+        found = [(node[:0], e[:0], np.zeros(0), np.zeros((0, self.n)))]
+        for s in range(0, len(node), size):
+            nd, ed = node[s : s + size], e[s : s + size]
+            verdict, slack, alpha_c = self._verdicts(sup, level, nd, pq[ed, 0], pq[ed, 1])
             tie[nd[verdict == _TIE]] = True
             won = verdict == _FEASIBLE
-            found.append((nd[won], pe[won], slack[won], *(x[won] for x in kids)))
-        node, pe, slack, *kids = (np.concatenate(x) for x in zip(*found))
+            found.append((nd[won], ed[won], slack[won], alpha_c[won]))
+        node, e, slack, alpha_c = (np.concatenate(x) for x in zip(*found))
         stop = _first_true(tie[None])[0]
         rows = np.flatnonzero(node < stop)
-        # fattest cone first within each node
-        rows = rows[np.lexsort((pe[rows, 1], pe[rows, 0], -slack[rows], node[rows]))]
-        chosen = [level.chosen[node[r]] + (tuple(pe[r].tolist()),) for r in rows]
-        return _Level(chosen, *(x[rows] for x in kids)), stop < N
+        # fattest cone first within each node; edge indices follow (p, q) order
+        rows = rows[np.lexsort((e[rows], -slack[rows], node[rows]))]
+        edge = np.concatenate([level.edge[node[rows]], e[rows, None]], axis=1)
+        return _Level(edge, alpha_c[rows], node[rows], level), stop < N
 
     def _leaves(self, sup, level: _Level) -> tuple[list[np.ndarray], np.ndarray]:
         """At one free dimension the normal is pinned per candidate edge:
         one stacked check of every edge of every node.  Returns, per
         node, the edges that complete a tuple, in edge order and up to
-        its first tie, and which nodes tie."""
+        its first tie, and which nodes tie.  The pinned normal of edge e
+        is alpha0 + U t[e] on the node's line, so a row's slack there is
+        its slack at alpha0 less its rate along U times t[e]; the rows of
+        each chosen edge are checked in turn."""
         pq = self.edges[sup]
         N, E = len(level), len(pq)
         if not E:
             return [pq] * N, np.zeros(N, dtype=bool)
         pts, ws = self.points[sup], self.lifts[sup]
-        U, alpha0, inA, inb = level.U, level.alpha, level.A, level.b
+        U, alpha0 = level.U, level.alpha
         p, q = pq[:, 0], pq[:, 1]
         Aed, red = pts[p] - pts[q], ws[q] - ws[p]
         g = Aed @ U  # (N, E, 1)
         rho = red - (Aed @ alpha0[:, :, None])[..., 0]
         gnorm2 = np.einsum("nij,nij->ni", g, g)
         degenerate = gnorm2 < 1e-24
-        v0 = rho / np.where(degenerate, 1.0, gnorm2)
-        ALPH = alpha0[:, :, None] + U @ (g.transpose(0, 2, 1) * v0[:, None, :])  # (N, n, E)
-        VALS = pts @ ALPH + ws[:, None]
+        t = (g[..., 0] * (rho / np.where(degenerate, 1.0, gnorm2)))[:, None, :]  # (N, 1, E)
         idx = np.arange(E)
-        SL = VALS - VALS[:, p, idx][:, None, :]
+        SL = (pts @ U) * t  # the lifted values, then each edge's slacks
+        SL += pts @ alpha0[:, :, None] + ws[:, None]
+        SL -= SL[:, p, idx][:, None, :]
         SL[:, p, idx] = np.inf
         SL[:, q, idx] = np.inf
         mins = SL.min(axis=1)
-        if inb.shape[1]:
-            mins = np.minimum(mins, (inb[:, :, None] - inA @ ALPH).min(axis=1))
+        del SL
+        for A, b in self._row_blocks(level.edge):
+            R = (A @ U) * t
+            np.subtract((b - (A @ alpha0[:, :, None])[..., 0])[:, :, None], R, out=R)
+            mins = np.minimum(mins, R.min(axis=1, initial=np.inf))
         tied = np.where(degenerate, np.abs(rho) < SLACK_MARGIN, (mins > 0.0) & (mins <= SLACK_MARGIN))
         stop = _first_true(tied)
         leaf = ~degenerate & (mins > SLACK_MARGIN) & (idx < stop[:, None])
@@ -547,13 +703,33 @@ class _CellSearch:
         """Visit every edge tuple that survives the search, in depth-first
         order; visit returns False to stop the whole search early."""
         self.edges = {sup: self.feasible_edges(sup) for sup in self.order}
+        self.edge_rows = {sup: self._edge_rows(sup, pq[:, 0], pq[:, 1]) for sup, pq in self.edges.items()}
         return self._walk(0, self._root(), visit)
 
-    def _walk(self, depth: int, level: _Level, visit) -> bool:
+    def _node_bytes(self, depth: int) -> int:
+        """The bytes per node of the largest array the tests of a node
+        at the depth hold: its candidate edges against its support's
+        points (or against the rows of one chosen edge, which are fewer),
+        or the free directions of as many children."""
         sup = self.order[depth]
+        return 8 * len(self.edges[sup]) * max(len(self.points[sup]), self.n * (self.n - depth))
+
+    def _walk(self, depth: int, level: _Level, visit) -> bool:
+        """Search the level's subtrees in order: expand the level, then
+        walk its children in runs of as many nodes as STACK_BYTES holds
+        (``_node_bytes``).  A run of children first gets its bases, made
+        from its parents' in the products ``_verdicts`` made them with,
+        so they are the same bits."""
+        sup = self.order[depth]
+        if level.U is None:
+            pts = self.points[self.order[depth - 1]]
+            p, q = self.edges[self.order[depth - 1]][level.edge[:, -1]].T
+            level.U = _reflect(level.parent.U[level.up], pts[p] - pts[q])[3]
         if level.U.shape[2] == 1:
             ends, ties = self._leaves(sup, level)
-            for chosen, end, tie in zip(level.chosen, ends, ties):
+            pairs = [self.edges[s][level.edge[:, t]].tolist() for t, s in enumerate(self.order[:depth])]
+            for i, (end, tie) in enumerate(zip(ends, ties)):
+                chosen = [tuple(pair[i]) for pair in pairs]
                 for p, q in end.tolist():
                     if not visit([*chosen, (p, q)]):
                         return False
@@ -561,7 +737,7 @@ class _CellSearch:
                     raise TieDetected("pinned normal slack at the margin")
             return True
         children, tie = self._expand(sup, level)
-        size = max(1, STACK_CAP // len(self.points[self.order[depth + 1]]))
+        size = _fit(self._node_bytes(depth + 1))
         for start in range(0, len(children), size):
             if not self._walk(depth + 1, children[start : start + size], visit):
                 return False
@@ -740,20 +916,14 @@ def binomial_solutions(V: list[list[int]], beta: Sequence[complex]) -> list[np.n
     return sols
 
 
-class PolyhedralHomotopy:
-    """The continuations of a list of cells, one path per row: the
-    coefficients of g weighted by t raised to the (rescaled) lifted
-    slacks of the path's cell.  At t=0 only the cell's binomial
-    survives; at t=1 every weight is 1 and the system is the start
-    system g itself, which is the homotopy's ``target``.  The evaluators
-    are the same for every cell, so ``select`` slices the rows of
-    t-exponents."""
-
-    shift = None
-
-    def __init__(self, g: PolySystem, cells: Sequence[MixedCell], supports: Support):
-        self.target = g
-        self.dim = g.nvars
+def _cell_evaluators(g: PolySystem, supports: Support):
+    """The value, magnitude and Jacobian evaluators of g on the supports,
+    and the term of g that each Jacobian term differentiates.  They do
+    not depend on the cells, so they are built once per (g, supports)
+    and kept in g's cache."""
+    key = ("cell evaluators", supports)
+    built = g._cache.get(key)
+    if built is None:
         rows = []
         jrows = []
         jterm = []  # the term of g each Jacobian term differentiates
@@ -773,11 +943,27 @@ class PolyhedralHomotopy:
                     jterm.append(sum(map(len, rows)) + k)
                 jrows.append(tuple(dterms))
             rows.append(tuple(row))
-        self._ev = _StackedEvaluator(rows, g.nvars)
-        self._aev = _StackedEvaluator(
-            [tuple((e, abs(c)) for e, c in row) for row in rows], g.nvars
-        )
-        self._jev = _StackedEvaluator(jrows, g.nvars)
+        ev = _StackedEvaluator(rows, g.nvars)
+        aev = _StackedEvaluator([tuple((e, abs(c)) for e, c in row) for row in rows], g.nvars)
+        built = g._cache[key] = (ev, aev, _StackedEvaluator(jrows, g.nvars), np.array(jterm, dtype=np.intp))
+    return built
+
+
+class PolyhedralHomotopy:
+    """The continuations of a list of cells, one path per row: the
+    coefficients of g weighted by t raised to the (rescaled) lifted
+    slacks of the path's cell.  At t=0 only the cell's binomial
+    survives; at t=1 every weight is 1 and the system is the start
+    system g itself, which is the homotopy's ``target``.  The evaluators
+    are the same for every cell, and for every homotopy of g on the
+    same supports, so ``select`` slices the rows of t-exponents."""
+
+    shift = None
+
+    def __init__(self, g: PolySystem, cells: Sequence[MixedCell], supports: Support):
+        self.target = g
+        self.dim = g.nvars
+        self._ev, self._aev, self._jev, jterm = _cell_evaluators(g, supports)
         raw = np.array([[w for ws in cell.texps for w in ws] for cell in cells], dtype=float)
         positive = raw > SLACK_MARGIN
         scale = 1.0 / np.where(positive, raw, np.inf).min(axis=1, keepdims=True)

@@ -7,6 +7,7 @@ failing."""
 import importlib
 import importlib.util
 import inspect
+import subprocess
 import sys
 from pathlib import Path
 
@@ -105,3 +106,11 @@ def test_the_pipelined_start_system_calls_pipeline_run(monkeypatch):
     for args, result in runs:
         assert isinstance(args[2], PipelineConfig)
         assert isinstance(result[1].producer_blocked, float)
+
+
+def test_the_benchmark_self_test_passes():
+    # it runs the benchmark's own checks against this solver: a change
+    # that breaks the benchmark fails here, not in a benchmark run
+    selftest = SPANS.parent / "selftest.py"
+    out = subprocess.run([sys.executable, str(selftest)], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stdout + out.stderr

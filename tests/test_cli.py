@@ -29,6 +29,17 @@ def test_bad_dim_ends_with_a_message_in_a_cell_budget_run(capsys):
     assert capsys.readouterr().err == "bad input: --dim must be in 0..3, got 7\n"
 
 
+@pytest.mark.parametrize("budget", [["--max-cells", "3"], ["--budget-seconds", "60"]])
+def test_a_cell_budget_run_reports_its_rate_and_peak_memory(capsys, budget):
+    assert main(["bench", "cyclic", "--n", "4", "--dim", "1", "--seed", "7", *budget]) == EXIT_OK
+    line = capsys.readouterr().out.strip()
+    head, rate, peak = line.split(", ")[-3:]
+    assert head.endswith("cleanly)" if budget[0] == "--max-cells" else "complete)")
+    assert rate.endswith(" cells/s") and float(rate.split()[0]) > 0
+    assert peak.startswith("peak resident set ") and peak.endswith(" MB")
+    assert float(peak.split()[-2]) > 1
+
+
 def test_environment_variables_set_no_flag(tmp_path, monkeypatch):
     # flags are the only settings: a malformed value left in the
     # environment must not break the parser

@@ -6,6 +6,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from nidpipe import polyhedral
 from nidpipe.polynomials import PolySystem, make_poly, residual
 from nidpipe.polyhedral import (
     SLACK_MARGIN,
-    STACK_CAP,
+    STACK_BYTES,
     LiftedSupport,
     MixedCell,
     TieDetected,
@@ -155,11 +156,11 @@ def test_a_tie_the_walk_stops_before_is_never_raised(monkeypatch):
     events = []
 
     def tied(self, sup, level, node, p, q):
-        verdict, slack, kids = real(self, sup, level, node, p, q)
+        verdict, slack, alpha_c = real(self, sup, level, node, p, q)
         if len(level) > 1 and "tie" not in events and len(node):
             verdict[node == node.max()] = _TIE
             events.append("tie")
-        return verdict, slack, kids
+        return verdict, slack, alpha_c
 
     monkeypatch.setattr(_CellSearch, "_verdicts", tied)
 
@@ -367,6 +368,27 @@ def test_start_paths_that_jumped_are_retracked_each_on_its_own_cell(monkeypatch)
         (alone,) = tracker.track_paths(h, starts[:1], _cautious=True)
         assert alone.status == "converged"
         assert _result_bits(results[i]) == _result_bits(alone)
+
+
+def test_cell_homotopies_of_one_start_system_share_their_evaluators():
+    # the evaluators depend on g and the supports only: a second homotopy
+    # of g reuses the first one's, and its paths keep their bits (the
+    # digest is the paths' results as they were when every homotopy
+    # built its own evaluators)
+    from nidpipe.tracker import track_paths
+
+    system = embed(cyclic(5), 1, 7).system
+    supports = supports_of(system)
+    g = random_coefficient_system(supports, system.nvars, 7)
+    cells = []
+    enumerate_cells(lift_supports(supports, 7), lambda c: cells.append(c) or len(cells) < 4)
+    first, second = polyhedral.cell_homotopy(cells[:2], g, supports), polyhedral.cell_homotopy(cells[2:], g, supports)
+    for name in ("_ev", "_aev", "_jev"):
+        assert getattr(first[0], name) is getattr(second[0], name)
+    results = track_paths(*first) + track_paths(*second)
+    assert len(results) == 9
+    digest = hashlib.sha1(repr([_result_bits(r) for r in results]).encode()).hexdigest()
+    assert digest == "8b02203d53e7a8c5cd1761f5087f2649ff33045d"
 
 
 # -- the max-slack LP ---------------------------------------------------------
@@ -639,6 +661,21 @@ def _vertex_enumeration(G, h):
     return _PRUNE if not nonempty(0.0) else _TIE
 
 
+def _child_rows(search, sup, level, i, p, q):
+    """The rows A alpha <= b of the child of node i of the level on the
+    edge (p, q) of the support, rebuilt from the node's chosen edges: each
+    pair stays minimal on its support."""
+    chosen = [(s, *search.edges[s][level.edge[i, t]]) for t, s in enumerate(search.order[: level.edge.shape[1]])]
+    A, b = [], []
+    for s, ps, qs in chosen + [(sup, p, q)]:
+        pts, ws = search.points[s], search.lifts[s]
+        for r in range(len(pts)):
+            if r not in (ps, qs):
+                A.append(pts[ps] - pts[r])
+                b.append(ws[r] - ws[ps])
+    return np.array(A), np.array(b)
+
+
 @pytest.mark.parametrize("name", ["demo start supports", "cyclic-5@1"])
 def test_the_lp_decides_every_child_plane_as_vertex_enumeration(monkeypatch, name):
     # every candidate edge of a node with three free directions opens a
@@ -647,20 +684,22 @@ def test_the_lp_decides_every_child_plane_as_vertex_enumeration(monkeypatch, nam
     planes = []
 
     def recorded(self, sup, level, node, p, q):
-        verdict, slack, kids = real(self, sup, level, node, p, q)
+        verdict, slack, alpha_c = real(self, sup, level, node, p, q)
         if level.U.shape[2] == 3:
-            planes.append((self.points[sup], level.U[node], p, q, verdict, kids))
-        return verdict, slack, kids
+            rows = [_child_rows(self, sup, level, i, pc, qc) for i, pc, qc in zip(node, p, q)]
+            planes.append((self.points[sup], level.U[node], p, q, verdict, alpha_c, rows))
+        return verdict, slack, alpha_c
 
     monkeypatch.setattr(_CellSearch, "_verdicts", recorded)
     enumerate_cells(lift_supports(_supports(name, 7), 7), lambda cell: None)
     counts = collections.Counter()
-    for pts, U, p, q, verdict, (Uc, alpha_c, A_c, b_c) in planes:
-        g = ((pts[p] - pts[q])[:, None, :] @ U)[:, 0]
-        for c in np.flatnonzero((g * g).sum(axis=1) >= 1e-24):  # an edge outside the subspace has no plane
-            h = b_c[c] - A_c[c] @ alpha_c[c]
+    for pts, U, p, q, verdict, alpha_c, rows in planes:
+        _, _, degenerate, Uc = polyhedral._reflect(U, pts[p] - pts[q])
+        for c in np.flatnonzero(~degenerate):  # an edge outside the subspace has no plane
+            A_c, b_c = rows[c]
+            h = b_c - A_c @ alpha_c[c]
             quick = h.min() > SLACK_MARGIN
-            assert _vertex_enumeration(A_c[c] @ Uc[c], h) == verdict[c]
+            assert _vertex_enumeration(A_c @ Uc[c], h) == verdict[c]
             counts[verdict[c], quick] += 1
     assert counts[_PRUNE, False] > 0 and counts[_FEASIBLE, False] > 0 and counts[_FEASIBLE, True] > 0
 
@@ -675,16 +714,17 @@ NODE_BY_NODE = {
 }
 
 
-@pytest.mark.parametrize(
-    "name, seed",
-    [("cyclic-5@1", 7), ("demo start supports", 7), pytest.param("cyclic-6@1", 3, marks=pytest.mark.slow)],
-)
-def test_cells_come_out_in_the_order_of_a_node_by_node_search(monkeypatch, name, seed):
+PINNED_SEARCHES = [("cyclic-5@1", 7), ("demo start supports", 7), pytest.param("cyclic-6@1", 3, marks=pytest.mark.slow)]
+
+
+def _pinned_search(monkeypatch, name, seed):
+    """The pinned search of the name and seed: its (digest, count,
+    attempt), and the shapes of its simplex stacks."""
     real = polyhedral._max_slack_simplex
     stacks = []
 
     def recorded(G, b):
-        stacks.append(len(G))
+        stacks.append(G.shape)
         return real(G, b)
 
     monkeypatch.setattr(polyhedral, "_max_slack_simplex", recorded)
@@ -701,8 +741,45 @@ def test_cells_come_out_in_the_order_of_a_node_by_node_search(monkeypatch, name,
         return digest.hexdigest(), count
 
     (digest, count), attempt = generic_lifting(_supports(name, seed), seed, search)
-    assert (digest, count, attempt) == NODE_BY_NODE[name, seed]
-    assert stacks and max(stacks) <= STACK_CAP
+    return (digest, count, attempt), stacks
+
+
+@pytest.mark.parametrize("name, seed", PINNED_SEARCHES)
+def test_cells_come_out_in_the_order_of_a_node_by_node_search(monkeypatch, name, seed):
+    pinned, stacks = _pinned_search(monkeypatch, name, seed)
+    assert pinned == NODE_BY_NODE[name, seed]
+    # a stack of programs fits the byte budget, or holds one program
+    assert stacks and all(K == 1 or K * polyhedral._tableau_bytes(m, d) <= STACK_BYTES for K, m, d in stacks)
+
+
+@pytest.mark.parametrize("budget", [1, 4 * STACK_BYTES])
+@pytest.mark.parametrize("name, seed", PINNED_SEARCHES)
+def test_the_byte_budget_does_not_change_the_cells(monkeypatch, name, seed, budget):
+    # one program and one node per stack, or stacks four times as large
+    monkeypatch.setattr(polyhedral, "STACK_BYTES", budget)
+    pinned, stacks = _pinned_search(monkeypatch, name, seed)
+    assert pinned == NODE_BY_NODE[name, seed]
+    largest = max(K for K, _, _ in stacks)
+    assert largest == 1 if budget == 1 else largest > 1
+
+
+# the tracemalloc peak in bytes of the cyclic-6@1 search below, measured
+# with stacks of at most 96 programs and 96 // k nodes, before one byte
+# budget sized them
+PEAK_BEFORE_BUDGET = 889_342
+
+
+def test_the_search_peak_memory_stays_near_its_node_count_stacks():
+    lifted = lift_supports(supports_of(embed(cyclic(6), 1, 7).system), 7, 0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        enumerate_cells(lifted, lambda cell: None)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * PEAK_BEFORE_BUDGET
 
 
 # -- a seed sweep --------------------------------------------------------------
