@@ -25,6 +25,12 @@ def check_top_dimension(f: PolySystem, top_dimension: int, name: str = "top dime
         raise ValueError(f"{name} must be in {low}..{high}, got {top_dimension}")
 
 
+def check_tasks(tasks: int, name: str = "tasks") -> None:
+    """Raise ValueError unless there is at least one worker."""
+    if tasks < 1:
+        raise ValueError(f"{name} must be at least 1, got {tasks}")
+
+
 def decompose(
     f: PolySystem,
     top_dimension: int | None = None,
@@ -43,6 +49,7 @@ def decompose(
     are the only one.
     """
     check_backend(mode)
+    check_tasks(tasks)
     warnings: list[str] = []
     square, record = square_up(f, seed)
     if record.kind != "already-square":
@@ -72,12 +79,13 @@ def decompose(
     timings.first_cell = top_stats.time_first_cell
 
     t0 = time.perf_counter()
-    superset = run_cascade(top_results, emb, tasks)
+    levels = run_cascade(top_results, emb, tasks)
     timings.cascade = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    witness_sets, stages = filter_junk(superset)
-    isolated, suspects, iso_stages = classify_isolated(superset.candidates(0), witness_sets, square)
+    witness_sets, stages = filter_junk(levels)
+    candidates = next((lv.zero_slack for lv in levels if lv.dimension == 0), [])
+    isolated, suspects, iso_stages = classify_isolated(candidates, witness_sets, square)
     for w in witness_sets:
         w.points = vanishing(f, w.points)
     witness_sets = [w for w in witness_sets if w.points]
@@ -90,7 +98,7 @@ def decompose(
         isolated = _dd_polished(square, isolated, 3)
         suspects = _dd_polished(square, suspects, 3)
     timings.filtering = time.perf_counter() - t0
-    warnings += jump_warnings(top_stats, superset.levels, stages + iso_stages)
+    warnings += jump_warnings(top_stats, levels, stages + iso_stages)
 
     return DecompositionReport(
         seed=seed,
@@ -102,7 +110,7 @@ def decompose(
         witness_sets=witness_sets,
         isolated=isolated,
         suspects=suspects,
-        cascade_counts=[lv.counts for lv in superset.levels],
+        cascade_counts=[lv.counts for lv in levels],
         filter_stages=stages + iso_stages,
         top_stats=top_stats,
         timings=timings,

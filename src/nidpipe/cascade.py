@@ -9,10 +9,11 @@ with nonzero slacks one dimension down; endpoints classify three ways
 (at infinity / zero slack / nonzero slack) and the zero-slack points
 are the candidate generic points at that dimension.
 
-Every stage ends with ``guard_jumps`` on its gathered paths: the start
-system over all its cells, the continuation, and each cascade step.
-The number of paths that still coincide after the re-track is kept for
-the report's warnings.
+After the start system, every stage is one ``track_stage`` on the work
+crew: the continuation, each cascade step and each membership stage of
+``filtering``.  It ends with ``guard_jumps`` on the gathered paths, as
+the start system does over all its cells; the number of paths that
+still coincide after the re-track is kept for the report's warnings.
 """
 
 from __future__ import annotations
@@ -104,21 +105,6 @@ class CascadeLevel:
         }
 
 
-@dataclass
-class WitnessSuperset:
-    """Candidate generic points per dimension, top dimension first."""
-
-    levels: list[CascadeLevel]
-    embedding: EmbeddedSystem
-    seed: int
-
-    def candidates(self, dimension: int) -> list[Solution]:
-        for level in self.levels:
-            if level.dimension == dimension:
-                return level.zero_slack
-        return []
-
-
 def solve_start_system(
     emb_system: PolySystem,
     seed: int,
@@ -195,16 +181,17 @@ def solve_start_system(
     return g, sols, stats
 
 
-def track_on_crew(h: Homotopy, starts: np.ndarray, p: int) -> list[PathResult]:
-    """Track one stage's paths on p workers: worker i takes the strided
-    chunk starts[i::p] as one batch.  Results come back in the order of
-    starts; a job that raised fails the run with a RuntimeError."""
+def track_stage(h: Homotopy, starts: np.ndarray, p: int, groups=None) -> tuple[list[PathResult], int]:
+    """Track one stage's paths on p workers, worker i taking the chunk
+    starts[i::p] as one batch, and ``guard_jumps`` them, by ``groups``
+    when given: the results in the order of starts and the number of
+    paths that still coincide.  A job that raised fails the run."""
     chunks = [np.array(starts[i::p]) for i in range(min(p, len(starts)))]
     tracked = work_crew(chunks, p, lambda chunk: track_paths(h, chunk))
     results: list = [None] * len(starts)
     for i, out in enumerate(raise_failures(tracked, "path tracking job")):
         results[i::p] = out
-    return results
+    return guard_jumps(results, retracker(h, starts), groups)
 
 
 def solve_top(
@@ -219,10 +206,8 @@ def solve_top(
     h = LinearHomotopy(g, system, gamma)
     t0 = time.perf_counter()
     starts = np.array([s.coordinates for s in g_sols])
-    results = track_on_crew(h, starts, p)
-    results, stats.continuation_jumps = guard_jumps(results, retracker(h, starts))
+    results, stats.continuation_jumps = track_stage(h, starts, p)
     stats.time_continuation = time.perf_counter() - t0
-    out = []
     for r in results:
         stats.continuation_paths += 1
         if r.status == AT_INFINITY:
@@ -231,10 +216,9 @@ def solve_top(
             stats.finite += 1
         else:
             stats.failures += 1
-        out.append(r)
     if stats.continuation_paths and stats.finite == 0:
         raise RuntimeError("all continuation paths failed")
-    return out, stats
+    return results, stats
 
 
 def _classify_level(
@@ -288,7 +272,7 @@ def cascade_step(level: CascadeLevel, p: int = 1) -> CascadeLevel:
     gamma = complex(rngmod.unit_complex(rngmod.stream(emb.seed, rngmod.GAMMA, level.dimension)))
     h = _slack_removal_homotopy(emb, gamma)
     starts = np.array([s.coordinates for s in level.nonzero_slack])
-    tracked, jumps = guard_jumps(track_on_crew(h, starts, p), retracker(h, starts))
+    tracked, jumps = track_stage(h, starts, p)
     results = []
     for r in tracked:
         if r.succeeded and r.endpoint is not None:
@@ -305,11 +289,11 @@ def run_cascade(
     top_results: list[PathResult],
     emb: EmbeddedSystem,
     p: int = 1,
-) -> WitnessSuperset:
-    """Iterate cascade steps from the top dimension down to the number
-    of zero rows of the base system: no component lies below it."""
-    top_level = _classify_level(top_results, emb, emb.k)
-    levels = [top_level]
+) -> list[CascadeLevel]:
+    """The levels of the cascade steps, top dimension first, down to the
+    number of zero rows of the base system: no component lies below it.
+    A level's zero-slack points are its candidate generic points."""
+    levels = [_classify_level(top_results, emb, emb.k)]
     while levels[-1].dimension > zero_rows(emb.base):
         levels.append(cascade_step(levels[-1], p))
-    return WitnessSuperset(levels, emb, emb.seed)
+    return levels

@@ -14,7 +14,7 @@ import resource
 import sys
 import time
 
-from .blackbox import check_top_dimension, decompose
+from .blackbox import check_tasks, check_top_dimension, decompose
 from .parallel import (
     cascade_speedup,
     filter_speedup,
@@ -98,11 +98,12 @@ def _write_cell_log(path: str, cells: list[MixedCell]) -> None:
             }) + "\n")
 
 
-def _rejects_input(system, dim) -> bool:
+def _rejects_input(system, args) -> bool:
     """True, after one line on stderr saying why, when the solver cannot
-    take this system and top dimension."""
+    take this system, top dimension and number of tasks."""
     try:
-        check_top_dimension(system, system.nvars - 1 if dim is None else dim, "--dim")
+        check_top_dimension(system, system.nvars - 1 if args.dim is None else args.dim, "--dim")
+        check_tasks(args.tasks, "--tasks")
     except ValueError as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return True
@@ -115,7 +116,7 @@ def _seed(args) -> int:
 
 
 def _run_solve(system, args, input_path=None) -> int:
-    if _rejects_input(system, args.dim):
+    if _rejects_input(system, args):
         return EXIT_PARSE
     seed = _seed(args)
     cells: list[MixedCell] = []
@@ -186,10 +187,14 @@ def _run_model(args) -> int:
 
 def _run_bench(args) -> int:
     f = cyclic(args.n)
-    if _rejects_input(f, args.dim):
+    if _rejects_input(f, args):
         return EXIT_PARSE
+    for flag, value in (("--max-cells", args.max_cells), ("--budget-seconds", args.budget_seconds)):
+        if value is not None and value <= 0:
+            print(f"bad input: {flag} must be positive, got {value}", file=sys.stderr)
+            return EXIT_PARSE
     seed = _seed(args)
-    if args.budget_seconds or args.max_cells:
+    if args.budget_seconds is not None or args.max_cells is not None:
         square, _ = square_up(f, seed)
         emb = embed(square, args.dim, seed)
         t0 = time.monotonic()
@@ -238,7 +243,11 @@ def main(argv=None) -> int:
             return EXIT_PARSE
         return _run_solve(system, args, input_path=args.file)
     if args.command == "model":
-        return _run_model(args)
+        try:
+            return _run_model(args)
+        except ValueError as exc:
+            print(f"bad input: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     if args.command == "bench":
         return _run_bench(args)
     return EXIT_OK

@@ -6,18 +6,18 @@ some generic point onto it.  Filtering runs top-down: candidates at
 dimension d are tested against every confirmed witness set of higher
 dimension, survivors with a regular restricted Jacobian form the
 dimension-d witness set, and dimension-0 candidates split into regular
-isolated solutions and singular suspects that run the same membership
-chain.
+isolated solutions and singular suspects that run the same chain of
+stages, ``_membership_chain``.
 
-Each (candidate level, witness set) pair is one stage, run in the
-calling process as one batch: every witness point moves toward the
-hyperplanes through every candidate not already on one, and these
-n_k * d_k paths (the count ``filter_speedup`` models) are one
-``track_paths`` call on a ``SliceHomotopy``.  The paths of one
-candidate share a target, so ``guard_jumps`` checks each candidate's
-group for paths that jumped; paths of different candidates may end at
-one point.  The dimension-0 candidates are polished in one batched
-``refine_dd`` call.
+Each (candidate level, witness set) pair is one stage: every witness
+point moves toward the hyperplanes through every candidate not already
+on one, and these n_k * d_k paths (the count ``filter_speedup`` models)
+are one ``track_stage`` on a ``SliceHomotopy`` with one worker: one
+batch in the calling process.  The paths of one candidate share a
+target, so ``guard_jumps`` checks each candidate's group for paths that
+jumped; paths of different candidates may end at one point.  Points
+match by the tracker's one rule, ``matching``.  The dimension-0
+candidates are polished in one batched ``refine_dd`` call.
 """
 
 from __future__ import annotations
@@ -26,22 +26,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import WitnessSuperset
+from .cascade import CascadeLevel, track_stage
 from .linalg import condition_and_rank
 from .parallel import work_crew  # noqa: F401  (a module attribute for tracing tools)
 from .polynomials import jacobian
 from .systems import EmbeddedSystem, slice_to_zero
 from .tracker import (  # noqa: F401  (``track`` stays a module attribute for tracing tools)
-    MATCH_FLOOR,
-    MATCH_TOL,
     SliceHomotopy,
     Solution,
-    guard_jumps,
+    _coinciding,
+    matching,
     newton_refine,
     refine_dd,
-    retracker,
     track,
-    track_paths,
 )
 
 
@@ -77,12 +74,9 @@ class FilterStage:
     jumps: int = 0  # paths whose endpoints still coincide after the re-track
 
 
-def points_match(a, b, tol: float = MATCH_TOL, floor: float = MATCH_FLOOR) -> bool:
-    """Coordinate-wise relative match with an absolute floor."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    scale = max(1.0, float(np.max(np.abs(b))))
-    return float(np.max(np.abs(a - b))) <= max(floor, tol * scale)
+def points_match(a, b) -> bool:
+    """Whether point a matches point b (``matching``)."""
+    return bool(matching(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)))
 
 
 def membership_verdicts(w: WitnessSet, queries) -> tuple[list[bool | None], int, int]:
@@ -98,22 +92,23 @@ def membership_verdicts(w: WitnessSet, queries) -> tuple[list[bool | None], int,
     is a member without tracking (zero-length deformation).
     """
     n = w.embedding.n_original
-    queries = [np.asarray(q, dtype=np.complex128) for q in queries]
+    queries = np.array(queries, dtype=np.complex128).reshape(-1, n)
     points = np.array([s.coordinates for s in w.points])
-    verdicts = [True if any(points_match(p[:n], q) for p in points) else None for q in queries]
-    moved = [i for i, v in enumerate(verdicts) if v is None]
+    moved = np.flatnonzero(~matching(points[None, :, :n], queries[:, None]).any(axis=1))
     hyper = np.array(w.embedding.hyper_coeffs)
     shift = np.zeros((len(moved), w.embedding.nvars), dtype=np.complex128)
-    for row, i in zip(shift, moved):
-        row[n:] = -(hyper[:, 1:] @ queries[i]) - hyper[:, 0]
+    for row, q in zip(shift, queries[moved]):
+        row[n:] = -(hyper[:, 1:] @ q) - hyper[:, 0]
     h = SliceHomotopy(w.embedding.system, np.repeat(shift, w.degree, axis=0))
-    starts = np.tile(points, (len(moved), 1))
-    results = track_paths(h, starts)
     candidate = np.repeat(np.arange(len(moved)), w.degree)
-    results, jumps = guard_jumps(results, retracker(h, starts), candidate)
-    for i, first in zip(moved, range(0, len(results), w.degree)):
-        ends = [r.endpoint.coordinates[:n] for r in results[first : first + w.degree] if r.succeeded]
-        verdicts[i] = any(points_match(e, queries[i]) for e in ends) if ends else None
+    results, jumps = track_stage(h, np.tile(points, (len(moved), 1)), 1, candidate)
+    ok = np.array([r.succeeded for r in results], dtype=bool).reshape(len(moved), w.degree)
+    ends = np.array([r.endpoint.coordinates[:n] if r.succeeded else np.zeros(n) for r in results],
+                    dtype=np.complex128).reshape(len(moved), w.degree, n)
+    landed = (matching(ends, queries[moved][:, None]) & ok).any(axis=1)
+    verdicts: list[bool | None] = [True] * len(queries)
+    for i, hit, tracked in zip(moved, landed, ok.any(axis=1)):
+        verdicts[i] = bool(hit) if tracked else None
     return verdicts, len(results), jumps
 
 
@@ -125,23 +120,26 @@ def membership_test(w: WitnessSet, q) -> bool:
     return verdict
 
 
-def _membership_stage(
-    w: WitnessSet, candidates: list[Solution], candidate_dimension: int
-) -> tuple[list[Solution], FilterStage]:
-    """Test every candidate against w in one batch; returns the
-    candidates not on w's component and the stage's bookkeeping.
-    Indeterminate verdicts keep the candidate (a false positive only
-    adds a suspect later; a false negative would lose a component); a
-    stage that raised fails the run with a RuntimeError."""
-    n = w.embedding.n_original
-    try:
-        verdicts, tracked, jumps = membership_verdicts(w, [c.coordinates[:n] for c in candidates])
-    except Exception as exc:
-        raise RuntimeError(f"membership stage failed: {exc!r}") from exc
-    kept = [c for c, member in zip(candidates, verdicts) if not member]
-    stage = FilterStage(candidate_dimension, w.dimension, len(candidates), w.degree, tracked,
-                        len(candidates) - len(kept), jumps)
-    return kept, stage
+def _membership_chain(
+    candidates: list[Solution], witness_sets: list[WitnessSet], d: int
+) -> tuple[list[Solution], list[FilterStage]]:
+    """The dimension-d candidates on no component of witness_sets, tested
+    against each in turn while any is left, and one ``FilterStage`` per
+    test.  An indeterminate verdict keeps the candidate (a false positive
+    only adds a suspect; a false negative would lose a component)."""
+    stages: list[FilterStage] = []
+    for w in witness_sets:
+        if not candidates:
+            break
+        n = w.embedding.n_original
+        try:
+            verdicts, tracked, jumps = membership_verdicts(w, [c.coordinates[:n] for c in candidates])
+        except Exception as exc:
+            raise RuntimeError(f"membership stage failed: {type(exc).__name__}: {exc}") from exc
+        kept = [c for c, member in zip(candidates, verdicts) if not member]
+        stages.append(FilterStage(d, w.dimension, len(candidates), w.degree, tracked, len(candidates) - len(kept), jumps))
+        candidates = kept
+    return candidates, stages
 
 
 def _restricted_regular(emb: EmbeddedSystem, sol: Solution) -> bool:
@@ -156,42 +154,36 @@ def _restricted_regular(emb: EmbeddedSystem, sol: Solution) -> bool:
 
 def _dedup(points: list[Solution], n: int | None = None) -> list[Solution]:
     """Cluster by the matching tolerance; lowest residual represents.
-    Each point is compared with all kept points in one array operation,
-    each kept point scaling its own tolerance as in ``points_match``."""
+    In order of residual, a point is kept unless it matches a kept
+    point (``matching`` against the kept point), which only a point
+    that ``_coinciding`` finds can do."""
     ordered = sorted(points, key=lambda s: s.residual)
     if not ordered:
         return []
     coords = np.array([s.coordinates[:n] for s in ordered])
-    tol = np.maximum(MATCH_FLOOR, MATCH_TOL * np.maximum(1.0, np.max(np.abs(coords), axis=1)))
-    kept: list[int] = []
-    for i, c in enumerate(coords):
-        if not np.any(np.max(np.abs(coords[kept] - c), axis=1) <= tol[kept]):
-            kept.append(i)
-    return [ordered[i] for i in kept]
+    hit = _coinciding(coords, np.zeros(len(coords), dtype=int))
+    kept = ~hit
+    for i in np.flatnonzero(hit):
+        kept[i] = not matching(coords[i], coords[:i][kept[:i] & hit[:i]]).any()
+    return [s for s, k in zip(ordered, kept) if k]
 
 
-def filter_junk(superset: WitnessSuperset) -> tuple[list[WitnessSet], list[FilterStage]]:
+def filter_junk(levels: list[CascadeLevel]) -> tuple[list[WitnessSet], list[FilterStage]]:
     """Remove candidates lying on higher dimensional components.
 
-    Returns confirmed witness sets for every positive dimension with at
-    least one surviving generic point, top dimension first, plus the
-    per-stage path accounting.  Indeterminate memberships keep the
-    candidate (a false positive only adds a suspect later; a false
-    negative would lose a component).
+    Returns confirmed witness sets for every positive dimension of the
+    cascade's levels with at least one surviving generic point, top
+    dimension first, plus the per-stage path accounting.
     """
     witness_sets: list[WitnessSet] = []
     stages: list[FilterStage] = []
-    n = superset.embedding.n_original
-    for level in superset.levels:
+    for level in levels:
         d = level.dimension
         if d == 0:
             continue
-        candidates = _dedup(list(level.zero_slack), n)
-        for w in witness_sets:
-            if not candidates:
-                break
-            candidates, stage = _membership_stage(w, candidates, d)
-            stages.append(stage)
+        candidates = _dedup(list(level.zero_slack), level.embedding.n_original)
+        candidates, level_stages = _membership_chain(candidates, witness_sets, d)
+        stages += level_stages
         survivors = [c for c in candidates if _restricted_regular(level.embedding, c)]
         if survivors:
             witness_sets.append(
@@ -243,12 +235,6 @@ def classify_isolated(
     singular: list[Solution] = []
     for refined, is_regular in _refine_isolated(base_system, candidates):
         (regular if is_regular else singular).append(refined)
-    regular = _dedup(regular)
-    singular = _dedup(singular)
-    stages: list[FilterStage] = []
-    for w in sorted(witness_sets, key=lambda w: -w.dimension):
-        if not singular:
-            break
-        singular, stage = _membership_stage(w, singular, 0)
-        stages.append(stage)
-    return regular, singular, stages
+    witness_sets = sorted(witness_sets, key=lambda w: -w.dimension)
+    singular, stages = _membership_chain(_dedup(singular), witness_sets, 0)
+    return _dedup(regular), singular, stages

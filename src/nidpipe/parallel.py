@@ -7,11 +7,11 @@ calling thread forks the workers, then runs the producer, which streams
 sends back its results tagged with the index, so reports stay
 deterministic.  An idle worker takes the next item the moment it
 finishes one, so load balances dynamically.  The solver hands a crew p
-chunks of a stage's paths, each tracked as one batch, rather than one
-job per path; a membership filter stage runs as one batch in the
-calling process, with no crew.  A forked worker that dies fails the
-run with a RuntimeError instead of leaving the parent waiting for its
-results.
+chunks of a stage's paths (``cascade.track_stage``), each tracked as
+one batch, rather than one job per path; a membership filter stage is a
+crew of one, its one batch run in the calling process.  A forked worker
+that dies fails the run with a RuntimeError instead of leaving the
+parent waiting for its results.
 
 The speedup models compute exact rational T_1, T_p, S_p for the
 pipeline, for a single stage of paths, for a cascade of stages, and for

@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .polynomials import PolySystem, _StackedEvaluator, make_poly
+from .polynomials import PolySystem, make_poly
 # ``track`` stays a module attribute: tracing tools wrap this module's names
 from .tracker import PathResult, track, track_paths  # noqa: F401
 
@@ -917,36 +917,20 @@ def binomial_solutions(V: list[list[int]], beta: Sequence[complex]) -> list[np.n
 
 
 def _cell_evaluators(g: PolySystem, supports: Support):
-    """The value, magnitude and Jacobian evaluators of g on the supports,
-    and the term of g that each Jacobian term differentiates.  They do
-    not depend on the cells, so they are built once per (g, supports)
-    and kept in g's cache."""
-    key = ("cell evaluators", supports)
-    built = g._cache.get(key)
-    if built is None:
-        rows = []
-        jrows = []
-        jterm = []  # the term of g each Jacobian term differentiates
-        for i, p in enumerate(g.polys):
-            pts = supports[i]
-            if len(p.terms) != len(pts):
-                raise ValueError("start system terms must align with the support")
-            row = list(zip(pts, [c for _, c in p.terms]))
-            for j in range(g.nvars):
-                dterms = []
-                for k, (e, c) in enumerate(row):
-                    if e[j] == 0:
-                        continue
-                    de = list(e)
-                    de[j] -= 1
-                    dterms.append((tuple(de), c * e[j]))
-                    jterm.append(sum(map(len, rows)) + k)
-                jrows.append(tuple(dterms))
-            rows.append(tuple(row))
-        ev = _StackedEvaluator(rows, g.nvars)
-        aev = _StackedEvaluator([tuple((e, abs(c)) for e, c in row) for row in rows], g.nvars)
-        built = g._cache[key] = (ev, aev, _StackedEvaluator(jrows, g.nvars), np.array(jterm, dtype=np.intp))
-    return built
+    """The value, magnitude and Jacobian evaluators of g, and the term of
+    g that each Jacobian term differentiates, which is kept in g's
+    cache.  A cell's t-exponents follow the points of the supports, so
+    g's terms must be those points, in their order."""
+    jterm = g._cache.get("jterm")
+    if jterm is None:
+        if [tuple(e for e, _ in p.terms) for p in g.polys] != list(supports):
+            raise ValueError("start system terms must align with the support")
+        first = np.cumsum([0] + [len(p.terms) for p in g.polys])
+        jterm = g._cache["jterm"] = np.array(
+            [first[i] + k for i, p in enumerate(g.polys) for j in range(g.nvars) for k, (e, _) in enumerate(p.terms) if e[j]],
+            dtype=np.intp,
+        )
+    return g._evaluator(), g._abs_evaluator(), g._jac_evaluator(), jterm
 
 
 class PolyhedralHomotopy:
@@ -955,8 +939,8 @@ class PolyhedralHomotopy:
     slacks of the path's cell.  At t=0 only the cell's binomial
     survives; at t=1 every weight is 1 and the system is the start
     system g itself, which is the homotopy's ``target``.  The evaluators
-    are the same for every cell, and for every homotopy of g on the
-    same supports, so ``select`` slices the rows of t-exponents."""
+    are g's own, the same for every cell and every homotopy of g, so
+    ``select`` slices the rows of t-exponents."""
 
     shift = None
 

@@ -161,16 +161,6 @@ class PolySystem:
     def is_square(self) -> bool:
         return len(self.polys) == self.nvars
 
-    def __getstate__(self):
-        return (self.nvars, self.polys, self.names)
-
-    def __setstate__(self, state):
-        nvars, polys, names = state
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "polys", polys)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "_cache", {})
-
     # -- fast stacked evaluation ------------------------------------------
 
     def _evaluator(self) -> "_StackedEvaluator":

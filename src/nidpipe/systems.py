@@ -138,18 +138,6 @@ class EmbeddedSystem:
     seed: int
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def __getstate__(self):
-        return (self.base, self.k, self.gammas, self.hyper_coeffs, self.seed)
-
-    def __setstate__(self, state):
-        base, k, gammas, hyper, seed = state
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "gammas", gammas)
-        object.__setattr__(self, "hyper_coeffs", hyper)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "_cache", {})
-
     @property
     def nvars(self) -> int:
         return self.base.nvars + self.k

@@ -30,7 +30,7 @@ a secant prediction) and keeps its size otherwise, always capped by
 Larger steps make a jump from one path to a nearby one more likely.
 Two paths of one homotopy cannot end on the same regular root, so
 ``guard_jumps`` looks, after a stage is tracked and gathered, for
-converged regular endpoints that coincide under the ``points_match``
+converged regular endpoints that coincide under the ``matching``
 rule, and tracks those paths again under the cautious rule of growing
 only after at most ``CAUTIOUS_GROW_ITERS`` iterations: the private
 ``_cautious`` argument of ``track_paths``.  With the gamma
@@ -248,8 +248,20 @@ def _res_norm(v: np.ndarray) -> float:
 
 
 def _row_max_abs(v: np.ndarray) -> np.ndarray:
-    """Infinity norm of each row of a (P, m) array."""
-    return np.max(np.abs(v), axis=1)
+    """Infinity norm over the last axis: of each row of a (P, m) array."""
+    return np.max(np.abs(v), axis=-1)
+
+
+def _match_tol(b: np.ndarray) -> np.ndarray:
+    return np.maximum(MATCH_FLOOR, MATCH_TOL * np.maximum(1.0, _row_max_abs(b)))
+
+
+def matching(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether the points a match the points b, over the last axis of
+    arrays that broadcast: every coordinate of a lies within MATCH_TOL
+    times the larger of 1 and b's size, or MATCH_FLOOR, of b's.  The
+    one rule by which two points are one point."""
+    return _row_max_abs(a - b) <= _match_tol(b)
 
 
 def _effective_tol(h: Homotopy, x: np.ndarray, t: np.ndarray, tol: float) -> np.ndarray:
@@ -494,22 +506,22 @@ def track_paths(
 
 def _coinciding(points: np.ndarray, groups: np.ndarray) -> np.ndarray:
     """Mask of the rows of points (P, n) that match another row of the
-    same group: every coordinate within the ``points_match`` tolerance
-    of either point.  The rows are sorted by group and by a real
-    projection with unit weights, which two matching rows cannot differ
-    in by more than n times the largest tolerance, and each row is
-    compared with the rows after it up to that distance: no P x P array."""
-    tol = np.maximum(MATCH_FLOOR, MATCH_TOL * np.maximum(1.0, _row_max_abs(points)))
+    same group, ``matching`` either way.  The rows are sorted by group
+    and by a real projection with unit weights, which two matching rows
+    cannot differ in by more than n times the largest tolerance, and
+    each row is compared with the rows after it up to that distance: no
+    P x P array."""
     key = (points @ np.exp(1j * np.arange(1, points.shape[1] + 1))).real
-    reach = points.shape[1] * tol.max()
+    reach = points.shape[1] * _match_tol(points).max()
     order = np.lexsort((key, groups))
-    points, groups, key, tol = points[order], groups[order], key[order], tol[order]
+    points, groups, key = points[order], groups[order], key[order]
     hit = np.zeros(len(points), dtype=bool)
     for s in range(1, len(points)):
         near = np.flatnonzero((groups[s:] == groups[:-s]) & (key[s:] - key[:-s] <= reach))
         if not near.size:  # sorted keys: no row farther apart is nearer
             break
-        same = near[_row_max_abs(points[near + s] - points[near]) <= np.fmax(tol[near], tol[near + s])]
+        a, b = points[near], points[near + s]
+        same = near[matching(a, b) | matching(b, a)]
         hit[same] = hit[same + s] = True
     out = np.empty_like(hit)
     out[order] = hit

@@ -16,7 +16,7 @@ from nidpipe.filtering import (
 )
 from nidpipe.report import report_to_json, summary_text
 from nidpipe.systems import cyclic, demo_system
-from nidpipe.tracker import CONVERGED, FAILED, PathResult, Solution
+from nidpipe.tracker import CONVERGED, FAILED, PathResult, Solution, guard_jumps, retracker, track_paths
 
 NEAR = 1e-7 * np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
 CYCLIC4_DIM1 = ["bench", "cyclic", "--n", "4", "--dim", "1", "--seed", "7", "--tasks", "1"]
@@ -68,20 +68,27 @@ def test_an_indeterminate_membership_test_keeps_the_candidate(monkeypatch):
 
 
 def test_each_membership_stage_of_the_demo_is_one_batch_with_one_candidate_verdicts(monkeypatch):
-    stages, batches = [], []
-    verdicts, track_paths = filtering.membership_verdicts, filtering.track_paths
+    # every stage of the solver tracks through ``cascade.track_paths``:
+    # count the batches tracked while a membership stage runs
+    stages, batches, testing = [], [], []
+    verdicts, track_paths = filtering.membership_verdicts, cascade.track_paths
 
     def recorded(w, queries):
-        out = verdicts(w, queries)
+        testing.append(w)
+        try:
+            out = verdicts(w, queries)
+        finally:
+            testing.pop()
         stages.append((w, queries, out[0]))
         return out
 
     def counted(h, x0):
-        batches.append(len(x0))
+        if testing:
+            batches.append(len(x0))
         return track_paths(h, x0)
 
     monkeypatch.setattr(filtering, "membership_verdicts", recorded)
-    monkeypatch.setattr(filtering, "track_paths", counted)
+    monkeypatch.setattr(cascade, "track_paths", counted)
     rep = decompose(demo_system(), top_dimension=3, seed=7, tasks=1)
     assert len(stages) == len(rep.filter_stages) == 6
     assert batches == [s.paths_tracked for s in rep.filter_stages]
@@ -129,16 +136,20 @@ def _jump_in_the_continuation(monkeypatch, stick=False):
     the first one's root, as a path that jumped does; with ``stick`` the
     re-track gives the same endpoints back.  Returns the list of index
     arrays re-tracked, per stage."""
-    real_crew, real_retracker = cascade.track_on_crew, cascade.retracker
+    real_crew, real_retracker = cascade.work_crew, cascade.retracker
     retracked, jumped = [], []
 
-    def crew(h, starts, p):
-        results = real_crew(h, starts, p)
+    def crew(chunks, p, worker):
+        outs = real_crew(chunks, p, worker)
         if not jumped:  # the first crew stage is the continuation
+            # path k of the stage is path k // p of chunk k % p
+            results = [None] * sum(map(len, outs))
+            for c, out in enumerate(outs):
+                results[c::p] = out
             i, j = [k for k, r in enumerate(results) if r.status == CONVERGED and r.endpoint.is_regular][:2]
-            results[j] = results[i]
-            jumped.append(list(results))
-        return results
+            results[j] = outs[j % p][j // p] = results[i]
+            jumped.append(results)
+        return outs
 
     def retracker(h, starts):
         again = real_retracker(h, starts)
@@ -149,9 +160,38 @@ def _jump_in_the_continuation(monkeypatch, stick=False):
 
         return retrack
 
-    monkeypatch.setattr(cascade, "track_on_crew", crew)
+    monkeypatch.setattr(cascade, "work_crew", crew)
     monkeypatch.setattr(cascade, "retracker", retracker)
     return retracked, jumped
+
+
+def _stage_bits(results, jumps):
+    return jumps, [
+        (r.status, r.steps_used, r.t_reached, None if r.endpoint is None else r.endpoint.coordinates.tobytes())
+        for r in results
+    ]
+
+
+def test_a_stage_gives_the_bits_of_one_guarded_batch_on_any_number_of_workers(monkeypatch):
+    # the demo's continuation and its first membership stage, each against
+    # one ``track_paths`` batch guarded by hand
+    calls, track_stage = [], cascade.track_stage
+    for module in (cascade, filtering):
+        real = module.track_stage
+
+        def recorded(h, starts, p, groups=None, real=real):
+            calls.append((h, starts, p, groups))
+            return real(h, starts, p, groups)
+
+        monkeypatch.setattr(module, "track_stage", recorded)
+    decompose(demo_system(), top_dimension=3, seed=7, tasks=1)
+    continuation = calls[0]
+    membership = next(c for c in calls if c[3] is not None)
+    for h, starts, p, groups in (continuation, membership):
+        reference = _stage_bits(*guard_jumps(track_paths(h, starts), retracker(h, starts), groups))
+        assert len(reference[1]) == len(starts) > 1
+        for p in (1, 2, 3) if groups is None else (1,):
+            assert _stage_bits(*track_stage(h, starts, p, groups)) == reference
 
 
 def test_a_path_that_jumped_is_retracked_alone_and_the_payload_is_task_independent(monkeypatch):
@@ -209,9 +249,9 @@ def test_membership_paths_of_different_candidates_may_end_at_one_point(monkeypat
     a = 0.3 + 0.4j
     q = np.array([a, 1 / a, -a, -1 / a])
     retracked = []
-    real = filtering.retracker
+    real = cascade.retracker  # membership stages are guarded by ``cascade.track_stage``
     monkeypatch.setattr(
-        filtering, "retracker", lambda h, x0: lambda idx: retracked.append(idx) or real(h, x0)(idx)
+        cascade, "retracker", lambda h, x0: lambda idx: retracked.append(idx) or real(h, x0)(idx)
     )
     verdicts, paths, jumps = filtering.membership_verdicts(w, [q, q])
     assert verdicts == [True, True] and paths == 2 * w.degree and jumps == 0
