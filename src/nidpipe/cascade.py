@@ -14,6 +14,8 @@ crew: the continuation, each cascade step and each membership stage of
 ``filtering``.  It ends with ``guard_jumps`` on the gathered paths, as
 the start system does over all its cells; the number of paths that
 still coincide after the re-track is kept for the report's warnings.
+``PATH_CAP`` sizes the batches of every stage; a path's result does not
+depend on its batch, so neither does the payload.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ from .tracker import (  # noqa: F401  (``track`` stays a module attribute for tr
     track,
     track_paths,
 )
+
+PATH_CAP = 128  # paths per tracking batch: fewer pay numpy's per-call cost on few rows, more step slower
 
 
 @dataclass
@@ -114,10 +118,12 @@ def solve_start_system(
     """Polyhedral solve of the random-coefficient system on the embedded
     system's supports, each with the origin added (``with_origin``), so
     that roots with a zero coordinate are reached.  The cell search runs
-    in the calling thread and hands each cell to one ``emit``: at p = 1
-    its paths are tracked right there, at p >= 2 it goes to the p-1
+    in the calling thread; ``emit`` hands its cells to ``put`` in batches,
+    one as soon as the waiting cells hold ``PATH_CAP`` paths and the rest
+    at the end, so no batch depends on timing.  At p = 1 ``put`` tracks
+    a batch right there (``solve_cell``), at p >= 2 it goes to the p-1
     forked consumers of a 2-stage pipeline.  A tie restarts the search,
-    counters and cell log included, on the next lifting
+    counters, cell log and waiting cells included, on the next lifting
     (``generic_lifting``).  The paths of all cells end on roots of g, so
     they are guarded as one stage: once a jump is found, ``retracker``
     tracks the jumped paths again on the homotopy of all the cells
@@ -138,9 +144,10 @@ def solve_start_system(
 
         def produce(put):
             handing = 0.0
+            waiting: list[MixedCell] = []
 
             def emit(cell: MixedCell):
-                nonlocal handing
+                nonlocal handing, waiting
                 t = time.perf_counter()
                 if stats.time_first_cell is None:
                     stats.time_first_cell = t - t0
@@ -149,7 +156,10 @@ def solve_start_system(
                 cells.append(cell)
                 if cell_log is not None:
                     cell_log.append(cell)
-                put(cell)
+                waiting.append(cell)
+                if sum(c.volume for c in waiting) >= PATH_CAP:
+                    put(waiting)
+                    waiting = []  # not clear(): the pipeline's queue pickles the batch after put returns
                 handing += time.perf_counter() - t
 
             t = time.perf_counter()
@@ -157,13 +167,15 @@ def solve_start_system(
                 enumerate_cells(lifted, emit)
             finally:
                 stats.time_cell_search += time.perf_counter() - t - handing
+            if waiting:
+                put(waiting)
 
         if p == 1:
             outs: list[list[PathResult]] = []
-            produce(lambda cell: outs.append(solve_cell(cell, g, supports)))
+            produce(lambda batch: outs.append(solve_cell(batch, g, supports)))
             return cells, outs
         cfg = PipelineConfig(p=p)
-        pairs, stats.pipeline = pipeline_run(produce, lambda cell: solve_cell(cell, g, supports), cfg)
+        pairs, stats.pipeline = pipeline_run(produce, lambda batch: solve_cell(batch, g, supports), cfg)
         return cells, raise_failures([out for _, out in pairs], "cell worker")
 
     (cells, outs), stats.lifting_attempt = generic_lifting(supports, seed, search)
@@ -171,26 +183,25 @@ def solve_start_system(
         [r for out in outs for r in out], lambda idx: retracker(*cell_homotopy(cells, g, supports))(idx)
     )
     stats.time_start_system = time.perf_counter() - t0
-    sols = []
-    for r in results:
-        stats.start_paths += 1
-        if r.succeeded and r.endpoint is not None:
-            sols.append(r.endpoint)
-        else:
-            stats.start_failures += 1
+    sols = [r.endpoint for r in results if r.succeeded and r.endpoint is not None]
+    stats.start_paths, stats.start_failures = len(results), len(results) - len(sols)
     return g, sols, stats
 
 
 def track_stage(h: Homotopy, starts: np.ndarray, p: int, groups=None) -> tuple[list[PathResult], int]:
-    """Track one stage's paths on p workers, worker i taking the chunk
-    starts[i::p] as one batch, and ``guard_jumps`` them, by ``groups``
-    when given: the results in the order of starts and the number of
-    paths that still coincide.  A job that raised fails the run."""
-    chunks = [np.array(starts[i::p]) for i in range(min(p, len(starts)))]
-    tracked = work_crew(chunks, p, lambda chunk: track_paths(h, chunk))
-    results: list = [None] * len(starts)
+    """Track one stage's n paths on p workers in k = min(n, max(p,
+    ceil(n / PATH_CAP))) chunks, chunk i the paths idx = arange(i, n, k)
+    as one batch on h.select(idx), and ``guard_jumps`` them, by
+    ``groups`` when given: the results in the order of starts and the
+    number of paths that still coincide.  A job that raised fails the
+    run."""
+    n = len(starts)
+    k = min(n, max(p, -(-n // PATH_CAP)))
+    chunks = [np.arange(i, n, k) for i in range(k)]
+    tracked = work_crew(chunks, p, lambda idx: track_paths(h.select(idx), starts[idx]))
+    results: list = [None] * n
     for i, out in enumerate(raise_failures(tracked, "path tracking job")):
-        results[i::p] = out
+        results[i::k] = out
     return guard_jumps(results, retracker(h, starts), groups)
 
 

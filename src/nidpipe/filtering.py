@@ -12,12 +12,13 @@ stages, ``_membership_chain``.
 Each (candidate level, witness set) pair is one stage: every witness
 point moves toward the hyperplanes through every candidate not already
 on one, and these n_k * d_k paths (the count ``filter_speedup`` models)
-are one ``track_stage`` on a ``SliceHomotopy`` with one worker: one
-batch in the calling process.  The paths of one candidate share a
-target, so ``guard_jumps`` checks each candidate's group for paths that
-jumped; paths of different candidates may end at one point.  Points
-match by the tracker's one rule, ``matching``.  The dimension-0
-candidates are polished in one batched ``refine_dd`` call.
+are one ``track_stage`` on a ``SliceHomotopy`` with one worker, in
+chunks of at most ``PATH_CAP`` paths in the calling process.  The paths
+of one candidate share a target, so ``guard_jumps`` checks each
+candidate's group for paths that jumped; paths of different candidates
+may end at one point.  Points match by the tracker's one rule,
+``matching``.  The dimension-0 candidates are polished in one batched
+``refine_dd`` call.
 """
 
 from __future__ import annotations
@@ -72,11 +73,6 @@ class FilterStage:
     paths_tracked: int
     removed: int
     jumps: int = 0  # paths whose endpoints still coincide after the re-track
-
-
-def points_match(a, b) -> bool:
-    """Whether point a matches point b (``matching``)."""
-    return bool(matching(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)))
 
 
 def membership_verdicts(w: WitnessSet, queries) -> tuple[list[bool | None], int, int]:

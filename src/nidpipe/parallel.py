@@ -6,12 +6,12 @@ calling thread forks the workers, then runs the producer, which streams
 (index, item) pairs to them through a bounded queue, and each worker
 sends back its results tagged with the index, so reports stay
 deterministic.  An idle worker takes the next item the moment it
-finishes one, so load balances dynamically.  The solver hands a crew p
-chunks of a stage's paths (``cascade.track_stage``), each tracked as
-one batch, rather than one job per path; a membership filter stage is a
-crew of one, its one batch run in the calling process.  A forked worker
-that dies fails the run with a RuntimeError instead of leaving the
-parent waiting for its results.
+finishes one, so load balances dynamically.  The solver hands a crew a
+stage's paths in chunks of at most ``cascade.PATH_CAP`` paths, at least
+one per worker (``cascade.track_stage``), and the pipeline's consumers
+batches of cells; a membership filter stage is a crew of one, its
+chunks run in the calling process.  A forked worker that dies fails
+the run with a RuntimeError instead of leaving the parent waiting.
 
 The speedup models compute exact rational T_1, T_p, S_p for the
 pipeline, for a single stage of paths, for a cascade of stages, and for

@@ -972,10 +972,11 @@ class PolyhedralHomotopy:
         return np.max(v.real, axis=1)
 
 
-def solve_cell(cell: MixedCell, g: PolySystem, supports: Support) -> list[PathResult]:
-    """Track the cell's volume-many paths from its binomial system to
-    solutions of the start system g at t=1."""
-    return track_paths(*cell_homotopy([cell], g, supports))
+def solve_cell(cells: Sequence[MixedCell], g: PolySystem, supports: Support) -> list[PathResult]:
+    """Track the cells' paths, volume-many per cell, from their binomial
+    systems to solutions of the start system g at t=1, as one batch; the
+    results in the order of ``cell_homotopy``."""
+    return track_paths(*cell_homotopy(cells, g, supports))
 
 
 def cell_homotopy(

@@ -584,7 +584,8 @@ def newton_refine(
     its measures recomputed rather than a worse point.
     """
     x = np.asarray(x, dtype=np.complex128)
-    best, resid, _ = _damped_newton(LinearHomotopy(f, f), x, tol, max_iters)
+    at_rest = SliceHomotopy(f, np.zeros((1, len(f.polys))))  # f alone: one evaluation a call
+    best, resid, _ = _damped_newton(at_rest, x, tol, max_iters)
     return _solution(f, best, resid)
 
 
@@ -593,7 +594,7 @@ def vanishing(f: PolySystem, points: list[Solution]) -> list[Solution]:
     tracker's converged residual, scaled like a corrector tolerance."""
     if not points:
         return []
-    h = LinearHomotopy(f, f)
+    h = SliceHomotopy(f, np.zeros((1, len(f.polys))))  # f alone: one evaluation a call
     x, t = np.array([s.coordinates[: f.nvars] for s in points]), np.ones(len(points))
     keep = _row_max_abs(h.eval(x, t)) <= _effective_tol(h, x, t, CONVERGED_RESIDUAL)
     return [s for s, k in zip(points, keep) if k]

@@ -61,30 +61,40 @@ def test_the_start_system_calls_the_names_the_trace_divides_by(monkeypatch):
     from nidpipe.systems import cyclic, embed
 
     calls = {"enumerate_cells": 0, "emit": 0, "solve_cell": 0}
+    emitted, batches = [], []
     enumerate_cells, solve_cell = cascade.enumerate_cells, cascade.solve_cell
 
     def counted_enumerate_cells(lifted, emit):
         calls["enumerate_cells"] += 1
+        emitted.clear()
+        batches.clear()  # a tie throws the cells of that search away
 
         def counted_emit(cell):
             calls["emit"] += 1
+            emitted.append(cell)
             return emit(cell)
 
         return enumerate_cells(lifted, counted_emit)
 
-    def counted_solve_cell(*args, **kwargs):
+    def counted_solve_cell(cells, *args, **kwargs):
         calls["solve_cell"] += 1
-        return solve_cell(*args, **kwargs)
+        batches.append(list(cells))
+        return solve_cell(cells, *args, **kwargs)
 
     monkeypatch.setattr(cascade, "enumerate_cells", counted_enumerate_cells)
     monkeypatch.setattr(cascade, "solve_cell", counted_solve_cell)
+    monkeypatch.setattr(cascade, "PATH_CAP", 6)  # several batches from cyclic-4's 20 paths
     _, _, stats = cascade.solve_start_system(embed(cyclic(4), 1, 7).system, 7, p=1)
-    assert stats.cells > 0
+    assert stats.cells > 0 and len(batches) > 1
     assert calls == {
         "enumerate_cells": stats.lifting_attempt + 1,
         "emit": stats.cells,
-        "solve_cell": stats.cells,
+        "solve_cell": len(batches),
     }
+    assert [cell for batch in batches for cell in batch] == emitted
+    for batch in batches[:-1]:  # cut as soon as the waiting cells hold PATH_CAP paths
+        volumes = [cell.volume for cell in batch]
+        assert sum(volumes) >= 6 > sum(volumes[:-1])
 
 
 def test_the_pipelined_start_system_calls_pipeline_run(monkeypatch):

@@ -12,11 +12,20 @@ from nidpipe.filtering import (
     _dedup,
     _refine_isolated,
     membership_test,
-    points_match,
 )
 from nidpipe.report import report_to_json, summary_text
 from nidpipe.systems import cyclic, demo_system
-from nidpipe.tracker import CONVERGED, FAILED, PathResult, Solution, guard_jumps, retracker, track_paths
+from nidpipe.tracker import (
+    CONVERGED,
+    FAILED,
+    PathResult,
+    SliceHomotopy,
+    Solution,
+    guard_jumps,
+    matching,
+    retracker,
+    track_paths,
+)
 
 NEAR = 1e-7 * np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
 CYCLIC4_DIM1 = ["bench", "cyclic", "--n", "4", "--dim", "1", "--seed", "7", "--tasks", "1"]
@@ -69,12 +78,14 @@ def test_an_indeterminate_membership_test_keeps_the_candidate(monkeypatch):
 
 def test_each_membership_stage_of_the_demo_is_one_batch_with_one_candidate_verdicts(monkeypatch):
     # every stage of the solver tracks through ``cascade.track_paths``:
-    # count the batches tracked while a membership stage runs
+    # count the batches tracked while a membership stage runs; a stage
+    # is as few batches of at most PATH_CAP paths as hold its paths
     stages, batches, testing = [], [], []
     verdicts, track_paths = filtering.membership_verdicts, cascade.track_paths
 
     def recorded(w, queries):
         testing.append(w)
+        batches.append([])
         try:
             out = verdicts(w, queries)
         finally:
@@ -84,14 +95,16 @@ def test_each_membership_stage_of_the_demo_is_one_batch_with_one_candidate_verdi
 
     def counted(h, x0):
         if testing:
-            batches.append(len(x0))
+            batches[-1].append(len(x0))
         return track_paths(h, x0)
 
     monkeypatch.setattr(filtering, "membership_verdicts", recorded)
     monkeypatch.setattr(cascade, "track_paths", counted)
     rep = decompose(demo_system(), top_dimension=3, seed=7, tasks=1)
     assert len(stages) == len(rep.filter_stages) == 6
-    assert batches == [s.paths_tracked for s in rep.filter_stages]
+    assert [sum(b) for b in batches] == [s.paths_tracked for s in rep.filter_stages]
+    assert [len(b) for b in batches] == [-(-s.paths_tracked // cascade.PATH_CAP) for s in rep.filter_stages]
+    assert max(map(max, batches)) <= cascade.PATH_CAP < max(s.paths_tracked for s in rep.filter_stages)
     for w, queries, stacked in list(stages):
         alone = []
         for q in queries:
@@ -105,7 +118,7 @@ def test_each_membership_stage_of_the_demo_is_one_batch_with_one_candidate_verdi
 def _scalar_dedup(points, n=None):
     kept = []
     for s in sorted(points, key=lambda s: s.residual):
-        if not any(points_match(s.coordinates[:n], k.coordinates[:n]) for k in kept):
+        if not any(matching(s.coordinates[:n], k.coordinates[:n]) for k in kept):
             kept.append(s)
     return kept
 
@@ -142,12 +155,13 @@ def _jump_in_the_continuation(monkeypatch, stick=False):
     def crew(chunks, p, worker):
         outs = real_crew(chunks, p, worker)
         if not jumped:  # the first crew stage is the continuation
-            # path k of the stage is path k // p of chunk k % p
+            # path k of the stage is path k // m of chunk k % m, of m chunks
+            m = len(chunks)
             results = [None] * sum(map(len, outs))
             for c, out in enumerate(outs):
-                results[c::p] = out
+                results[c::m] = out
             i, j = [k for k, r in enumerate(results) if r.status == CONVERGED and r.endpoint.is_regular][:2]
-            results[j] = outs[j % p][j // p] = results[i]
+            results[j] = outs[j % m][j // m] = results[i]
             jumped.append(results)
         return outs
 
@@ -172,10 +186,10 @@ def _stage_bits(results, jumps):
     ]
 
 
-def test_a_stage_gives_the_bits_of_one_guarded_batch_on_any_number_of_workers(monkeypatch):
-    # the demo's continuation and its first membership stage, each against
-    # one ``track_paths`` batch guarded by hand
-    calls, track_stage = [], cascade.track_stage
+def _demo_stages(monkeypatch):
+    """The demo's continuation and its membership stages, as the
+    (h, starts, p, groups) of their ``track_stage`` calls."""
+    calls = []
     for module in (cascade, filtering):
         real = module.track_stage
 
@@ -185,13 +199,34 @@ def test_a_stage_gives_the_bits_of_one_guarded_batch_on_any_number_of_workers(mo
 
         monkeypatch.setattr(module, "track_stage", recorded)
     decompose(demo_system(), top_dimension=3, seed=7, tasks=1)
-    continuation = calls[0]
-    membership = next(c for c in calls if c[3] is not None)
-    for h, starts, p, groups in (continuation, membership):
+    monkeypatch.undo()
+    return calls[0], [c for c in calls if c[3] is not None]
+
+
+def test_a_stage_gives_the_bits_of_one_guarded_batch_on_any_number_of_workers(monkeypatch):
+    # the demo's continuation and its first membership stage, each against
+    # one ``track_paths`` batch guarded by hand
+    track_stage = cascade.track_stage
+    continuation, membership = _demo_stages(monkeypatch)
+    for h, starts, p, groups in (continuation, membership[0]):
         reference = _stage_bits(*guard_jumps(track_paths(h, starts), retracker(h, starts), groups))
         assert len(reference[1]) == len(starts) > 1
         for p in (1, 2, 3) if groups is None else (1,):
             assert _stage_bits(*track_stage(h, starts, p, groups)) == reference
+
+
+def test_a_membership_stage_in_chunks_on_two_workers_gives_the_bits_of_one_guarded_batch(monkeypatch):
+    # a SliceHomotopy holds one shift row per path: each chunk must track
+    # its own rows of it
+    h, starts, _, groups = max(_demo_stages(monkeypatch)[1], key=lambda c: len(c[1]))
+    assert isinstance(h, SliceHomotopy)
+    reference = _stage_bits(*guard_jumps(track_paths(h, starts), retracker(h, starts), groups))
+    monkeypatch.setattr(cascade, "PATH_CAP", 16)
+    chunks = []
+    real_crew = cascade.work_crew
+    monkeypatch.setattr(cascade, "work_crew", lambda jobs, p, worker: chunks.append(jobs) or real_crew(jobs, p, worker))
+    assert _stage_bits(*cascade.track_stage(h, starts, 2, groups)) == reference
+    assert len(chunks[0]) == -(-len(starts) // 16) > 2
 
 
 def test_a_path_that_jumped_is_retracked_alone_and_the_payload_is_task_independent(monkeypatch):
@@ -217,12 +252,12 @@ def test_paths_that_still_coincide_after_the_retrack_give_a_warning(monkeypatch)
 
 
 def test_a_failed_start_path_gives_a_warning(monkeypatch):
-    # the first path of the first cell fails: the run says so, and the
+    # the first path of the first batch fails: the run says so, and the
     # text summary lists each cascade level's failed paths
     real = cascade.solve_cell
 
-    def first_fails(cell, g, supports):
-        results = real(cell, g, supports)
+    def first_fails(cells, g, supports):
+        results = real(cells, g, supports)
         if not first_fails.done:
             results[0] = PathResult(FAILED, None, results[0].steps_used, results[0].t_reached)
             first_fails.done = True

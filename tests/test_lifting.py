@@ -81,12 +81,14 @@ def test_generic_lifting_gives_up_after_six_liftings():
 def test_tie_after_a_cell_restarts_the_start_system(monkeypatch, p):
     expected = _cells(1)
     _tie_after_one_cell_on_attempt_0(monkeypatch, cascade)
-    log = []
-    _, sols, stats = cascade.solve_start_system(CYCLIC4_DIM1, 7, p=p, cell_log=log)
-    assert stats.mixed_volume == 20 and len(sols) == 20 and stats.start_paths == 20
-    assert stats.lifting_attempt == 1
-    assert log == expected and stats.cells == len(expected)
-    assert mp.active_children() == []
+    for cap in (cascade.PATH_CAP, 1):  # with a cap of 1 the tied cell's batch was handed on already
+        monkeypatch.setattr(cascade, "PATH_CAP", cap)
+        log = []
+        _, sols, stats = cascade.solve_start_system(CYCLIC4_DIM1, 7, p=p, cell_log=log)
+        assert stats.mixed_volume == 20 and len(sols) == 20 and stats.start_paths == 20
+        assert stats.lifting_attempt == 1
+        assert log == expected and stats.cells == len(expected)
+        assert mp.active_children() == []
 
 
 def test_a_simplex_that_gives_up_restarts_the_start_system(monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nidpipe import parallel
+from nidpipe import cascade, parallel
 from nidpipe.blackbox import decompose
 from nidpipe.cascade import solve_start_system
 from nidpipe.parallel import (
@@ -378,16 +378,58 @@ def test_start_system_pipeline_forks_with_no_thread_alive(alive_at_fork):
     assert all(threads == [threading.main_thread()] for threads in alive_at_fork)
 
 
+def test_the_start_system_gives_the_same_bits_in_batches_of_any_size(monkeypatch):
+    # every path's result is batch-independent, so the cut of the cells
+    # into batches of PATH_CAP paths changes no bit, at p = 1 or 2
+    system = embed(cyclic(5), 1, 7).system
+    real_solve_cell, real_pipeline_run = cascade.solve_cell, cascade.pipeline_run
+
+    def run(p):
+        batches, cells = [], []
+
+        def solve_cell(batch, g, supports):
+            batches.append(batch)
+            return real_solve_cell(batch, g, supports)
+
+        def pipeline_run(produce, consumer, cfg):  # its consumers are forked: see the batches put
+            return real_pipeline_run(lambda put: produce(lambda b: batches.append(b) or put(b)), consumer, cfg)
+
+        monkeypatch.setattr(cascade, "solve_cell", solve_cell)
+        monkeypatch.setattr(cascade, "pipeline_run", pipeline_run)
+        _, sols, stats = solve_start_system(system, 7, p=p, cell_log=cells)
+        assert [c for b in batches for c in b] == cells
+        bits = [(s.coordinates.tobytes(), s.residual, s.condition, s.regularity) for s in sols]
+        return bits, (stats.start_paths, stats.start_failures, stats.start_jumps), [[c.volume for c in b] for b in batches]
+
+    reference, counts, volumes = run(1)
+    assert len(reference) == counts[0] > 0 and len(volumes) == 1 < len(volumes[0])
+    for cap in (1, 10**6):
+        monkeypatch.setattr(cascade, "PATH_CAP", cap)
+        for p in (1, 2):
+            bits, again, volumes = run(p)
+            assert (bits, again) == (reference, counts)
+            assert max(map(sum, volumes)) <= max(cap, max(map(max, volumes)))
+            assert all(len(v) == 1 for v in volumes) if cap == 1 else len(volumes) == 1
+
+
 @pytest.mark.parametrize("p", [1, 2])
 def test_the_start_system_times_its_cell_search(p):
-    _, sols, stats = solve_start_system(embed(cyclic(4), 1, 7).system, 7, p=p)
+    cells = []
+    _, sols, stats = solve_start_system(embed(cyclic(4), 1, 7).system, 7, p=p, cell_log=cells)
     assert len(sols) == 20
     assert 0.0 < stats.time_first_cell <= stats.time_start_system
     assert 0.0 < stats.time_cell_search <= stats.time_start_system
     if p == 1:
         assert stats.pipeline is None
     else:
-        assert stats.pipeline.produced == stats.pipeline.consumed == stats.cells
+        # one pipeline item per batch of cells that hold PATH_CAP paths
+        batches, waiting = 0, 0
+        for cell in cells:
+            waiting += cell.volume
+            if waiting >= cascade.PATH_CAP:
+                batches, waiting = batches + 1, 0
+        batches += waiting > 0
+        assert stats.pipeline.produced == stats.pipeline.consumed == batches
     table = Timings(cell_search=stats.time_cell_search, first_cell=stats.time_first_cell).table()
     assert "\n  cell search " in table and "\n  first cell " in table
     assert Timings().table().splitlines()[2].split() == ["first", "cell", "-"]

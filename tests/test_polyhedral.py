@@ -300,7 +300,7 @@ def test_solve_cell_linear_unique_solution():
     cells = []
     enumerate_cells(lifted, lambda c: cells.append(c))
     assert len(cells) == 1 and cells[0].volume == 1
-    results = solve_cell(cells[0], f, sup)
+    results = solve_cell([cells[0]], f, sup)
     assert len(results) == 1
     x = results[0].endpoint.coordinates
     direct = np.linalg.solve(np.array([[2, 3], [5, 6.5]]), [-1, -4])
@@ -316,7 +316,7 @@ def test_start_system_solutions_count_and_residual():
     enumerate_cells(lifted, lambda c: cells.append(c))
     endpoints = []
     for cell in cells:
-        for r in solve_cell(cell, g, sup):
+        for r in solve_cell([cell], g, sup):
             assert r.status == "converged"
             assert residual(g, r.endpoint.coordinates) < 1e-10
             endpoints.append(r.endpoint.coordinates)
