@@ -123,8 +123,9 @@ def solve_start_system(
     at the end, so no batch depends on timing.  At p = 1 ``put`` tracks
     a batch right there (``solve_cell``), at p >= 2 it goes to the p-1
     forked consumers of a 2-stage pipeline.  A tie restarts the search,
-    counters, cell log and waiting cells included, on the next lifting
-    (``generic_lifting``).  The paths of all cells end on roots of g, so
+    counters and waiting cells included, on the next lifting
+    (``generic_lifting``); ``cell_log``, when given, receives the cells
+    of the accepted lifting.  The paths of all cells end on roots of g, so
     they are guarded as one stage: once a jump is found, ``retracker``
     tracks the jumped paths again on the homotopy of all the cells
     (``cell_homotopy``), as every other stage does.  The search's own
@@ -139,8 +140,6 @@ def solve_start_system(
         stats.cells = stats.mixed_volume = 0
         stats.time_first_cell = None
         cells: list[MixedCell] = []
-        if cell_log is not None:
-            cell_log.clear()
 
         def produce(put):
             handing = 0.0
@@ -154,8 +153,6 @@ def solve_start_system(
                 stats.cells += 1
                 stats.mixed_volume += cell.volume
                 cells.append(cell)
-                if cell_log is not None:
-                    cell_log.append(cell)
                 waiting.append(cell)
                 if sum(c.volume for c in waiting) >= PATH_CAP:
                     put(waiting)
@@ -179,6 +176,8 @@ def solve_start_system(
         return cells, raise_failures([out for _, out in pairs], "cell worker")
 
     (cells, outs), stats.lifting_attempt = generic_lifting(supports, seed, search)
+    if cell_log is not None:
+        cell_log[:] = cells
     results, stats.start_jumps = guard_jumps(
         [r for out in outs for r in out], lambda idx: retracker(*cell_homotopy(cells, g, supports))(idx)
     )
@@ -235,17 +234,17 @@ def solve_top(
 def _classify_level(
     results: list[PathResult], emb_level: EmbeddedSystem, dimension: int
 ) -> CascadeLevel:
-    """Split tracked paths into the level's three-way classification."""
-    level = CascadeLevel(dimension, emb_level, starts=len(results), at_infinity=0)
+    """Split tracked paths into the level's three-way classification.
+    The endpoints are refined on the level's system in one stacked
+    ``newton_refine``, each cut to the system's first variables: a
+    cascade step's target row pins its last slack to 0, and the next
+    level drops it."""
     system = emb_level.system if emb_level.k else emb_level.base
-    for r in results:
-        if r.status == AT_INFINITY:
-            level.at_infinity += 1
-            continue
-        if not r.succeeded or r.endpoint is None:
-            level.failures += 1
-            continue
-        sol = newton_refine(system, r.endpoint.coordinates, tol=1e-13, max_iters=6)
+    ends = [r.endpoint.coordinates[: system.nvars] for r in results if r.succeeded]
+    at_infinity = sum(r.status == AT_INFINITY for r in results)
+    level = CascadeLevel(dimension, emb_level, starts=len(results), at_infinity=at_infinity)
+    level.failures = len(results) - at_infinity - len(ends)
+    for sol in newton_refine(system, np.array(ends), tol=1e-13, max_iters=6):
         cls = classify(sol.coordinates, emb_level.n_original)
         if cls == AT_INFINITY:
             level.at_infinity += 1
@@ -284,14 +283,7 @@ def cascade_step(level: CascadeLevel, p: int = 1) -> CascadeLevel:
     h = _slack_removal_homotopy(emb, gamma)
     starts = np.array([s.coordinates for s in level.nonzero_slack])
     tracked, jumps = track_stage(h, starts, p)
-    results = []
-    for r in tracked:
-        if r.succeeded and r.endpoint is not None:
-            # the target row pins z_d = 0: drop that coordinate
-            coords = r.endpoint.coordinates[:-1]
-            r = PathResult(r.status, Solution(coords, r.endpoint.residual, r.endpoint.condition), r.steps_used, r.t_reached)
-        results.append(r)
-    next_level = _classify_level(results, next_emb, level.dimension - 1)
+    next_level = _classify_level(tracked, next_emb, level.dimension - 1)
     next_level.jumps = jumps
     return next_level
 

@@ -199,15 +199,14 @@ def _refine_isolated(base_system, cands: list[Solution]) -> list[tuple[Solution,
     would call that root regular."""
     if not cands:
         return []
-    refined = [newton_refine(base_system, c.coordinates, tol=1e-13, max_iters=8) for c in cands]
+    refined = newton_refine(base_system, [c.coordinates for c in cands], tol=1e-13, max_iters=8)
     # points on multiple components stall at ~sqrt(eps) in double
     # precision, right at the rank threshold; double-double Newton
     # settles the regularity question (linear rate needs the extra
     # iterations to push a 1e-7 defect decisively below 1e-8)
     polished = refine_dd(base_system, np.array([r.coordinates for r in refined]), steps=12)
     out = []
-    for r, x in zip(refined, polished):
-        remeasured = newton_refine(base_system, x, tol=0.0, max_iters=0)
+    for r, remeasured in zip(refined, newton_refine(base_system, polished, tol=0.0, max_iters=0)):
         if remeasured.residual <= max(r.residual * 10, 1e-12):
             r = remeasured
         size = np.abs(r.coordinates)[None].astype(np.complex128)

@@ -129,6 +129,7 @@ def report_to_jsonable(rep: DecompositionReport) -> dict:
             "mixed_volume": rep.top_stats.mixed_volume,
             "cells": rep.top_stats.cells,
             "start_paths": rep.top_stats.start_paths,
+            "start_failures": rep.top_stats.start_failures,
             "continuation_paths": rep.top_stats.continuation_paths,
             "top_at_infinity": rep.top_stats.at_infinity,
             "top_finite": rep.top_stats.finite,
@@ -157,7 +158,8 @@ def summary_text(rep: DecompositionReport) -> str:
     lines = []
     lines.append(f"seed {rep.seed}, top dimension {rep.top_dimension}, {rep.tasks} task(s), {rep.precision} precision")
     lines.append(
-        f"mixed volume {rep.top_stats.mixed_volume} over {rep.top_stats.cells} cells; "
+        f"mixed volume {rep.top_stats.mixed_volume} over {rep.top_stats.cells} cells "
+        f"({rep.top_stats.start_failures} of {rep.top_stats.start_paths} start paths failed); "
         f"{rep.top_stats.continuation_paths} paths to the top system "
         f"({rep.top_stats.finite} finite, {rep.top_stats.at_infinity} at infinity, "
         f"{rep.top_stats.failures} failed)"

@@ -13,11 +13,15 @@ batch: reports do not depend on how the paths of a stage are split
 among workers.
 
 The corrector is the accuracy authority (a step is accepted only when
-it converges within its iteration budget).  Endpoints are polished at
-t=1 with a damped least-squares Newton so that paths running into
-singular endpoints still return usable solutions.  A homotopy may give
-each path its own target (``SliceHomotopy``), so the tracker evaluates
-a subset of paths through ``select``.
+it converges within its iteration budget).  A path that stops keeps its
+state; after the stepping loop, the paths that ended at t=1 or stopped
+in the endgame are polished at t=1 in one stacked pass (``_finish``)
+with a damped least-squares Newton, row by row, so that paths running
+into singular endpoints still return usable solutions.  The same
+stacked Newton refines a stack of points against a plain system
+(``newton_refine``).  A homotopy may give each path its own target
+(``SliceHomotopy``), so the tracker evaluates a subset of paths through
+``select``.
 
 Paths are tracked in double with one fixed step-control recipe, the
 module constants below; the tracker takes no options.  A rejected step
@@ -239,14 +243,6 @@ class PathResult:
         return self.status in (CONVERGED, SINGULAR_ENDPOINT)
 
 
-def _finite(x: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(x.view(np.float64))))
-
-
-def _res_norm(v: np.ndarray) -> float:
-    return float(np.max(np.abs(v))) if v.size else 0.0
-
-
 def _row_max_abs(v: np.ndarray) -> np.ndarray:
     """Infinity norm over the last axis: of each row of a (P, m) array."""
     return np.max(np.abs(v), axis=-1)
@@ -324,34 +320,43 @@ def _correct(h: Homotopy, x: np.ndarray, t: np.ndarray, tol: float, iters: int):
 
 
 def _damped_newton(h: Homotopy, x: np.ndarray, tol: float, iters: int):
-    """Damped Newton at t=1 on one point; never accepts a residual increase.
+    """Damped Newton at t=1 on each row of x (P, n); never accepts a
+    residual increase.  A row stops on its own, so its bits do not
+    depend on the others: once it converges or turns non-finite, or
+    when none of 8 halvings of its step lowers its residual.
 
     Uses least-squares steps so rank-deficient Jacobians (singular
-    endpoints, points on positive dimensional sets) stay tame.
+    endpoints, points on positive dimensional sets) stay tame.  Returns
+    the points and their residuals.
     """
-    one = np.ones(1)
-    r = h.eval(x[None], one)[0]
-    resid = _res_norm(r)
-    done = 0
+    x = x.copy()
+    if not len(x):
+        return x, np.zeros(0)
+    one = np.ones(len(x))
+    r = h.eval(x, one)
+    resid = _row_max_abs(r)
+    live = np.arange(len(x))
     for _ in range(iters):
-        if not np.isfinite(resid) or resid <= tol:
+        live = live[np.isfinite(resid[live]) & (resid[live] > tol)]
+        if not live.size:
             break
-        dx = newton_step(h.jac(x[None], one)[0], r)
+        dx = _newton_steps(h.select(live).jac(x[live], one[live]), r[live])
         lam = 1.0
-        improved = False
+        trying = np.arange(len(live))  # the rows of live whose step is not yet taken
         for _ in range(8):
-            x_try = x + lam * dx
-            r_try = h.eval(x_try[None], one)[0]
-            res_try = _res_norm(r_try)
-            if np.isfinite(res_try) and res_try < resid:
-                x, r, resid = x_try, r_try, res_try
-                improved = True
+            i = live[trying]
+            x_try = x[i] + lam * dx[trying]
+            r_try = h.select(i).eval(x_try, one[i])
+            res_try = _row_max_abs(r_try)
+            better = np.isfinite(res_try) & (res_try < resid[i])
+            took = i[better]
+            x[took], r[took], resid[took] = x_try[better], r_try[better], res_try[better]
+            trying = trying[~better]
+            if not trying.size:
                 break
             lam *= 0.5
-        done += 1
-        if not improved:
-            break
-    return x, resid, done
+        live = np.delete(live, trying)
+    return x, resid
 
 
 def _solution(f: PolySystem, x: np.ndarray, resid: float) -> Solution:
@@ -376,9 +381,13 @@ def _dd_polished(f: PolySystem, sols: list, steps: int, floor=0.0, shift=None) -
     ]
 
 
-def _finish(h, x, steps_used, entry_norm: float) -> PathResult:
-    """Final correction at t=1 and endpoint classification of one path:
-    every status is decided at t=1, so every result reaches t=1.
+def _finish(h, x, steps, entry_norm) -> list[PathResult]:
+    """Final correction at t=1 and endpoint classification, in one
+    stacked pass, of the paths of a batch that end at the rows of x
+    (P, n): ``track_paths`` calls it once, after its stepping loop.
+    ``steps`` gives each path's step count and ``entry_norm`` its size
+    on entering the endgame.  Every status is decided at t=1, so every
+    result reaches t=1.
 
     The t=1 Newton polish is a *correction*: an endpoint that moved far
     from the tracked point is not this path's limit (diverging paths
@@ -386,18 +395,23 @@ def _finish(h, x, steps_used, entry_norm: float) -> PathResult:
     A path is at infinity when its polish fails and it is either large
     or grew strongly across the endgame.
     """
-    norm_now = float(np.max(np.abs(x))) if _finite(x) else float("inf")
+    norm_now = np.where(np.isfinite(x).all(axis=1), _row_max_abs(x), np.inf)
     move_cap = MOVE_CAP * (1.0 + norm_now)
-    x1, resid, _ = _damped_newton(h, x, CORRECTOR_TOL, FINAL_NEWTON_ITERS)
-    moved = float(np.max(np.abs(x1 - x))) if _finite(x1) else float("inf")
-    if np.isfinite(resid) and resid <= CONVERGED_RESIDUAL and moved <= move_cap:
-        return PathResult(CONVERGED, _solution(h.target, x1, resid), steps_used, 1.0)
+    x1, resid = _damped_newton(h, x, CORRECTOR_TOL, FINAL_NEWTON_ITERS)
+    moved = np.where(np.isfinite(x1).all(axis=1), _row_max_abs(x1 - x), np.inf)
+    near = np.isfinite(resid) & (moved <= move_cap)
     growth = (norm_now + 1e-6) / (entry_norm + 1e-6)
-    if norm_now > SOFT_INFINITY or growth >= 8.0:
-        return PathResult(AT_INFINITY, None, steps_used, 1.0)
-    if not (np.isfinite(resid) and resid <= 1e-4 and moved <= move_cap):
-        return PathResult(FAILED, None, steps_used, 1.0)
-    return PathResult(SINGULAR_ENDPOINT, _solution(h.target, x1, resid), steps_used, 1.0)
+    large = (norm_now > SOFT_INFINITY) | (growth >= 8.0)
+    status = np.select(  # the first rule that holds decides
+        [near & (resid <= CONVERGED_RESIDUAL), large, near & (resid <= 1e-4)],
+        [CONVERGED, AT_INFINITY, SINGULAR_ENDPOINT],
+        FAILED,
+    )
+    ends = (CONVERGED, SINGULAR_ENDPOINT)
+    return [
+        PathResult(s, _solution(h.target, xi, float(ri)) if s in ends else None, int(n), 1.0)
+        for s, xi, ri, n in zip(status.tolist(), x1, resid, steps)
+    ]
 
 
 def track_paths(
@@ -421,11 +435,7 @@ def track_paths(
     npaths = len(x0)
     if not npaths:
         return []
-    results: list[PathResult | None] = [None] * npaths
     x, _, _, ok = _correct(h, x0, np.zeros(npaths), CORRECTOR_TOL * 10, 3)
-    for i in np.flatnonzero(~ok):
-        results[i] = PathResult(FAILED, None, 0, 0.0)
-
     grow_iters = CAUTIOUS_GROW_ITERS if _cautious else GROW_ITERS
     t = np.zeros(npaths)
     step = np.full(npaths, INITIAL_STEP)
@@ -435,28 +445,14 @@ def track_paths(
     entry_norm = _row_max_abs(x)
     in_endgame = np.zeros(npaths, dtype=bool)
 
-    def finish(i):
-        results[i] = _finish(h.select([i]), x[i].copy(), int(steps[i]), float(entry_norm[i]))
-
-    def end(i):
-        if in_endgame[i]:
-            finish(i)
-        else:
-            results[i] = PathResult(FAILED, None, int(steps[i]), float(t[i]))
-
-    active = np.flatnonzero(ok)
+    active = np.flatnonzero(ok)  # a path that stops keeps its x, t, steps and endgame flag
     while active.size:
-        spent = steps[active] >= MAX_STEPS
-        for i in active[spent]:
-            end(i)
-        active = active[~spent]
+        active = active[steps[active] < MAX_STEPS]
         entering = active[~in_endgame[active] & (t[active] >= ENDGAME_START)]
         in_endgame[entering] = True
         entry_norm[entering] = _row_max_abs(x[entering])
         remaining = 1.0 - t[active]
         snap = remaining <= SNAP_REMAINING
-        for i in active[snap]:
-            finish(i)
         active, remaining = active[~snap], remaining[~snap]
         if not active.size:
             break
@@ -483,17 +479,18 @@ def track_paths(
             for i, hs, it in zip(acc, hstep[ok], iters[ok]):
                 traces[i].append((float(t[i]), float(hs), int(it)))
         arrived = t[acc] >= 1.0
-        for i in acc[arrived]:
-            finish(i)
         grow = acc[~arrived & (iters[ok] <= grow_iters)]
         step[grow] = np.minimum(step[grow] * 2.0, MAX_STEP)
 
         rej = active[~ok]
         step[rej] = hstep[~ok] * 0.5
-        stalled = step[rej] < MIN_STEP
-        for i in rej[stalled]:
-            end(i)
-        active = np.sort(np.concatenate([acc[~arrived], rej[~stalled]]))
+        active = np.sort(np.concatenate([acc[~arrived], rej[step[rej] >= MIN_STEP]]))
+    # the paths at t=1 and those that stopped in the endgame end at t=1;
+    # every other path, its start correction failed included, failed
+    results = [PathResult(FAILED, None, int(n), float(ti)) for n, ti in zip(steps, t)]
+    end = np.flatnonzero(in_endgame | (t >= 1.0))
+    for i, r in zip(end, _finish(h.select(end), x[end], steps[end], entry_norm[end])):
+        results[i] = r
     # near-multiple endpoints converge at linear rate 1/2, so a handful
     # of double-double steps must become a dozen to pull a 1e-4 endpoint
     # defect safely under the match tolerances
@@ -576,17 +573,19 @@ def newton_refine(
     x,
     tol: float = 1e-12,
     max_iters: int = 10,
-) -> Solution:
-    """Damped Newton against a plain system; updates quality measures.
+) -> list[Solution]:
+    """Damped Newton against a plain system on each row of the stack x
+    (P, n), in one pass; one ``Solution``, with its quality measures,
+    per row.
 
-    If the residual cannot be decreased (four consecutive rejected
-    damping attempts count as growth) the input point is returned with
-    its measures recomputed rather than a worse point.
+    A row whose residual none of 8 halvings of its Newton step lowers
+    stops where it is, with its measures recomputed, rather than at a
+    worse point.
     """
     x = np.asarray(x, dtype=np.complex128)
-    at_rest = SliceHomotopy(f, np.zeros((1, len(f.polys))))  # f alone: one evaluation a call
-    best, resid, _ = _damped_newton(at_rest, x, tol, max_iters)
-    return _solution(f, best, resid)
+    at_rest = SliceHomotopy(f, np.zeros((len(x), len(f.polys))))  # f alone: one evaluation a call
+    best, resid = _damped_newton(at_rest, x, tol, max_iters)
+    return [_solution(f, xi, float(r)) for xi, r in zip(best, resid)]
 
 
 def vanishing(f: PolySystem, points: list[Solution]) -> list[Solution]:
@@ -648,7 +647,7 @@ def classify(coords, n_original: int) -> str:
     slacks every finite point counts as zero-slack.
     """
     coords = np.asarray(coords, dtype=np.complex128)
-    if not _finite(coords) or float(np.max(np.abs(coords))) > INFINITE_ENDPOINT:
+    if not np.isfinite(coords).all() or float(np.max(np.abs(coords))) > INFINITE_ENDPOINT:
         return AT_INFINITY
     slacks = coords[n_original:]
     if slacks.size == 0 or float(np.max(np.abs(slacks))) < ZERO_SLACK_TOL:

@@ -2,10 +2,12 @@
 membership stages, and the failure policy of the cascade's crews and
 the membership stages."""
 
+import json
+
 import numpy as np
 import pytest
 
-from nidpipe import cascade, cli, filtering
+from nidpipe import cascade, cli, filtering, polyhedral, tracker
 from nidpipe.blackbox import decompose
 from nidpipe.filtering import (
     MembershipIndeterminate,
@@ -113,6 +115,42 @@ def test_each_membership_stage_of_the_demo_is_one_batch_with_one_candidate_verdi
             except MembershipIndeterminate:
                 alone.append(None)
         assert alone == stacked
+
+
+def test_the_demo_polishes_each_batch_and_refines_each_cascade_level_in_one_stacked_pass(monkeypatch):
+    # ``track_paths`` polishes its endpoints in one ``_finish`` call after
+    # its stepping loop; each cascade level's endpoints are one stacked
+    # ``newton_refine``, and the isolated candidates two, around their
+    # double-double polish
+    finishes, newtons, refines = [], [], {"cascade": 0, "filtering": 0}
+    track_paths, finish, damped_newton = tracker.track_paths, tracker._finish, tracker._damped_newton
+
+    def counted_track(*args, **kwargs):
+        finishes.append(0)
+        return track_paths(*args, **kwargs)
+
+    def counted_finish(*args):
+        finishes[-1] += 1
+        return finish(*args)
+
+    def counted_newton(*args):
+        newtons.append(len(args[1]))
+        return damped_newton(*args)
+
+    for module in (tracker, cascade, polyhedral):
+        monkeypatch.setattr(module, "track_paths", counted_track)
+    monkeypatch.setattr(tracker, "_finish", counted_finish)
+    monkeypatch.setattr(tracker, "_damped_newton", counted_newton)
+    for name, module in (("cascade", cascade), ("filtering", filtering)):
+        def counted_refine(*args, _name=name, _real=module.newton_refine, **kwargs):
+            refines[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "newton_refine", counted_refine)
+    rep = decompose(demo_system(), top_dimension=3, seed=7, tasks=1)
+    assert rep.isolated and finishes and max(finishes) == 1
+    assert refines == {"cascade": len(rep.cascade_counts), "filtering": 2}
+    assert len(newtons) <= 20 and sum(newtons) >= rep.top_stats.continuation_paths
 
 
 def _scalar_dedup(points, n=None):
@@ -252,8 +290,9 @@ def test_paths_that_still_coincide_after_the_retrack_give_a_warning(monkeypatch)
 
 
 def test_a_failed_start_path_gives_a_warning(monkeypatch):
-    # the first path of the first batch fails: the run says so, and the
-    # text summary lists each cascade level's failed paths
+    # the first path of the first batch fails: the run says so, the
+    # payload counts it, and the text summary names it and lists each
+    # cascade level's failed paths
     real = cascade.solve_cell
 
     def first_fails(cells, g, supports):
@@ -268,7 +307,9 @@ def test_a_failed_start_path_gives_a_warning(monkeypatch):
     rep = decompose(cyclic(4), top_dimension=1, seed=7, tasks=1)
     assert (rep.top_stats.start_failures, rep.top_stats.start_paths, rep.top_stats.continuation_paths) == (1, 20, 19)
     assert rep.warnings == ["start system: 1 of 20 start paths failed; a point may be missing"]
+    assert json.loads(report_to_json(rep))["counts"]["start_failures"] == 1
     text = summary_text(rep)
+    assert "cells (1 of 20 start paths failed); 19 paths to the top system" in text.splitlines()[1]
     assert f"WARNING: {rep.warnings[0]}" in text
     assert "(starts / at infinity / zero slack / nonzero slack / failed):" in text
     for c in rep.cascade_counts:

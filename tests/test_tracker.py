@@ -115,7 +115,7 @@ def test_track_rejects_bad_start():
 
 def test_newton_refine_exact_root_unchanged():
     f = demo_system()
-    s = newton_refine(f, [3, 2, 2, 1])
+    (s,) = newton_refine(f, [[3, 2, 2, 1]])
     assert s.residual == 0.0
     assert np.allclose(s.coordinates, [3, 2, 2, 1])
     assert s.regularity == "regular"
@@ -128,7 +128,7 @@ def test_newton_refine_quadratic_decay_on_regular_root():
     resids = [residual(f, x)]
     cur = x
     for _ in range(4):
-        s = newton_refine(f, cur, tol=0.0, max_iters=1)
+        (s,) = newton_refine(f, cur[None], tol=0.0, max_iters=1)
         cur = s.coordinates
         resids.append(s.residual)
     # quadratic: each residual at most C * previous^2 (generous C),
@@ -136,7 +136,7 @@ def test_newton_refine_quadratic_decay_on_regular_root():
     for a, b in zip(resids, resids[1:]):
         if a > 1e-7:
             assert b <= 50 * a * a
-    final = newton_refine(f, x)
+    (final,) = newton_refine(f, x[None])
     assert np.max(np.abs(final.coordinates - np.array([3, 2, 2, 1]))) < 1e-12
 
 
@@ -144,7 +144,7 @@ def test_newton_refine_perturbed_cyclic4_point():
     f = cyclic(4)
     rng = np.random.default_rng(2)
     x = np.array([1, 1, -1, -1], dtype=complex) + 1e-4 * rng.normal(size=4)
-    s = newton_refine(f, x)
+    (s,) = newton_refine(f, x[None])
     assert s.residual < 1e-12
     # the limit stays near the perturbed start (it lands on the curve)
     assert np.max(np.abs(s.coordinates - np.array([1, 1, -1, -1]))) < 1e-3
@@ -152,7 +152,7 @@ def test_newton_refine_perturbed_cyclic4_point():
 
 def test_newton_refine_flags_multiplicity_two_point():
     f = eq6_system()
-    s = newton_refine(f, [2.0, 0.0])
+    (s,) = newton_refine(f, [[2.0, 0.0]])
     assert s.residual < 1e-10
     assert s.regularity == SINGULAR
 
@@ -160,8 +160,22 @@ def test_newton_refine_flags_multiplicity_two_point():
 def test_newton_refine_does_not_accept_worse_point():
     f = cyclic(4)
     x = np.array([10.0, 10.0, 10.0, 10.0], dtype=complex)
-    s = newton_refine(f, x, tol=1e-12, max_iters=2)
+    (s,) = newton_refine(f, x[None], tol=1e-12, max_iters=2)
     assert residual(f, s.coordinates) <= residual(f, x)
+
+
+def test_a_stacked_newton_refine_gives_the_bits_of_one_row_calls():
+    # a stack is refined in one pass, each row stopping on its own: the
+    # exact double root, a point near it, a far point and a complex one
+    f = eq6_system()
+    x = np.array([[2, 0], [2.1, 0.1], [1e5, -1e5], [3 + 1j, -1]], dtype=complex)
+    stacked = newton_refine(f, x)
+    alone = [newton_refine(f, row[None])[0] for row in x]
+    assert len(stacked) == len(x)
+    for a, b in zip(stacked, alone):
+        assert a.coordinates.tobytes() == b.coordinates.tobytes()
+        assert (a.residual, a.condition, a.regularity) == (b.residual, b.condition, b.regularity)
+    assert newton_refine(f, np.empty((0, 2))) == []
 
 
 def test_refine_dd_improves_multiple_point():

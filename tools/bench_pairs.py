@@ -11,7 +11,10 @@ runs from that checkout's sources.  Every (workload, seed) given runs
 all its pairs before the next starts.
 
 The file holds the environment and the ``src/`` line count of each
-side, every run (its metrics, ``correct`` flag and exit code), and per
+side, every run (its metrics, number of solves, ``correct`` flag and
+exit code; for a run that exits non-zero or is not correct, also the
+last 2,000 characters of its stdout and stderr and the records of its
+failed solves, with their problems), and per
 workload, seed and end-to-end metric each side's median and quartiles
 and the number of pairs the change won: a win is a value better than
 the parent's in the direction ``BENCHMARK.json`` gives, and a tie wins
@@ -47,13 +50,17 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, scratch: 
         return {"exit_code": None, "wall_s": time.perf_counter() - t0, "correct": False, "metrics": {},
                 "stderr": f"no result within {RUN_TIMEOUT_S} s"}
     run = {"exit_code": proc.returncode, "wall_s": time.perf_counter() - t0}
+    failed_solves = []
     if out.is_file():
         record = json.loads(out.read_text(encoding="utf-8"))
         result = record["result"]
-        run.update(correct=result["correct"], environment=record["environment"],
+        run.update(correct=result["correct"], solves=result["attempted"], environment=record["environment"],
                    metrics={name: m["value"] for name, m in result["metrics"].items()})
+        failed_solves = [s for s in record["solves"] if not s["ok"]]
     else:
-        run.update(correct=False, metrics={}, stderr=proc.stderr[-2000:])
+        run.update(correct=False, metrics={})
+    if proc.returncode != 0 or not run["correct"]:
+        run.update(stdout=proc.stdout[-2000:], stderr=proc.stderr[-2000:], failed_solves=failed_solves)
     return run
 
 
