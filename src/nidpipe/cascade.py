@@ -55,7 +55,9 @@ from .tracker import (  # noqa: F401  (``track`` stays a module attribute for tr
     track_paths,
 )
 
-PATH_CAP = 128  # paths per tracking batch: fewer pay numpy's per-call cost on few rows, more step slower
+# paths per tracking batch: fewer pay numpy's per-call cost on few rows,
+# more step slower; a stage of at most this many is one batch, in the caller
+PATH_CAP = 128
 
 
 @dataclass
@@ -119,10 +121,13 @@ def solve_start_system(
     system's supports, each with the origin added (``with_origin``), so
     that roots with a zero coordinate are reached.  The cell search runs
     in the calling thread; ``emit`` hands its cells to ``put`` in batches,
-    one as soon as the waiting cells hold ``PATH_CAP`` paths and the rest
-    at the end, so no batch depends on timing.  At p = 1 ``put`` tracks
-    a batch right there (``solve_cell``), at p >= 2 it goes to the p-1
-    forked consumers of a 2-stage pipeline.  A tie restarts the search,
+    one as soon as the waiting cells hold ``PATH_CAP`` paths, so no batch
+    depends on timing.  At p = 1 ``put`` tracks a batch right there
+    (``solve_cell``), at p >= 2 it goes to the p-1 forked consumers of a
+    2-stage pipeline, which forks them at the first batch.  The cells
+    still waiting when the search ends are tracked in the calling
+    process at any p, while the consumers finish the queue: a search that
+    never fills a batch forks nothing.  A tie restarts the search,
     counters and waiting cells included, on the next lifting
     (``generic_lifting``); ``cell_log``, when given, receives the cells
     of the accepted lifting.  The paths of all cells end on roots of g, so
@@ -140,6 +145,7 @@ def solve_start_system(
         stats.cells = stats.mixed_volume = 0
         stats.time_first_cell = None
         cells: list[MixedCell] = []
+        last: list[list[PathResult]] = []  # the paths of the cells left waiting
 
         def produce(put):
             handing = 0.0
@@ -165,15 +171,16 @@ def solve_start_system(
             finally:
                 stats.time_cell_search += time.perf_counter() - t - handing
             if waiting:
-                put(waiting)
+                last.append(solve_cell(waiting, g, supports))
 
         if p == 1:
             outs: list[list[PathResult]] = []
             produce(lambda batch: outs.append(solve_cell(batch, g, supports)))
-            return cells, outs
-        cfg = PipelineConfig(p=p)
-        pairs, stats.pipeline = pipeline_run(produce, lambda batch: solve_cell(batch, g, supports), cfg)
-        return cells, raise_failures([out for _, out in pairs], "cell worker")
+        else:
+            cfg = PipelineConfig(p=p)
+            pairs, stats.pipeline = pipeline_run(produce, lambda batch: solve_cell(batch, g, supports), cfg)
+            outs = raise_failures([out for _, out in pairs], "cell worker")
+        return cells, outs + last
 
     (cells, outs), stats.lifting_attempt = generic_lifting(supports, seed, search)
     if cell_log is not None:
@@ -188,14 +195,16 @@ def solve_start_system(
 
 
 def track_stage(h: Homotopy, starts: np.ndarray, p: int, groups=None) -> tuple[list[PathResult], int]:
-    """Track one stage's n paths on p workers in k = min(n, max(p,
-    ceil(n / PATH_CAP))) chunks, chunk i the paths idx = arange(i, n, k)
-    as one batch on h.select(idx), and ``guard_jumps`` them, by
-    ``groups`` when given: the results in the order of starts and the
-    number of paths that still coincide.  A job that raised fails the
-    run."""
+    """Track one stage's n paths on p workers in k = ceil(n / PATH_CAP)
+    chunks, chunk i the paths idx = arange(i, n, k) as one batch on
+    h.select(idx), and ``guard_jumps`` them, by ``groups`` when given:
+    the results in the order of starts and the number of paths that
+    still coincide.  A stage of at most ``PATH_CAP`` paths is one batch,
+    which ``work_crew`` tracks in the calling process: forking a crew
+    and splitting the batch costs more than a second worker saves.  A
+    job that raised fails the run."""
     n = len(starts)
-    k = min(n, max(p, -(-n // PATH_CAP)))
+    k = -(-n // PATH_CAP)
     chunks = [np.arange(i, n, k) for i in range(k)]
     tracked = work_crew(chunks, p, lambda idx: track_paths(h.select(idx), starts[idx]))
     results: list = [None] * n

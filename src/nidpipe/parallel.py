@@ -2,16 +2,18 @@
 speedup models for every stage of the solver.
 
 Both the work crew and the pipeline run on one loop, ``_forked``: the
-calling thread forks the workers, then runs the producer, which streams
-(index, item) pairs to them through a bounded queue, and each worker
-sends back its results tagged with the index, so reports stay
+calling thread runs the producer, which streams (index, item) pairs
+through a bounded queue to workers forked at its first item, and each
+worker sends back its results tagged with the index, so reports stay
 deterministic.  An idle worker takes the next item the moment it
 finishes one, so load balances dynamically.  The solver hands a crew a
-stage's paths in chunks of at most ``cascade.PATH_CAP`` paths, at least
-one per worker (``cascade.track_stage``), and the pipeline's consumers
-batches of cells; a membership filter stage is a crew of one, its
-chunks run in the calling process.  A forked worker that dies fails
-the run with a RuntimeError instead of leaving the parent waiting.
+stage's paths in as few chunks of at most ``cascade.PATH_CAP`` paths
+as hold them (``cascade.track_stage``), so a stage that fits one chunk
+runs in the calling process, and the pipeline's consumers the full
+batches of cells, the caller tracking the last one itself; a
+membership filter stage is a crew of one, its chunks run in the calling
+process.  A forked worker that dies fails the run with a RuntimeError
+instead of leaving the parent waiting.
 
 The speedup models compute exact rational T_1, T_p, S_p for the
 pipeline, for a single stage of paths, for a cascade of stages, and for
@@ -135,10 +137,11 @@ def _put(q, item, procs) -> None:
 
 def _forked(produce: Callable, worker: Callable, workers: int, capacity: int,
             stats: PipelineStats) -> list:
-    """Fork ``workers`` processes, then run ``produce(put)`` in the
-    calling thread; each item it puts goes through a queue of
-    ``capacity`` slots to the next idle worker.  Returns (index, result)
-    pairs sorted by index.
+    """Run ``produce(put)`` in the calling thread; each item it puts
+    goes through a queue of ``capacity`` slots to the next idle of
+    ``workers`` processes, which the first ``put`` forks: a producer that
+    puts nothing forks nothing.  Returns (index, result) pairs sorted by
+    index.
 
     ``put`` blocks while the queue is full (that is the back-pressure)
     and raises RuntimeError once a worker has died.  An error raised by
@@ -164,14 +167,15 @@ def _forked(produce: Callable, worker: Callable, workers: int, capacity: int,
             started = time.perf_counter()
             out_q.put((i, _run_job(worker, i, item), started))
 
-    procs = [ctx.Process(target=child) for _ in range(workers)]
-    for pr in procs:
-        pr.start()
-
+    procs: list = []
     n = 0
 
     def put(item) -> None:
         nonlocal n
+        if not procs:
+            procs.extend(ctx.Process(target=child) for _ in range(workers))
+            for pr in procs:
+                pr.start()
         t0 = time.perf_counter()
         _put(buf, (n, item), procs)
         stats.producer_blocked += time.perf_counter() - t0

@@ -204,13 +204,18 @@ class PolySystem:
 class _StackedEvaluator:
     """All terms of several polynomials in one numpy block.
 
-    Evaluation at P points builds a per-point power table up to the max
-    degree, gathers each term's factors, multiplies them left to right
-    over the variables, and segment-sums each row with reduceat.  Every
-    operation is elementwise or reduces within one point's row, so a
-    point's values are bit-identical for every P (a reduction across
-    the gathered factors, such as ``prod``, is not: its order depends
-    on the array's shape).
+    Evaluation at P points fills a per-point table of monomials: the
+    powers x[p, j] ** k up to the max degree, then every monomial with
+    d > 1 nonzero exponents as its prefix, the monomial with its last
+    such variable dropped, times that variable's power, one depth d at a
+    time.  Each distinct monomial of the terms and of their prefixes is
+    formed once; this is the left-to-right product over the variables
+    without its factors of 1.  Each term gathers its monomial and
+    multiplies it by its coefficient, and each row is segment-summed with
+    reduceat.  Every operation is elementwise or reduces within one
+    point's row, so a point's values are bit-identical for every P (a
+    reduction across the gathered factors, such as ``prod``, is not: its
+    order depends on the array's shape).
     """
 
     def __init__(self, rows: Sequence[tuple], nvars: int):
@@ -241,33 +246,44 @@ class _StackedEvaluator:
         self.expo, self.coef, self.sizes = expo, coef, sizes
         self.offsets = np.cumsum(sizes) - sizes
         self.maxdeg = int(expo.max()) if expo.size else 0
-        # index of each term's factor x_j^e in a point's flattened power table
-        self.factor_index = expo.T * nvars + np.arange(nvars)[:, None]
+        # a monomial is the tuple of its (variable, exponent) pairs with a
+        # nonzero exponent; the table holds x_j^k in column k * nvars + j,
+        # then the deeper monomials of the closure under prefixes by depth
+        keys = [tuple([(j, e) for j, e in enumerate(m) if e]) for m in expo.tolist()]
+        deep = set()
+        for key in keys:
+            while len(key) > 1 and key not in deep:
+                deep.add(key)
+                key = key[:-1]
+        npowers = (self.maxdeg + 1) * nvars
+        column = {(): 0} | {((j, k),): k * nvars + j for j in range(nvars) for k in range(1, self.maxdeg + 1)}
+        column.update({key: npowers + i for i, key in enumerate(sorted(deep, key=lambda k: (len(k), k)))})
+        self.width = npowers + len(deep)
+        self.levels = []  # (columns, prefix columns, power columns) per depth
+        for d in range(2, max(map(len, deep), default=1) + 1):
+            level = sorted((column[k], column[k[:-1]], column[k[-1:]]) for k in deep if len(k) == d)
+            cols, prefix, power = np.array(level).T
+            self.levels.append((slice(cols[0], cols[-1] + 1), prefix, power))
+        self.term_column = np.array([column[key] for key in keys], dtype=np.intp)
         # reduceat cannot take offsets at the end of the array (empty
         # trailing rows); sum only the nonempty rows and scatter back
         self.nonempty = np.nonzero(sizes > 0)[0]
         self.nonempty_offsets = self.offsets[self.nonempty]
         self.all_nonempty = len(self.nonempty) == self.nrows
 
-    def powers(self, x: np.ndarray) -> np.ndarray:
-        """(P, maxdeg + 1, nvars) table of x[p, j] ** k."""
-        tab = np.empty((len(x), self.maxdeg + 1, self.nvars), dtype=np.complex128)
-        tab[:, 0] = 1.0
-        for k in range(1, self.maxdeg + 1):
-            np.multiply(tab[:, k - 1], x, out=tab[:, k])
-        return tab
-
     def __call__(self, x: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         """Row sums at the points x of shape (P, nvars), as (P, nrows);
         optional multiplicative term weights of shape (T,) or (P, T)."""
-        npts = len(x)
+        npts, n = len(x), self.nvars
         if self.coef.size == 0:
             return np.zeros((npts, self.nrows), dtype=np.complex128)
-        tab = self.powers(x).reshape(npts, -1)
-        monos = tab[:, self.factor_index[0]]
-        for j in range(1, self.nvars):
-            monos = monos * tab[:, self.factor_index[j]]
-        vals = self.coef * monos
+        tab = np.empty((npts, self.width), dtype=np.complex128)
+        tab[:, :n] = 1.0
+        for k in range(1, self.maxdeg + 1):
+            np.multiply(tab[:, (k - 1) * n : k * n], x, out=tab[:, k * n : (k + 1) * n])
+        for cols, prefix, power in self.levels:
+            np.multiply(tab[:, prefix], tab[:, power], out=tab[:, cols])
+        vals = self.coef * tab[:, self.term_column]
         if weights is not None:
             vals = vals * weights
         if self.all_nonempty:
@@ -288,21 +304,21 @@ class _StackedEvaluator:
         """Row sums at the complex double-double points (hi, lo), each of
         shape (P, nvars), as a double-double pair of (P, nrows) arrays.
 
-        The power table, the monomials and the coefficient products are
-        formed as in ``__call__``, in double-double; each row is then
-        summed pairwise over its terms, padded with zeros.
+        The monomial table and the coefficient products are formed as in
+        ``__call__``, in double-double; each row is then summed pairwise
+        over its terms, padded with zeros.
         """
-        npts = len(hi)
-        th = np.empty((npts, self.maxdeg + 1, self.nvars), dtype=np.complex128)
+        npts, n = len(hi), self.nvars
+        th = np.empty((npts, self.width), dtype=np.complex128)
         tl = np.empty_like(th)
-        th[:, 0], tl[:, 0] = 1.0, 0.0
+        th[:, :n], tl[:, :n] = 1.0, 0.0
         for k in range(1, self.maxdeg + 1):
-            th[:, k], tl[:, k] = cdd_mul(th[:, k - 1], tl[:, k - 1], hi, lo)
-        th, tl, index = th.reshape(npts, -1), tl.reshape(npts, -1), self.factor_index
-        mh, ml = th[:, index[0]], tl[:, index[0]]
-        for j in range(1, self.nvars):
-            mh, ml = cdd_mul(mh, ml, th[:, index[j]], tl[:, index[j]])
-        vh, vl = cdd_mul(mh, ml, self.coef, np.zeros_like(self.coef))
+            prev, cols = slice((k - 1) * n, k * n), slice(k * n, (k + 1) * n)
+            th[:, cols], tl[:, cols] = cdd_mul(th[:, prev], tl[:, prev], hi, lo)
+        for cols, prefix, power in self.levels:
+            th[:, cols], tl[:, cols] = cdd_mul(th[:, prefix], tl[:, prefix], th[:, power], tl[:, power])
+        index = self.term_column
+        vh, vl = cdd_mul(th[:, index], tl[:, index], self.coef, np.zeros_like(self.coef))
         pad = np.zeros((npts, 1), dtype=np.complex128)
         vh = np.concatenate([vh, pad], axis=1)[:, self._padded_rows]
         vl = np.concatenate([vl, pad], axis=1)[:, self._padded_rows]

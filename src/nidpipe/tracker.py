@@ -61,8 +61,8 @@ from typing import Protocol
 import numpy as np
 
 from .dd import cdd_add
-from .linalg import SINGULARITY_TOL, condition_and_rank, newton_step
-from .polynomials import PolySystem, _StackedEvaluator, jacobian
+from .linalg import SINGULARITY_TOL, newton_step
+from .polynomials import PolySystem, _StackedEvaluator
 
 # residuals are meaningful only down to the cancellation noise of the
 # evaluation; 50 ulps of the absolute-term scale is the practical floor
@@ -205,7 +205,7 @@ class SliceHomotopy:
         return self.target._evaluator()(x) + t[:, None] * self.shift
 
     def jac(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return self.target._jac_evaluator()(x).reshape(len(x), -1, self.target.nvars)
+        return self.target._jac_evaluator()(x).reshape(len(x), len(self.target.polys), self.target.nvars)
 
     def eval_scale(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         v = self.target._abs_evaluator()(np.abs(x).astype(np.complex128)).real
@@ -359,11 +359,21 @@ def _damped_newton(h: Homotopy, x: np.ndarray, tol: float, iters: int):
     return x, resid
 
 
-def _solution(f: PolySystem, x: np.ndarray, resid: float) -> Solution:
-    """x as a root of f, with its condition and regularity measured."""
-    cond, _ = condition_and_rank(jacobian(f, x))
-    reg = REGULAR if cond < 1.0 / SINGULARITY_TOL else SINGULAR
-    return Solution(x, resid, cond, reg)
+def _solutions(f: PolySystem, x: np.ndarray, resid) -> list[Solution]:
+    """The rows of x (P, n) as roots of f with residuals resid, each with
+    its condition and regularity measured as ``condition_and_rank`` does,
+    from one stacked Jacobian and one stacked SVD: a row whose Jacobian
+    is not finite or has a zero singular value has condition inf."""
+    J = f._jac_evaluator()(x).reshape(len(x), len(f.polys), f.nvars)
+    finite = np.isfinite(J).all(axis=(1, 2))
+    s = np.linalg.svd(np.where(finite[:, None, None], J, 0.0), compute_uv=False)
+    smax, smin = s[:, 0], s[:, -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(finite & (smax > 0.0) & (smin > 0.0), smax / smin, np.inf)
+    return [
+        Solution(xi, float(r), float(c), REGULAR if c < 1.0 / SINGULARITY_TOL else SINGULAR)
+        for xi, r, c in zip(x, resid, cond)
+    ]
 
 
 def _dd_polished(f: PolySystem, sols: list, steps: int, floor=0.0, shift=None) -> list:
@@ -375,10 +385,9 @@ def _dd_polished(f: PolySystem, sols: list, steps: int, floor=0.0, shift=None) -
     better = refine_dd(f, np.array([s.coordinates for s in sols]), steps, shift)
     values = f._evaluator()(better)
     resid = _row_max_abs(values if shift is None else values + shift)
-    return [
-        _solution(f, x, float(r)) if np.isfinite(r) and r <= max(s.residual * 4, floor) else s
-        for s, x, r in zip(sols, better, resid)
-    ]
+    took = np.flatnonzero(np.isfinite(resid) & (resid <= np.maximum(4 * np.array([s.residual for s in sols]), floor)))
+    polished = dict(zip(took.tolist(), _solutions(f, better[took], resid[took])))
+    return [polished.get(i, s) for i, s in enumerate(sols)]
 
 
 def _finish(h, x, steps, entry_norm) -> list[PathResult]:
@@ -407,11 +416,9 @@ def _finish(h, x, steps, entry_norm) -> list[PathResult]:
         [CONVERGED, AT_INFINITY, SINGULAR_ENDPOINT],
         FAILED,
     )
-    ends = (CONVERGED, SINGULAR_ENDPOINT)
-    return [
-        PathResult(s, _solution(h.target, xi, float(ri)) if s in ends else None, int(n), 1.0)
-        for s, xi, ri, n in zip(status.tolist(), x1, resid, steps)
-    ]
+    ends = np.flatnonzero(np.isin(status, (CONVERGED, SINGULAR_ENDPOINT)))
+    sols = dict(zip(ends.tolist(), _solutions(h.target, x1[ends], resid[ends])))
+    return [PathResult(s, sols.get(i), int(n), 1.0) for i, (s, n) in enumerate(zip(status.tolist(), steps))]
 
 
 def track_paths(
@@ -582,10 +589,9 @@ def newton_refine(
     stops where it is, with its measures recomputed, rather than at a
     worse point.
     """
-    x = np.asarray(x, dtype=np.complex128)
+    x = np.asarray(x, dtype=np.complex128).reshape(len(x), f.nvars)
     at_rest = SliceHomotopy(f, np.zeros((len(x), len(f.polys))))  # f alone: one evaluation a call
-    best, resid = _damped_newton(at_rest, x, tol, max_iters)
-    return [_solution(f, xi, float(r)) for xi, r in zip(best, resid)]
+    return _solutions(f, *_damped_newton(at_rest, x, tol, max_iters))
 
 
 def vanishing(f: PolySystem, points: list[Solution]) -> list[Solution]:

@@ -243,9 +243,11 @@ def _demo_stages(monkeypatch):
 
 def test_a_stage_gives_the_bits_of_one_guarded_batch_on_any_number_of_workers(monkeypatch):
     # the demo's continuation and its first membership stage, each against
-    # one ``track_paths`` batch guarded by hand
+    # one ``track_paths`` batch guarded by hand; with a cap of 16 paths the
+    # continuation's 61 are 4 chunks, which p = 2 and 3 fork
     track_stage = cascade.track_stage
     continuation, membership = _demo_stages(monkeypatch)
+    monkeypatch.setattr(cascade, "PATH_CAP", 16)
     for h, starts, p, groups in (continuation, membership[0]):
         reference = _stage_bits(*guard_jumps(track_paths(h, starts), retracker(h, starts), groups))
         assert len(reference[1]) == len(starts) > 1

@@ -25,8 +25,8 @@ from nidpipe.parallel import (
     simulate_pipeline,
     work_crew,
 )
-from nidpipe.report import Timings
-from nidpipe.systems import cyclic, embed
+from nidpipe.report import Timings, report_to_json
+from nidpipe.systems import cyclic, demo_system, embed
 
 
 def test_work_crew_results_align_with_jobs():
@@ -371,11 +371,34 @@ def test_consecutive_crews_fork_with_no_thread_alive(alive_at_fork):
     assert all(threads == [threading.main_thread()] for threads in alive_at_fork)
 
 
-def test_start_system_pipeline_forks_with_no_thread_alive(alive_at_fork):
+def test_start_system_pipeline_forks_with_no_thread_alive(alive_at_fork, monkeypatch):
+    monkeypatch.setattr(cascade, "PATH_CAP", 6)  # full batches to hand on from cyclic-4's 20 paths
     _, sols, stats = solve_start_system(embed(cyclic(4), 1, 7).system, 7, p=2)
     assert stats.mixed_volume == 20 and len(sols) == 20
     assert alive_at_fork
     assert all(threads == [threading.main_thread()] for threads in alive_at_fork)
+
+
+def _payload(rep) -> str:
+    return report_to_json(rep).replace(f'"tasks": {rep.tasks}', '"tasks": 0')
+
+
+def test_a_demo_solve_on_two_tasks_forks_no_process(alive_at_fork):
+    # every stage of the demo fits one batch, and its start system's 61
+    # paths never fill one: nothing is handed to a worker
+    reference = decompose(demo_system(), top_dimension=3, seed=7, tasks=1)
+    rep = decompose(demo_system(), top_dimension=3, seed=7, tasks=2)
+    assert alive_at_fork == []
+    assert _payload(rep) == _payload(reference)
+
+
+def test_a_solve_with_stages_above_the_path_cap_forks_and_gives_the_bits_of_one_task(alive_at_fork, monkeypatch):
+    reference = decompose(cyclic(5), top_dimension=1, seed=7, tasks=1)
+    assert alive_at_fork == []
+    monkeypatch.setattr(cascade, "PATH_CAP", 6)
+    rep = decompose(cyclic(5), top_dimension=1, seed=7, tasks=2)
+    assert alive_at_fork
+    assert _payload(rep) == _payload(reference)
 
 
 def test_the_start_system_gives_the_same_bits_in_batches_of_any_size(monkeypatch):
@@ -413,7 +436,8 @@ def test_the_start_system_gives_the_same_bits_in_batches_of_any_size(monkeypatch
 
 
 @pytest.mark.parametrize("p", [1, 2])
-def test_the_start_system_times_its_cell_search(p):
+def test_the_start_system_times_its_cell_search(p, monkeypatch):
+    monkeypatch.setattr(cascade, "PATH_CAP", 6)  # full batches to hand on from cyclic-4's 20 paths
     cells = []
     _, sols, stats = solve_start_system(embed(cyclic(4), 1, 7).system, 7, p=p, cell_log=cells)
     assert len(sols) == 20
@@ -422,14 +446,14 @@ def test_the_start_system_times_its_cell_search(p):
     if p == 1:
         assert stats.pipeline is None
     else:
-        # one pipeline item per batch of cells that hold PATH_CAP paths
+        # one pipeline item per batch of cells that hold PATH_CAP paths;
+        # the cells left waiting at the end are tracked in this process
         batches, waiting = 0, 0
         for cell in cells:
             waiting += cell.volume
             if waiting >= cascade.PATH_CAP:
                 batches, waiting = batches + 1, 0
-        batches += waiting > 0
-        assert stats.pipeline.produced == stats.pipeline.consumed == batches
+        assert stats.pipeline.produced == stats.pipeline.consumed == batches > 0
     table = Timings(cell_search=stats.time_cell_search, first_cell=stats.time_first_cell).table()
     assert "\n  cell search " in table and "\n  first cell " in table
     assert Timings().table().splitlines()[2].split() == ["first", "cell", "-"]
