@@ -195,16 +195,17 @@ def solve_start_system(
 
 
 def track_stage(h: Homotopy, starts: np.ndarray, p: int, groups=None) -> tuple[list[PathResult], int]:
-    """Track one stage's n paths on p workers in k = ceil(n / PATH_CAP)
-    chunks, chunk i the paths idx = arange(i, n, k) as one batch on
-    h.select(idx), and ``guard_jumps`` them, by ``groups`` when given:
-    the results in the order of starts and the number of paths that
-    still coincide.  A stage of at most ``PATH_CAP`` paths is one batch,
-    which ``work_crew`` tracks in the calling process: forking a crew
-    and splitting the batch costs more than a second worker saves.  A
-    job that raised fails the run."""
+    """Track one stage's n paths on p workers in k chunks, chunk i the
+    paths idx = arange(i, n, k) as one batch on h.select(idx), and
+    ``guard_jumps`` them, by ``groups`` when given: the results in the
+    order of starts and the number of paths that still coincide.  A
+    stage of at most ``PATH_CAP`` paths is one chunk, which ``work_crew``
+    tracks in the calling process (on the demo, forking a crew and
+    splitting the batch cost more than a second worker saved); a larger
+    one is k = min(n, max(p, ceil(n / PATH_CAP))) chunks, at least one
+    per worker.  A job that raised fails the run."""
     n = len(starts)
-    k = -(-n // PATH_CAP)
+    k = 1 if n <= PATH_CAP else min(n, max(p, -(-n // PATH_CAP)))
     chunks = [np.arange(i, n, k) for i in range(k)]
     tracked = work_crew(chunks, p, lambda idx: track_paths(h.select(idx), starts[idx]))
     results: list = [None] * n

@@ -30,7 +30,6 @@ import numpy as np
 from .cascade import CascadeLevel, track_stage
 from .linalg import condition_and_rank
 from .parallel import work_crew  # noqa: F401  (a module attribute for tracing tools)
-from .polynomials import jacobian
 from .systems import EmbeddedSystem, slice_to_zero
 from .tracker import (  # noqa: F401  (``track`` stays a module attribute for tracing tools)
     SliceHomotopy,
@@ -138,14 +137,15 @@ def _membership_chain(
     return candidates, stages
 
 
-def _restricted_regular(emb: EmbeddedSystem, sol: Solution) -> bool:
-    """Regularity of a zero-slack point as a solution of the embedding
-    restricted to zero slacks (full column rank of the sliced Jacobian)."""
+def _restricted_regular(emb: EmbeddedSystem, sols: list[Solution]) -> list[bool]:
+    """The regularity of each zero-slack point of sols as a solution of
+    the embedding restricted to zero slacks (full column rank of the
+    sliced Jacobian), from one stacked Jacobian."""
     n = emb.n_original
     sliced = slice_to_zero(emb)
-    J = jacobian(sliced, sol.coordinates[:n])
-    _, rank = condition_and_rank(J)
-    return rank == n
+    x = np.array([s.coordinates[:n] for s in sols]).reshape(len(sols), n)
+    _, rank = condition_and_rank(sliced._jac_evaluator()(x).reshape(len(sols), len(sliced.polys), n))
+    return (rank == n).tolist()
 
 
 def _dedup(points: list[Solution], n: int | None = None) -> list[Solution]:
@@ -180,7 +180,7 @@ def filter_junk(levels: list[CascadeLevel]) -> tuple[list[WitnessSet], list[Filt
         candidates = _dedup(list(level.zero_slack), level.embedding.n_original)
         candidates, level_stages = _membership_chain(candidates, witness_sets, d)
         stages += level_stages
-        survivors = [c for c in candidates if _restricted_regular(level.embedding, c)]
+        survivors = [c for c, ok in zip(candidates, _restricted_regular(level.embedding, candidates)) if ok]
         if survivors:
             witness_sets.append(
                 WitnessSet(d, level.embedding, survivors, label=f"dimension-{d}")
@@ -205,15 +205,15 @@ def _refine_isolated(base_system, cands: list[Solution]) -> list[tuple[Solution,
     # settles the regularity question (linear rate needs the extra
     # iterations to push a 1e-7 defect decisively below 1e-8)
     polished = refine_dd(base_system, np.array([r.coordinates for r in refined]), steps=12)
-    out = []
-    for r, remeasured in zip(refined, newton_refine(base_system, polished, tol=0.0, max_iters=0)):
-        if remeasured.residual <= max(r.residual * 10, 1e-12):
-            r = remeasured
-        size = np.abs(r.coordinates)[None].astype(np.complex128)
-        scale = float(base_system._abs_jac_evaluator()(size).real.max())
-        _, rank = condition_and_rank(jacobian(base_system, r.coordinates), scale=scale)
-        out.append((r, rank == base_system.nvars))
-    return out
+    refined = [
+        m if m.residual <= max(r.residual * 10, 1e-12) else r
+        for r, m in zip(refined, newton_refine(base_system, polished, tol=0.0, max_iters=0))
+    ]
+    x = np.array([r.coordinates for r in refined])
+    scale = base_system._abs_jac_evaluator()(np.abs(x).astype(np.complex128)).real.max(axis=1)
+    J = base_system._jac_evaluator()(x).reshape(len(x), len(base_system.polys), base_system.nvars)
+    _, rank = condition_and_rank(J, scale=scale)
+    return list(zip(refined, (rank == base_system.nvars).tolist()))
 
 
 def classify_isolated(

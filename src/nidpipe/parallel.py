@@ -7,13 +7,13 @@ through a bounded queue to workers forked at its first item, and each
 worker sends back its results tagged with the index, so reports stay
 deterministic.  An idle worker takes the next item the moment it
 finishes one, so load balances dynamically.  The solver hands a crew a
-stage's paths in as few chunks of at most ``cascade.PATH_CAP`` paths
-as hold them (``cascade.track_stage``), so a stage that fits one chunk
-runs in the calling process, and the pipeline's consumers the full
-batches of cells, the caller tracking the last one itself; a
-membership filter stage is a crew of one, its chunks run in the calling
-process.  A forked worker that dies fails the run with a RuntimeError
-instead of leaving the parent waiting.
+stage's paths in chunks of at most ``cascade.PATH_CAP`` paths
+(``cascade.track_stage``): a stage that fits one chunk runs in the
+calling process, a larger one is at least one chunk per worker.  The
+pipeline's consumers get the full batches of cells, the caller tracks
+the last one itself; a membership filter stage is a crew of one, its
+chunks run in the calling process.  A forked worker that dies fails
+the run with a RuntimeError instead of leaving the parent waiting.
 
 The speedup models compute exact rational T_1, T_p, S_p for the
 pipeline, for a single stage of paths, for a cascade of stages, and for

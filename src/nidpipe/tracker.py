@@ -61,7 +61,7 @@ from typing import Protocol
 import numpy as np
 
 from .dd import cdd_add
-from .linalg import SINGULARITY_TOL, newton_step
+from .linalg import SINGULARITY_TOL, condition_and_rank, newton_step
 from .polynomials import PolySystem, _StackedEvaluator
 
 # residuals are meaningful only down to the cancellation noise of the
@@ -361,15 +361,9 @@ def _damped_newton(h: Homotopy, x: np.ndarray, tol: float, iters: int):
 
 def _solutions(f: PolySystem, x: np.ndarray, resid) -> list[Solution]:
     """The rows of x (P, n) as roots of f with residuals resid, each with
-    its condition and regularity measured as ``condition_and_rank`` does,
-    from one stacked Jacobian and one stacked SVD: a row whose Jacobian
-    is not finite or has a zero singular value has condition inf."""
-    J = f._jac_evaluator()(x).reshape(len(x), len(f.polys), f.nvars)
-    finite = np.isfinite(J).all(axis=(1, 2))
-    s = np.linalg.svd(np.where(finite[:, None, None], J, 0.0), compute_uv=False)
-    smax, smin = s[:, 0], s[:, -1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(finite & (smax > 0.0) & (smin > 0.0), smax / smin, np.inf)
+    the condition of its Jacobian, all from one stacked Jacobian and one
+    ``condition_and_rank`` call."""
+    cond, _ = condition_and_rank(f._jac_evaluator()(x).reshape(len(x), len(f.polys), f.nvars))
     return [
         Solution(xi, float(r), float(c), REGULAR if c < 1.0 / SINGULARITY_TOL else SINGULAR)
         for xi, r, c in zip(x, resid, cond)

@@ -255,6 +255,21 @@ def test_a_stage_gives_the_bits_of_one_guarded_batch_on_any_number_of_workers(mo
             assert _stage_bits(*track_stage(h, starts, p, groups)) == reference
 
 
+def test_a_stage_within_the_cap_is_one_chunk_and_a_larger_one_is_at_least_one_per_worker(monkeypatch):
+    # the demo's 61-path continuation, its crews run in this process:
+    # only the number of chunks is looked at, and the bits stay those of
+    # one batch
+    h, starts, _, _ = _demo_stages(monkeypatch)[0]
+    reference = _stage_bits(*guard_jumps(track_paths(h, starts), retracker(h, starts)))
+    chunks = []
+    real_crew = cascade.work_crew
+    monkeypatch.setattr(cascade, "work_crew", lambda jobs, p, worker: chunks.append(len(jobs)) or real_crew(jobs, 1, worker))
+    for cap, p, k in ((61, 2, 1), (61, 4, 1), (60, 1, 2), (60, 3, 3), (16, 1, 4), (16, 2, 4), (16, 6, 6)):
+        monkeypatch.setattr(cascade, "PATH_CAP", cap)
+        assert _stage_bits(*cascade.track_stage(h, starts, p)) == reference
+        assert chunks.pop() == k
+
+
 def test_a_membership_stage_in_chunks_on_two_workers_gives_the_bits_of_one_guarded_batch(monkeypatch):
     # a SliceHomotopy holds one shift row per path: each chunk must track
     # its own rows of it

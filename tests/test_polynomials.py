@@ -182,6 +182,25 @@ def test_rank_invariant_under_row_scaling():
     assert r1 == r2 == 3
 
 
+def test_a_stack_is_measured_as_each_of_its_matrices():
+    rng = np.random.default_rng(5)
+    J = rng.normal(size=(6, 4, 3)) + 1j * rng.normal(size=(6, 4, 3))
+    J[1, 2, 0] = np.inf
+    J[2] = 0.0
+    J[3, :, 2] = 0.0  # rank 2, condition inf
+    J[4] *= 1e-9
+    scale = rng.uniform(0.5, 2.0, size=6)
+    for s in (None, scale):
+        cond, rank = condition_and_rank(J, scale=s)
+        alone = [condition_and_rank(j, scale=None if s is None else s[i]) for i, j in enumerate(J)]
+        assert cond.tobytes() == np.array([c for c, _ in alone]).tobytes()
+        assert rank.tolist() == [r for _, r in alone]
+    assert condition_and_rank(J)[1].tolist() == [3, 0, 0, 2, 3, 3]
+    assert condition_and_rank(J, scale=np.ones(6))[1].tolist() == [3, 0, 0, 2, 0, 3]
+    cond, rank = condition_and_rank(np.zeros((0, 4, 3)))
+    assert cond.shape == rank.shape == (0,)
+
+
 def test_condition_empty_matrix_error():
     with pytest.raises(ValueError):
         condition_and_rank(np.zeros((0, 0)))
