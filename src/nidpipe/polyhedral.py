@@ -10,12 +10,13 @@ is a contiguous run of nodes at one depth, and their tests run as
 stacks, as MixedVol (Gao, Li and Wu, ACM TOMS 31, 2005) solves many
 small LPs at once: one array pass for the point-survival test, the line
 screen and the projection of every candidate edge, and one simplex call
-for a stack of open LPs.  One byte budget, STACK_BYTES, sizes every
-batch and stack: each holds as many nodes, candidate edges or programs
-as fit in it, so small programs go in large stacks and the peak of
-memory stays put.  The batch's children are searched in contiguous
-chunks, first chunk first, so the tuples come out in the depth-first
-order of a search that expands one node at a time.
+for a stack of open LPs.  One byte budget, STACK_BYTES, bounds all
+that one stacked call holds, its arrays, temporaries and simplex
+stacks: each batch and stack holds as many nodes, candidate edges or
+programs as fit in it, so the peak of memory stays put.  The batch's
+children are searched in contiguous chunks, first chunk first, so the
+tuples come out in the depth-first order of a search that expands one
+node at a time.
 A tuple that survives to full depth is certified exactly, in integers:
 one power of two makes the float lifting integral, fraction-free
 elimination solves the edge equalities, and every non-cell point must
@@ -44,7 +45,7 @@ from .polynomials import PolySystem, make_poly
 from .tracker import PathResult, track, track_paths  # noqa: F401
 
 SLACK_MARGIN = 1e-9
-STACK_BYTES = 224 * 1024  # what the largest array of one stacked call may hold; sizes every run and stack
+STACK_BYTES = 768 * 1024  # all that one stacked call of the cell search may hold; sizes every run and stack
 LIFTING_ATTEMPTS = 6  # liftings of one seed tried before giving up
 
 
@@ -143,44 +144,49 @@ def _bareiss_solve(A: list[list[int]], b: list[int]) -> tuple[list[int] | None, 
 _FEASIBLE, _PRUNE, _TIE = 1, 0, -1
 
 
-def _fit(item_bytes: int) -> int:
-    """How many items of item_bytes each one stacked call takes: as many
-    as STACK_BYTES holds, and at least one."""
-    return max(1, STACK_BYTES // max(item_bytes, 1))
+def _fit(item_bytes: int, *held: np.ndarray) -> int:
+    """How many items of item_bytes one stacked call takes, at least one:
+    as many as STACK_BYTES holds beside the held arrays and the buffer
+    of a ufunc that broadcasts (np.getbufsize() numbers)."""
+    room = STACK_BYTES - 8 * np.getbufsize() - sum(a.nbytes for a in held)
+    return max(1, room // max(item_bytes, 1))
 
 
-def _tableau_bytes(m: int, d: int) -> int:
-    """The bytes of the tableau of one max-slack program on m rows in d
-    free directions in ``_max_slack_simplex``, the largest array a
-    program holds."""
-    return 8 * (d + 2) * (m + d + 2)
+def _tableau_bytes(m: int, d: int, made: int = 0) -> int:
+    """The bytes one program on m rows in d free directions holds in a
+    stack of ``_max_slack_simplex``: its tableau of d + 2 rows of m + d +
+    2 numbers and, beside it, first the made numbers of its G and b, then
+    two rows of pivot work and a dozen numbers per free direction."""
+    return 8 * ((d + 2) * (m + d + 2) + max(made, 2 * (m + d + 2) + 12 * (d + 1)))
 
 
 def _candidate_bytes(M: int, n: int, d: int) -> int:
     """The bytes one candidate edge of a node with d free directions holds
-    in ``_verdicts``: its child's M rows in n variables, or the max-slack
-    program on them."""
-    return max(8 * M * n, _tableau_bytes(M, d - 1))
+    in ``_verdicts`` before its program: the node's basis and the
+    reflector, or the child's M rows in n variables and in d - 1."""
+    return 8 * max(n * (2 * d + 1) + 3 * d * d, M * (n + d + 1) + n * (d + 1))
 
 
-def _pivot(T: np.ndarray, rows: np.ndarray, cols: np.ndarray, k: np.ndarray | None = None) -> None:
-    """One simplex pivot in programs of the stack T (tableau row, program,
-    column), in place: program k[i] (the i-th one when k is None) pivots
-    on row rows[i] and column cols[i].  The elimination runs one tableau
-    row at a time, a contiguous block of the stack, so no temporary is
-    the size of T."""
+def _pivot(T: np.ndarray, rows: np.ndarray, cols: np.ndarray, buf: np.ndarray, live: np.ndarray | None = None) -> None:
+    """One simplex pivot in the programs of the stack T (tableau row,
+    program, column), in place: program i pivots on row rows[i] and
+    column cols[i] unless live marks it idle.  The elimination runs one
+    tableau row, a contiguous block, at a time through buf."""
     i = np.arange(len(rows))
-    at = i if k is None else k
-    prow = T[rows, at]
-    prow /= prow[i, cols][:, None]
-    T[rows, at] = prow
-    colvals = T[:, at, cols]
+    prow = T[rows, i]
+    if live is None:
+        prow /= prow[i, cols][:, None]
+    else:
+        np.divide(prow, prow[i, cols][:, None], out=prow, where=live[:, None])
+    T[rows, i] = prow
+    colvals = T[:, i, cols]
     colvals[rows, i] = 0.0
     for r in range(len(T)):
-        if k is None:
-            T[r] -= colvals[r, :, None] * prow
+        np.multiply(colvals[r, :, None], prow, out=buf)
+        if live is None:
+            T[r] -= buf
         else:
-            T[r, k] -= colvals[r, :, None] * prow
+            np.subtract(T[r], buf, out=T[r], where=live[:, None])
 
 
 def _max_slack_simplex(G: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,8 +204,8 @@ def _max_slack_simplex(G: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
     numerically unbounded gets NaN.  The programs advance together, one
     pivot each per round, and each takes exactly the pivots it would
     take alone.  The stack holds one tableau per program and no copy of
-    it: pivots work in place, and finished programs give up their slots
-    to running ones.
+    it, nor G and b once a caller passes them as temporaries: pivots work
+    in place, and finished programs give up their slots to running ones.
     """
     K, m, d = G.shape
     ncols = m + 1 + d
@@ -214,6 +220,8 @@ def _max_slack_simplex(G: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
     # reduced costs: cost c = [b, 1, 0...]; basis = artificials + eps column
     T[d + 1, :, :m] = b - 1.0
     T[d + 1, :, ncols] = -1.0  # negative objective value
+    del G, b
+    buf = np.empty((K, ncols + 1))
     eps = np.full(K, np.nan)
     v = np.full((K, d), np.nan)
     basis = np.tile(np.r_[np.arange(m + 1, ncols), m], (K, 1))  # basic column of each row
@@ -222,13 +230,11 @@ def _max_slack_simplex(G: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
     # rows have rhs 0, so nothing moves); a row with no real support is
     # inert and can keep its artificial at zero forever
     for i in range(d):
-        row = np.abs(T[i, :, : m + 1])
+        row = np.abs(T[i, :, : m + 1], out=buf[:, : m + 1])
         j = np.argmax(row, axis=1)
         ok = row[np.arange(K), j] > 1e-11
-        if ok.all():
-            _pivot(T, np.full(K, i), j)
-        elif ok.any():
-            _pivot(T, np.full(int(ok.sum()), i), j[ok], np.flatnonzero(ok))
+        if ok.any():
+            _pivot(T, np.full(K, i), j, buf, None if ok.all() else ok)
         basis[ok, i] = j[ok]
     prog = np.arange(K)  # the program of each tableau still pivoting
     k = np.arange(K)
@@ -255,8 +261,9 @@ def _max_slack_simplex(G: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
             # first L slots move into the slots of programs that stopped
             L = int(go.sum())
             hole, mover = np.flatnonzero(stop[:L]), L + np.flatnonzero(go[L:])
-            T[:, hole] = T[:, mover]
-            T = T[:, :L]
+            for r in range(d + 2):
+                T[r, hole] = T[r, mover]
+            T, buf = T[:, :L], buf[:L]
             keep = np.arange(L)
             keep[hole] = mover
             prog, stall, enter, col, pos, basis, bland = (
@@ -270,7 +277,7 @@ def _max_slack_simplex(G: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
             leave[bland] = np.argmin(np.where(tied, basis[bland], ncols), axis=1)
         basis[k, leave] = enter
         stall = np.where(ratios[k, leave] <= 1e-13, stall + 1, 0)
-        _pivot(T, leave, enter)
+        _pivot(T, leave, enter, buf)
     return eps, v
 
 
@@ -282,26 +289,23 @@ class _Level:
     nodes, a point alpha (N, n) deep inside its cone and the orthonormal
     basis U (N, n, d) of its free normal directions.
 
-    A level of children stores neither U nor rows: node i's parent is
-    node up[i] of the run ``parent``, and its basis is made again from
-    the parent's when the walk reaches its run (``_CellSearch._walk``),
-    in the very products that made it in ``_verdicts``.  The rows a
-    node's edges impose are shared by every node that chose the edge,
-    and ``_CellSearch._rows`` gathers them for the test that needs
+    A run of children stores neither U nor rows, and only its last
+    edges, edge (N, 1): node i's parent is node up[i] of ``parent``,
+    which keeps only the edges and bases of nodes with children, and the
+    walk makes the run's edges and bases from theirs when it reaches it
+    (``_CellSearch._walk``), in the very products of ``_verdicts``.  The
+    rows a node's edges impose are shared by every node that chose the
+    edge, and ``_CellSearch._rows`` gathers them for the test that needs
     them."""
 
     edge: np.ndarray
-    alpha: np.ndarray
-    up: np.ndarray
+    alpha: np.ndarray | None
+    up: np.ndarray | None
     parent: "_Level | None"
     U: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.edge)
-
-    def __getitem__(self, run: slice) -> "_Level":
-        U = None if self.U is None else self.U[run]
-        return _Level(self.edge[run], self.alpha[run], self.up[run], self.parent, U)
 
 
 def _reflect(U: np.ndarray, a_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -324,14 +328,15 @@ def _reflect(U: np.ndarray, a_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return g, g2, degenerate, U @ H[:, :, 1:]
 
 
-def _slack_lps(count: int, m: int, d: int, program: Callable[[slice], tuple[np.ndarray, np.ndarray]]):
+def _slack_lps(count: int, m: int, d: int, rows, rhs, made: int = 0, held: tuple = ()):
     """``_max_slack_simplex`` on count programs of m rows in d free
-    directions, in stacks of as many programs as STACK_BYTES holds of
-    their tableaux.  program(s) gives the stacked (G, b) of the programs
-    in the slice s, so no array holds more than one stack of them.  A
-    program's answer does not depend on its stack."""
-    size = _fit(_tableau_bytes(m, d))
-    parts = [_max_slack_simplex(*program(slice(s, s + size))) for s in range(0, count, size)]
+    directions, in stacks as large as STACK_BYTES holds beside the held
+    arrays.  rows(s) and rhs(s) give the G and b of the programs in the
+    slice s, passed on as temporaries; made is their numbers per program
+    when they are made for the stack.  A program's answer does not
+    depend on its stack."""
+    size = _fit(_tableau_bytes(m, d, made), *held)
+    parts = [_max_slack_simplex(rows(slice(s, s + size)), rhs(slice(s, s + size))) for s in range(0, count, size)]
     return np.concatenate([eps for eps, _ in parts]), np.concatenate([v for _, v in parts])
 
 
@@ -362,18 +367,18 @@ def _line_verdicts(slope: np.ndarray, off: np.ndarray) -> np.ndarray:
     return np.where(~empty(SLACK_MARGIN), _FEASIBLE, np.where(empty(0.0), _PRUNE, _TIE))
 
 
-def _line_window(off: np.ndarray, slope: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows slope * s <= off (..., M) of a stack of lines, each
-    relaxed by SLACK_MARGIN: the highest and lowest s they allow, and
-    whether a flat row allows none.  off is overwritten."""
-    off += SLACK_MARGIN
-    up, down = slope > 1e-13, slope < -1e-13
-    flat_out = ((off < 0.0) & ~(up | down)).any(axis=-1)
-    np.divide(off, slope, out=off, where=up)
-    hi = np.minimum.reduce(off, axis=-1, where=up, initial=np.inf)
-    np.divide(off, slope, out=off, where=down)
-    lo = np.maximum.reduce(off, axis=-1, where=down, initial=-np.inf)
-    return hi, lo, flat_out
+def _line_window(off: np.ndarray, slope: np.ndarray, hi: np.ndarray, lo: np.ndarray, flat_out: np.ndarray) -> None:
+    """Narrow the windows [lo, hi] of a stack of lines, in place, to the
+    s that the rows slope * s <= off (..., M) allow, each relaxed by
+    SLACK_MARGIN, and mark in flat_out a line that a flat row leaves
+    empty.  The M rows are taken one at a time, so no temporary is
+    larger than one row of the stack."""
+    for j in range(off.shape[-1]):
+        o, s = off[..., j] + SLACK_MARGIN, slope[..., j]
+        up, down = s > 1e-13, s < -1e-13
+        flat_out |= (o < 0.0) & ~(up | down)
+        np.minimum(hi, np.divide(o, s, out=np.full_like(o, np.inf), where=up), out=hi)
+        np.maximum(lo, np.divide(o, s, out=np.full_like(o, -np.inf), where=down), out=lo)
 
 
 class _CellSearch:
@@ -387,15 +392,16 @@ class _CellSearch:
     (a ``_Level``) is tested as one stack: the point-survival test, the
     line screen, the projection of every candidate edge into its child
     cone, and the max-slack programs.  One byte budget, STACK_BYTES,
-    sizes every stack: a run holds as many nodes as their largest
-    per-node arrays fit in it (``_node_bytes``), a pass of ``_verdicts``
-    as many candidate edges as their rows or simplex programs fit, and a
-    simplex call as many programs.  What one node costs is cut to what
-    it must hold: the nodes of a level share the rows of their chosen
-    edges (``_rows``), a run of children keeps only its points alpha
-    and is given its bases when the walk reaches it, and the screens bound the
-    lines and pinned normals in the node's own coordinates, one chosen
-    edge's rows at a time.
+    bounds all that each of these calls holds: a run holds as many nodes
+    as the arrays of its tests fit in it (``_node_bytes``), a pass of
+    ``_verdicts`` as many candidate edges as theirs fit
+    (``_candidate_bytes``), and a simplex call as many programs as fit
+    in what the calling pass leaves (``_tableau_bytes``).  What one node
+    costs is cut to what it must hold: the nodes of a level share the
+    rows of their chosen edges (``_rows``), a run of children keeps only
+    its points and last edges until the walk reaches it, and the screens
+    bound the lines and pinned normals in the node's own coordinates,
+    one chosen edge's rows at a time.
 
     A strictly feasible projected point certifies an edge by itself;
     otherwise interval intersection decides a child line, and the
@@ -448,16 +454,19 @@ class _CellSearch:
             raise TieDetected(f"support {sup}: an edge at the margin")
         return pq[verdict == _FEASIBLE]
 
-    def _edge_rows(self, sup, p, q) -> tuple[np.ndarray, np.ndarray]:
+    def _edge_rows(self, sup, p, q, A=None, b=None) -> tuple[np.ndarray, np.ndarray]:
         """The rows pts[p] - pts[c] <= ws[c] - ws[p], c != p, q, that keep
-        each pair (p[i], q[i]) minimal on its support: (C, k-2, n) and
-        (C, k-2)."""
+        each pair (p[i] < q[i]) minimal on its support: (C, k-2, n) and
+        (C, k-2), a row at a time, into A and b when they are given."""
         pts, ws = self.points[sup], self.lifts[sup]
-        C = len(p)
-        keep = np.ones((C, len(pts)), dtype=bool)
-        keep[np.arange(C), p] = keep[np.arange(C), q] = False
-        others = np.nonzero(keep)[1].reshape(C, max(len(pts) - 2, 0))  # a one-point support has no pair
-        return pts[p][:, None, :] - pts[others], ws[others] - ws[p][:, None]
+        w = max(len(pts) - 2, 0)  # a one-point support has no pair
+        if A is None:
+            A, b = np.empty((len(p), w, self.n)), np.empty((len(p), w))
+        for j in range(w):
+            c = j + (j >= p) + (j + 1 >= q)  # the j-th point that is neither p nor q
+            np.subtract(pts[p], pts[c], out=A[:, j])
+            np.subtract(ws[c], ws[p], out=b[:, j])
+        return A, b
 
     def _row_blocks(self, edge: np.ndarray):
         """The rows that the chosen edges edge (N, depth) of N nodes
@@ -506,12 +515,12 @@ class _CellSearch:
         # an equality outside the free subspace: prune, or tie at the margin
         verdict = np.where(degenerate & (np.abs(rho) < SLACK_MARGIN), _TIE, _PRUNE)
         alpha_c = alpha + (U @ (g * (rho / g2)[:, None])[:, :, None])[..., 0]
-        del U
+        del U, alpha, g, g2, rho, a_vec
         # the node's rows, then the pair's: minimal on its support
         m = self.width[level.edge.shape[1]]
-        A_c, b_c = self._rows(level.edge[node], extra=max(len(pts) - 2, 0))
-        A_c[:, m:], b_c[:, m:] = self._edge_rows(sup, p, q)
-        off = b_c - (A_c @ alpha_c[:, :, None])[..., 0]
+        A_c, off = self._rows(level.edge[node], extra=max(len(pts) - 2, 0))
+        self._edge_rows(sup, p, q, A_c[:, m:], off[:, m:])
+        off -= (A_c @ alpha_c[:, :, None])[..., 0]
         # a strictly feasible projected point certifies the child outright
         quick = off.min(axis=1) if off.shape[1] else np.ones(C)
         sure = ~degenerate & (quick > SLACK_MARGIN)
@@ -524,12 +533,14 @@ class _CellSearch:
             verdict[rest] = np.where(quick[rest] <= 0.0, _PRUNE, _TIE)
             return verdict, slack, alpha_c
         G = A_c @ Uc  # the rows in the child's free directions, (C, M, d - 1)
-        del A_c, b_c
-        G, off = G[rest], off[rest]
+        del A_c
+        if len(rest) < C:
+            G, off = G[rest], off[rest]
         if d == 2:
             verdict[rest] = _line_verdicts(G[:, :, 0], off)
         else:
-            eps, V = _slack_lps(len(rest), off.shape[1], d - 1, lambda s: (G[s], off[s]))
+            held = (G, off, Uc, alpha_c, slack, verdict, quick, rest, degenerate, sure)
+            eps, V = _slack_lps(len(rest), off.shape[1], d - 1, lambda s: G[s], lambda s: off[s], held=held)
             won = eps > SLACK_MARGIN
             verdict[rest] = np.where(won, _FEASIBLE, np.where(eps <= 0.0, _PRUNE, _TIE))  # NaN ties
             if d > 3:  # a child plane keeps its projected point and zero slack
@@ -552,23 +563,24 @@ class _CellSearch:
         rows = (pts[:, None, :] - pts[None, :, :])[others].reshape(k, k - 1, self.n)
         rhs = (ws[None, :] - ws[:, None])[others].reshape(k, k - 1)
         U, alpha = level.U, level.alpha
-        A, b = self._rows(level.edge)
-        own = b - (A @ alpha[:, :, None])[..., 0]  # (N, m)
-        point = rhs - (rows @ alpha[:, None, :, None])[..., 0]  # (N, k, k-1)
+        A, own = self._rows(level.edge)
+        own -= (A @ alpha[:, :, None])[..., 0]  # (N, m)
+        point = (rows @ alpha[:, None, :, None])[..., 0]
+        np.subtract(rhs, point, out=point)  # (N, k, k-1)
         slack = np.minimum(own.min(axis=1)[:, None], point.min(axis=2))
-        # one stacked simplex for every point whose quick check fails
+        # stacked simplex calls for every point whose quick check fails
         i, a = np.nonzero(slack <= SLACK_MARGIN)
         tie = np.zeros(N, dtype=bool)
         if len(i):
             AU = A @ U
-            del A, b
-
-            def program(s: slice) -> tuple[np.ndarray, np.ndarray]:
-                ii, aa = i[s], a[s]
-                G = np.concatenate([AU[ii], rows[aa] @ U[ii]], axis=1)
-                return G, np.concatenate([own[ii], point[ii, aa]], axis=1)
-
-            eps, _ = _slack_lps(len(i), own.shape[1] + k - 1, d, program)
+            del A
+            M = own.shape[1] + k - 1
+            eps, _ = _slack_lps(
+                len(i), M, d,
+                lambda s: np.concatenate([AU[i[s]], rows[a[s]] @ U[i[s]]], axis=1),
+                lambda s: np.concatenate([own[i[s]], point[i[s], a[s]]], axis=1),
+                made=M * (d + 1), held=(AU, own, point, slack, i, a),
+            )
             tie[i[np.isnan(eps)]] = True
             slack[i, a] = eps
         tie |= ((slack > 0.0) & (slack <= SLACK_MARGIN)).any(axis=1)
@@ -610,29 +622,30 @@ class _CellSearch:
         # a row a.alpha <= b on the line: (a U u) s <= b - a.alpha0 - (a U) c;
         # first the support's points: pts[p] - pts[r] <= ws[r] - ws[p]
         PU = (pts @ U).transpose(0, 2, 1)  # (N, 2, k)
-        off = c @ PU + (alpha0 @ pts.T + ws)[:, None, :]  # the lifted values, then the slacks
+        off = c @ PU  # the lifted values, then the slacks
+        off += (alpha0 @ pts.T + ws)[:, None, :]
         off -= off[:, e, p][..., None]
         slope = u @ PU
         np.subtract(slope[:, e, p][..., None], slope, out=slope)
         off[:, e, pq.T] = np.inf  # the pair's own points give no row
         slope[:, e, pq.T] = 0.0
-        hi, lo, empty = _line_window(off, slope)
+        hi, lo, empty = np.full(rho.shape, np.inf), np.full(rho.shape, -np.inf), np.zeros(rho.shape, dtype=bool)
+        _line_window(off, slope, hi, lo, empty)
         del off, slope
         for A, b in self._row_blocks(level.edge):
             AU = (A @ U).transpose(0, 2, 1)  # (N, 2, w)
             off = c @ AU
             np.subtract((b - (A @ alpha0[:, :, None])[..., 0])[:, None, :], off, out=off)
-            hi_t, lo_t, empty_t = _line_window(off, u @ AU)
-            hi, lo, empty = np.minimum(hi, hi_t), np.maximum(lo, lo_t), empty | empty_t
+            _line_window(off, u @ AU, hi, lo, empty)
         return ~np.where(degenerate, np.abs(rho) > 2.0 * SLACK_MARGIN, empty | (lo > hi))
 
-    def _expand(self, sup, level: _Level) -> tuple[_Level, bool]:
+    def _expand(self, sup, level: _Level, size: int) -> tuple[list[_Level], bool]:
         """The children of the level's nodes in depth-first order, up to
-        the first node that ties, and whether one ties.  The candidate
-        edges that pass the screens go to ``_verdicts`` as many at a time
-        as STACK_BYTES holds of their rows or of their simplex programs.
-        The children keep their points and their parents; the walk gives
-        a run of them its bases when it gets there."""
+        the first node that ties, in runs of size nodes that share no
+        array, and whether one ties.  The candidate edges that pass the
+        screens go to ``_verdicts`` as many at a time as STACK_BYTES holds
+        (``_candidate_bytes``).  The walk gives a run its bases and
+        chosen edges when it gets there."""
         pq = self.edges[sup]
         N, d, k = len(level), level.U.shape[2], len(self.points[sup])
         m = self.width[level.edge.shape[1]]
@@ -645,10 +658,10 @@ class _CellSearch:
         else:
             mask = np.ones((N, len(pq)), dtype=bool)
         node, e = np.nonzero(mask)
-        size = _fit(_candidate_bytes(m + max(k - 2, 0), self.n, d))
+        chunk = _fit(_candidate_bytes(m + max(k - 2, 0), self.n, d))
         found = [(node[:0], e[:0], np.zeros(0), np.zeros((0, self.n)))]
-        for s in range(0, len(node), size):
-            nd, ed = node[s : s + size], e[s : s + size]
+        for s in range(0, len(node), chunk):
+            nd, ed = node[s : s + chunk], e[s : s + chunk]
             verdict, slack, alpha_c = self._verdicts(sup, level, nd, pq[ed, 0], pq[ed, 1])
             tie[nd[verdict == _TIE]] = True
             won = verdict == _FEASIBLE
@@ -658,8 +671,12 @@ class _CellSearch:
         rows = np.flatnonzero(node < stop)
         # fattest cone first within each node; edge indices follow (p, q) order
         rows = rows[np.lexsort((e[rows], -slack[rows], node[rows]))]
-        edge = np.concatenate([level.edge[node[rows]], e[rows, None]], axis=1)
-        return _Level(edge, alpha_c[rows], node[rows], level), stop < N
+        # the children's parents keep only what the walk makes the
+        # children's edges and bases from
+        has, up = np.unique(node[rows], return_inverse=True)
+        parent = _Level(level.edge[has], None, None, None, level.U[has])
+        runs = [slice(s, s + size) for s in range(0, len(rows), size)]
+        return [_Level(e[rows[r], None], alpha_c[rows[r]], up[r], parent) for r in runs], stop < N
 
     def _leaves(self, sup, level: _Level) -> tuple[list[np.ndarray], np.ndarray]:
         """At one free dimension the normal is pinned per candidate edge:
@@ -707,24 +724,34 @@ class _CellSearch:
         return self._walk(0, self._root(), visit)
 
     def _node_bytes(self, depth: int) -> int:
-        """The bytes per node of the largest array the tests of a node
-        at the depth hold: its candidate edges against its support's
-        points (or against the rows of one chosen edge, which are fewer),
-        or the free directions of as many children."""
+        """The bytes per node that the tests of a run at the depth hold,
+        over the E candidate edges and k points of its support: the
+        slacks of every edge at every point (``_leaves``), each edge's
+        line against every point and ten numbers more per edge
+        (``_line_screen``), or above, the bases of as many children: the
+        point-survival test holds at most half of that and its programs'
+        stacks take the rest."""
         sup = self.order[depth]
-        return 8 * len(self.edges[sup]) * max(len(self.points[sup]), self.n * (self.n - depth))
+        E, k, d = len(self.edges[sup]), len(self.points[sup]), self.n - depth
+        if d == 1:
+            return 8 * E * (k + 6)
+        if d == 2:
+            return 8 * E * (2 * k + 10)
+        return 8 * E * self.n * d
 
     def _walk(self, depth: int, level: _Level, visit) -> bool:
         """Search the level's subtrees in order: expand the level, then
         walk its children in runs of as many nodes as STACK_BYTES holds
-        (``_node_bytes``).  A run of children first gets its bases, made
+        (``_node_bytes``), each let go once it is walked.  A run of
+        children first gets its bases, made
         from its parents' in the products ``_verdicts`` made them with,
         so they are the same bits."""
         sup = self.order[depth]
-        if level.U is None:
+        if level.U is None:  # a run of children: its chosen edges and bases from its parents'
             pts = self.points[self.order[depth - 1]]
             p, q = self.edges[self.order[depth - 1]][level.edge[:, -1]].T
             level.U = _reflect(level.parent.U[level.up], pts[p] - pts[q])[3]
+            level.edge = np.concatenate([level.parent.edge[level.up], level.edge], axis=1)
         if level.U.shape[2] == 1:
             ends, ties = self._leaves(sup, level)
             pairs = [self.edges[s][level.edge[:, t]].tolist() for t, s in enumerate(self.order[:depth])]
@@ -736,10 +763,11 @@ class _CellSearch:
                 if tie:
                     raise TieDetected("pinned normal slack at the margin")
             return True
-        children, tie = self._expand(sup, level)
-        size = _fit(self._node_bytes(depth + 1))
-        for start in range(0, len(children), size):
-            if not self._walk(depth + 1, children[start : start + size], visit):
+        runs, tie = self._expand(sup, level, _fit(self._node_bytes(depth + 1)))
+        del level
+        runs.reverse()
+        while runs:  # a run is let go once it is walked
+            if not self._walk(depth + 1, runs.pop(), visit):
                 return False
         if tie:
             raise TieDetected("partial tuple slack at the margin")

@@ -172,7 +172,7 @@ class LinearHomotopy:
         )
 
     def eval(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-        v = self._stacked[0](x).reshape(len(x), 2, -1)
+        v = self._stacked[0](x).reshape(len(x), 2, len(self.start.polys))
         return ((1.0 - t) * self.gamma)[:, None] * v[:, 0] + t[:, None] * v[:, 1]
 
     def jac(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -183,7 +183,7 @@ class LinearHomotopy:
         """Largest row sum of absolute term values of each system, blended
         like the values: the scale against which cancellation noise in
         eval must be judged."""
-        v = self._stacked[2](np.abs(x).astype(np.complex128)).real.reshape(len(x), 2, -1)
+        v = self._stacked[2](np.abs(x).astype(np.complex128)).real.reshape(len(x), 2, len(self.start.polys))
         return (1.0 - t) * v[:, 0].max(axis=1) + t * v[:, 1].max(axis=1)
 
 
@@ -330,8 +330,6 @@ def _damped_newton(h: Homotopy, x: np.ndarray, tol: float, iters: int):
     the points and their residuals.
     """
     x = x.copy()
-    if not len(x):
-        return x, np.zeros(0)
     one = np.ones(len(x))
     r = h.eval(x, one)
     resid = _row_max_abs(r)

@@ -612,7 +612,7 @@ def _supports(name, seed):
 
 def _edge_verdict(search, sup, level, i, p, q):
     """The verdict of one edge of node i of a level, tested alone."""
-    verdict, _, _ = search._verdicts(sup, level[i : i + 1], np.array([0]), np.array([p]), np.array([q]))
+    verdict, _, _ = search._verdicts(sup, level, np.array([i]), np.array([p]), np.array([q]))
     return verdict[0]
 
 
@@ -780,6 +780,45 @@ def test_the_search_peak_memory_stays_near_its_node_count_stacks():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * PEAK_BEFORE_BUDGET
+
+
+def test_a_stacked_call_holds_at_most_its_budget(monkeypatch):
+    # the heap a stacked call adds, the tracemalloc peak inside it less
+    # the heap at its entry, nested calls included, on the search above
+    added = collections.Counter()
+    running = []  # [heap at entry, peak so far] of each call under way
+
+    def measured(name, real):
+        def call(*args):
+            args = list(args)  # G and b go on with no reference kept, as the search passes them
+            heap, peak = tracemalloc.get_traced_memory()
+            if running:
+                running[-1][1] = max(running[-1][1], peak)
+            tracemalloc.reset_peak()
+            running.append([heap, heap])
+            try:
+                if name == "_max_slack_simplex":
+                    return real(args.pop(0), args.pop(0))
+                return real(*args)
+            finally:
+                entry, peak = running.pop()
+                peak = max(peak, tracemalloc.get_traced_memory()[1])
+                added[name] = max(added[name], peak - entry)
+                if running:
+                    running[-1][1] = max(running[-1][1], peak)
+
+        return call
+
+    for name in ("_surviving_points", "_line_screen", "_leaves", "_verdicts"):
+        monkeypatch.setattr(_CellSearch, name, measured(name, getattr(_CellSearch, name)))
+    monkeypatch.setattr(polyhedral, "_max_slack_simplex", measured("_max_slack_simplex", _max_slack_simplex))
+    lifted = lift_supports(supports_of(embed(cyclic(6), 1, 7).system), 7, 0)
+    tracemalloc.start()
+    try:
+        enumerate_cells(lifted, lambda cell: None)
+    finally:
+        tracemalloc.stop()
+    assert len(added) == 5 and max(added.values()) <= 1.1 * STACK_BYTES, added
 
 
 # -- a seed sweep --------------------------------------------------------------

@@ -277,6 +277,15 @@ def _assert_batch_size_independent(h, starts):
     assert strided == everything
 
 
+def test_a_linear_homotopy_evaluates_an_empty_stack():
+    g = linear_system([[1, 2, 1], [2, -1, 1]], 2)
+    h = LinearHomotopy(g, linear_system([[-3, 1, 4], [5, 2, -1]], 2), 0.6 + 0.8j)
+    x, t = np.zeros((0, 2), dtype=complex), np.zeros(0)
+    assert h.eval(x, t).shape == (0, 2)
+    assert h.jac(x, t).shape == (0, 2, 2)
+    assert h.eval_scale(x, t).shape == (0,)
+
+
 def test_linear_homotopy_results_independent_of_batch_size():
     from nidpipe import rng as rngmod
     from nidpipe.cascade import solve_start_system
