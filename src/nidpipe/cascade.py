@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rngmod
-from .parallel import PipelineConfig, PipelineStats, pipeline_run, raise_failures, work_crew
+from .parallel import PipelineConfig, pipeline_run, work_crew
 from .polyhedral import (  # noqa: F401  (``lift_supports`` stays a module attribute for tracing tools)
     MixedCell,
     cell_homotopy,
@@ -75,7 +75,6 @@ class TopStats:
     time_continuation: float = 0.0
     time_cell_search: float = 0.0  # the search's own time over every lifting tried, consumers excluded
     time_first_cell: float | None = None  # from the stage's start to the accepted lifting's first cell
-    pipeline: PipelineStats | None = None  # the cell pipeline's counts, at p >= 2
     start_jumps: int = 0  # paths whose endpoints still coincide after the re-track
     continuation_jumps: int = 0
 
@@ -122,12 +121,14 @@ def solve_start_system(
     that roots with a zero coordinate are reached.  The cell search runs
     in the calling thread; ``emit`` hands its cells to ``put`` in batches,
     one as soon as the waiting cells hold ``PATH_CAP`` paths, so no batch
-    depends on timing.  At p = 1 ``put`` tracks a batch right there
-    (``solve_cell``), at p >= 2 it goes to the p-1 forked consumers of a
-    2-stage pipeline, which forks them at the first batch.  The cells
-    still waiting when the search ends are tracked in the calling
-    process at any p, while the consumers finish the queue: a search that
-    never fills a batch forks nothing.  A tie restarts the search,
+    depends on timing.  ``put`` hands a batch to the p-1 consumers of a
+    2-stage pipeline (``pipeline_run``), which forks them at the first
+    batch; at p = 1 there is no consumer, and ``put`` tracks the batch
+    right there (``solve_cell``).  The cells still waiting when the
+    search ends are tracked in the calling process at any p, while the
+    consumers finish the queue: a search that never fills a batch forks
+    nothing.  A batch whose tracking raises fails the solve with a
+    RuntimeError (``pipeline_run``).  A tie restarts the search,
     counters and waiting cells included, on the next lifting
     (``generic_lifting``); ``cell_log``, when given, receives the cells
     of the accepted lifting.  The paths of all cells end on roots of g, so
@@ -173,14 +174,8 @@ def solve_start_system(
             if waiting:
                 last.append(solve_cell(waiting, g, supports))
 
-        if p == 1:
-            outs: list[list[PathResult]] = []
-            produce(lambda batch: outs.append(solve_cell(batch, g, supports)))
-        else:
-            cfg = PipelineConfig(p=p)
-            pairs, stats.pipeline = pipeline_run(produce, lambda batch: solve_cell(batch, g, supports), cfg)
-            outs = raise_failures([out for _, out in pairs], "cell worker")
-        return cells, outs + last
+        pairs, _ = pipeline_run(produce, lambda batch: solve_cell(batch, g, supports), PipelineConfig(p=p))
+        return cells, [out for _, out in pairs] + last
 
     (cells, outs), stats.lifting_attempt = generic_lifting(supports, seed, search)
     if cell_log is not None:
@@ -203,13 +198,14 @@ def track_stage(h: Homotopy, starts: np.ndarray, p: int, groups=None) -> tuple[l
     tracks in the calling process (on the demo, forking a crew and
     splitting the batch cost more than a second worker saved); a larger
     one is k = min(n, max(p, ceil(n / PATH_CAP))) chunks, at least one
-    per worker.  A job that raised fails the run."""
+    per worker.  A chunk whose tracking raises fails the stage with the
+    crew's RuntimeError."""
     n = len(starts)
     k = 1 if n <= PATH_CAP else min(n, max(p, -(-n // PATH_CAP)))
     chunks = [np.arange(i, n, k) for i in range(k)]
     tracked = work_crew(chunks, p, lambda idx: track_paths(h.select(idx), starts[idx]))
     results: list = [None] * n
-    for i, out in enumerate(raise_failures(tracked, "path tracking job")):
+    for i, out in enumerate(tracked):
         results[i::k] = out
     return guard_jumps(results, retracker(h, starts), groups)
 

@@ -4,12 +4,18 @@ Subcommands: ``solve`` (blackbox decomposition of a system file),
 ``model`` (the analytic speedup models and the pipeline simulator), and
 ``bench`` (generate-and-solve cyclic systems, with an optional cell
 budget for large instances).  Everything is set through flags.
+
+Exit codes: 0 on success; 2 (``EXIT_PARSE``) for input it cannot take,
+found before any work: a system file it cannot read or parse, a bad
+flag, an output path in a missing directory; 3 (``EXIT_SOLVE``) when the
+solve raises.  Each failure prints one line on stderr, no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import sys
 import time
@@ -98,12 +104,20 @@ def _write_cell_log(path: str, cells: list[MixedCell]) -> None:
             }) + "\n")
 
 
+def _check_output_dir(path: str | None, flag: str) -> None:
+    """Raise ValueError when ``path`` is given and its directory does not exist."""
+    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"{flag}: no such directory: {os.path.dirname(path)}")
+
+
 def _rejects_input(system, args) -> bool:
     """True, after one line on stderr saying why, when the solver cannot
-    take this system, top dimension and number of tasks."""
+    take this system, top dimension, number of tasks or output paths."""
     try:
         check_top_dimension(system, system.nvars - 1 if args.dim is None else args.dim, "--dim")
         check_tasks(args.tasks, "--tasks")
+        _check_output_dir(args.out, "--out")
+        _check_output_dir(args.cell_log, "--cell-log")
     except ValueError as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return True
@@ -130,8 +144,8 @@ def _run_solve(system, args, input_path=None) -> int:
             cell_log=cells if args.cell_log else None,
             input_path=input_path,
         )
-    except RuntimeError as exc:
-        print(f"solve failed: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"solve failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVE
     print(summary_text(rep), end="")
     if args.out:
@@ -152,12 +166,15 @@ def _format_fraction(x) -> str:
     return f"{x} = {float(x):.6g}"
 
 
+def _print_speedup(t1, tp, sp, zero_work: bool = False) -> None:
+    print(f"T_1 = {_format_fraction(t1)}")
+    print(f"T_p = {_format_fraction(tp)}")
+    print(f"S_p = {_format_fraction(sp)}" + ("  (zero work)" if zero_work else ""))
+
+
 def _run_model(args) -> int:
     if args.model == "pipeline":
-        t1, tp, sp = pipeline_speedup(args.n, args.F, args.p)
-        print(f"T_1 = {_format_fraction(t1)}")
-        print(f"T_p = {_format_fraction(tp)}")
-        print(f"S_p = {_format_fraction(sp)}")
+        _print_speedup(*pipeline_speedup(args.n, args.F, args.p))
     elif args.model == "paths":
         tp, sp, r = path_speedup(args.n, args.p)
         print(f"T_p = {_format_fraction(tp)}  (remainder r = {r})")
@@ -165,17 +182,14 @@ def _run_model(args) -> int:
     elif args.model == "cascade":
         ns = [int(v) for v in args.n_list.split(",")]
         res = cascade_speedup(ns, args.p)
-        print(f"T_1 = {_format_fraction(res.t1)}")
-        print(f"T_p = {_format_fraction(res.tp)}")
-        print(f"S_p = {_format_fraction(res.sp)}" + ("  (zero work)" if res.zero_work else ""))
+        _print_speedup(res.t1, res.tp, res.sp, res.zero_work)
     elif args.model == "filter":
         ns = [int(v) for v in args.n_list.split(",")]
         ds = [int(v) for v in args.d_list.split(",")]
         res = filter_speedup(ns, ds, args.p)
-        print(f"T_1 = {_format_fraction(res.t1)}")
-        print(f"T_p = {_format_fraction(res.tp)}")
-        print(f"S_p = {_format_fraction(res.sp)}" + ("  (zero work)" if res.zero_work else ""))
+        _print_speedup(res.t1, res.tp, res.sp, res.zero_work)
     elif args.model == "simulate":
+        _check_output_dir(args.csv, "--csv")
         schedule, makespan = simulate_pipeline(args.n, args.F, args.p)
         print(f"makespan = {makespan}")
         if args.csv:
@@ -235,8 +249,8 @@ def main(argv=None) -> int:
     if args.command == "solve":
         try:
             system = load_system(args.file)
-        except FileNotFoundError:
-            print(f"no such file: {args.file}", file=sys.stderr)
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"cannot read {args.file}: {type(exc).__name__}: {exc}", file=sys.stderr)
             return EXIT_PARSE
         except ParseError as exc:
             print(f"parse error: {exc}", file=sys.stderr)

@@ -17,8 +17,9 @@ chunks of at most ``PATH_CAP`` paths in the calling process.  The paths
 of one candidate share a target, so ``guard_jumps`` checks each
 candidate's group for paths that jumped; paths of different candidates
 may end at one point.  Points match by the tracker's one rule,
-``matching``.  The dimension-0 candidates are polished in one batched
-``refine_dd`` call.
+``matching``.  A stage that raises fails the run with its own error,
+which the command line reports as a failed solve.  The dimension-0
+candidates are polished in one batched ``refine_dd`` call.
 """
 
 from __future__ import annotations
@@ -127,10 +128,7 @@ def _membership_chain(
         if not candidates:
             break
         n = w.embedding.n_original
-        try:
-            verdicts, tracked, jumps = membership_verdicts(w, [c.coordinates[:n] for c in candidates])
-        except Exception as exc:
-            raise RuntimeError(f"membership stage failed: {type(exc).__name__}: {exc}") from exc
+        verdicts, tracked, jumps = membership_verdicts(w, [c.coordinates[:n] for c in candidates])
         kept = [c for c, member in zip(candidates, verdicts) if not member]
         stages.append(FilterStage(d, w.dimension, len(candidates), w.degree, tracked, len(candidates) - len(kept), jumps))
         candidates = kept

@@ -1,19 +1,20 @@
 """Work-crew scheduling, the 2-stage cell pipeline, and the analytic
 speedup models for every stage of the solver.
 
-Both the work crew and the pipeline run on one loop, ``_forked``: the
-calling thread runs the producer, which streams (index, item) pairs
-through a bounded queue to workers forked at its first item, and each
-worker sends back its results tagged with the index, so reports stay
-deterministic.  An idle worker takes the next item the moment it
-finishes one, so load balances dynamically.  The solver hands a crew a
-stage's paths in chunks of at most ``cascade.PATH_CAP`` paths
-(``cascade.track_stage``): a stage that fits one chunk runs in the
-calling process, a larger one is at least one chunk per worker.  The
-pipeline's consumers get the full batches of cells, the caller tracks
-the last one itself; a membership filter stage is a crew of one, its
-chunks run in the calling process.  A forked worker that dies fails
-the run with a RuntimeError instead of leaving the parent waiting.
+Every crew and pipeline runs on one loop, ``_forked``: the calling
+thread runs the producer, and each result comes back tagged with its
+item's index, so reports stay deterministic.  With no worker (a crew at
+p = 1 or of one job, the pipeline at p = 1) each item runs in the
+calling thread as it is put; otherwise items stream through a bounded
+queue to workers forked at the first item, and an idle worker takes the
+next item the moment it finishes one, so load balances dynamically.
+The solver hands a crew a stage's paths in chunks of at most
+``cascade.PATH_CAP`` paths (``cascade.track_stage``): a stage that fits
+one chunk runs in the calling process, a larger one is at least one
+chunk per worker.  The pipeline's consumers get the full batches of
+cells, the caller tracks the last one itself; a membership filter stage
+is a crew of one.  A job that raises, or a forked worker that dies,
+fails the call with a RuntimeError instead of leaving the parent waiting.
 
 The speedup models compute exact rational T_1, T_p, S_p for the
 pipeline, for a single stage of paths, for a cascade of stages, and for
@@ -32,31 +33,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-QUEUE_CAPACITY = 64  # items the pipeline's queue holds before ``put`` blocks
+QUEUE_CAPACITY = 64  # items the workers' queue holds before ``put`` blocks
 
 
-@dataclass
-class JobFailure:
-    """Per-job failure record; failures never abort the crew."""
-
-    job_index: int
-    message: str
-
-
-def _run_job(worker, i, job):
+def _run_job(worker, i, item) -> tuple:
+    """(i, result, None, start time) of one job, or (i, None, (its error
+    on one line, its traceback), start time) when it raised."""
+    started = time.perf_counter()
     try:
-        return worker(job)
-    except Exception:
-        return JobFailure(i, traceback.format_exc(limit=4))
+        return i, worker(item), None, started
+    except Exception as exc:
+        return i, None, (f"{type(exc).__name__}: {exc}", traceback.format_exc()), started
 
 
-def raise_failures(results: list, what: str) -> list:
-    """The results, when no job failed; otherwise a RuntimeError that
-    carries the message of the first JobFailure among them."""
-    for out in results:
-        if isinstance(out, JobFailure):
-            raise RuntimeError(f"{what} failed: {out.message}")
-    return results
+def _raise_failure(received) -> None:
+    """Raise the RuntimeError of the first failed job among received: it
+    names the job and its error, its cause carries the job's traceback."""
+    for i, _, failure, _ in received:
+        if failure is not None:
+            line, tb = failure
+            raise RuntimeError(f"job {i} failed: {line}") from Exception(tb)
 
 
 def check_backend(mode: str) -> None:
@@ -72,27 +68,22 @@ def work_crew(
     worker: Callable,
     mode: str = "process",
 ) -> list:
-    """Run all jobs on p forked workers; results align with job order.
-
-    A job that raises yields a JobFailure in its place.  With p = 1 or a
-    single job the jobs run in order in the calling process.  Jobs and
-    results travel between the processes by pickling; the worker itself
-    is inherited through the fork, so it may be a closure.
-    """
+    """Run all jobs on min(p, len(jobs)) forked workers, or in order in
+    the calling process when p = 1 or there is one job; results align
+    with job order.  Jobs and results travel between the processes by
+    pickling; the worker itself is inherited through the fork, so it may
+    be a closure."""
     check_backend(mode)
     jobs = list(jobs)
     if p < 1:
         raise ValueError("need at least one worker")
-    if not jobs:
-        return []
-    if p == 1 or len(jobs) == 1:
-        return [_run_job(worker, i, job) for i, job in enumerate(jobs)]
 
     def produce(put):
         for job in jobs:
             put(job)
 
-    pairs = _forked(produce, worker, min(p, len(jobs)), len(jobs), PipelineStats())
+    workers = min(p, len(jobs))
+    pairs = _forked(produce, worker, workers if workers > 1 else 0, PipelineStats())
     return [out for _, out in pairs]
 
 
@@ -135,98 +126,106 @@ def _put(q, item, procs) -> None:
             _check_alive(procs)
 
 
-def _forked(produce: Callable, worker: Callable, workers: int, capacity: int,
-            stats: PipelineStats) -> list:
-    """Run ``produce(put)`` in the calling thread; each item it puts
-    goes through a queue of ``capacity`` slots to the next idle of
-    ``workers`` processes, which the first ``put`` forks: a producer that
-    puts nothing forks nothing.  Returns (index, result) pairs sorted by
-    index.
+def _forked(produce: Callable, worker: Callable, workers: int, stats: PipelineStats) -> list:
+    """Run ``produce(put)`` in the calling thread and ``worker`` on each
+    item it puts; returns (index, result) pairs sorted by index.
 
-    ``put`` blocks while the queue is full (that is the back-pressure)
-    and raises RuntimeError once a worker has died.  An error raised by
-    ``produce`` propagates after the workers have finished what was
-    queued and stopped, so no process or thread outlives the call.  Each
-    worker sends the ``perf_counter`` time at which it started an item
-    with the item's result; on Linux that clock is system-wide, so it
-    compares with the end of production.
+    With ``workers`` = 0 each item runs in the calling thread as it is
+    put, and no queue, thread or process is made.  Otherwise the first
+    ``put`` forks the workers, and each item goes through a queue of
+    ``QUEUE_CAPACITY`` slots to the next idle one; ``put`` blocks while
+    the queue is full (that is the back-pressure) and raises
+    RuntimeError once a worker has died.  A job that raises fails the
+    call with one RuntimeError: at once without workers, once they have
+    stopped with them.  An error raised by ``produce`` propagates after
+    the workers have finished what was queued and stopped, so no process
+    or thread outlives the call.  Each job records the ``perf_counter``
+    time it started; on Linux that clock is system-wide, so it compares
+    with the end of production.
     """
-    ctx = mp.get_context("fork")
-    buf: mp.Queue = ctx.Queue(maxsize=capacity)
-    # as in concurrent.futures: a feeder thread still writing to workers
-    # that are gone ends on EPIPE instead of blocking on a full pipe
-    buf._ignore_epipe = True
-    out_q: mp.Queue = ctx.Queue()
+    if not workers:
+        received: list = []
 
-    def child():
-        while True:
-            got = buf.get()
-            if got is None:
-                break
-            i, item = got
-            started = time.perf_counter()
-            out_q.put((i, _run_job(worker, i, item), started))
+        def put(item) -> None:
+            received.append(_run_job(worker, len(received), item))
+            _raise_failure(received[-1:])
 
-    procs: list = []
-    n = 0
-
-    def put(item) -> None:
-        nonlocal n
-        if not procs:
-            procs.extend(ctx.Process(target=child) for _ in range(workers))
-            for pr in procs:
-                pr.start()
-        t0 = time.perf_counter()
-        _put(buf, (n, item), procs)
-        stats.producer_blocked += time.perf_counter() - t0
-        n += 1
-
-    def stop() -> list:
-        for _ in procs:
-            _put(buf, None, procs)  # one stop token per worker
-        received = [_get(out_q, procs) for _ in range(n)]
-        for pr in procs:
-            pr.join()
-        return received
-
-    try:
-        try:
-            produce(put)
-        except BaseException:
-            if any(pr.is_alive() for pr in procs):  # none is once a dead worker was found
-                stop()
-            raise
+        produce(put)
         produce_done = time.perf_counter()
-        received = stop()
-    finally:
-        # end this queue's feeder thread now, so the next fork sees no
-        # thread; with our read end closed it cannot block on a full pipe
-        buf._reader.close()
-        buf.close()
-        buf.join_thread()
-    stats.produced = n
-    stats.consumed = len(received)
-    stats.first_consume_before_last_produce = any(started < produce_done for _, _, started in received)
-    return sorted(((i, out) for i, out, _ in received), key=lambda pair: pair[0])
+    else:
+        ctx = mp.get_context("fork")
+        buf: mp.Queue = ctx.Queue(maxsize=QUEUE_CAPACITY)
+        # as in concurrent.futures: a feeder thread still writing to workers
+        # that are gone ends on EPIPE instead of blocking on a full pipe
+        buf._ignore_epipe = True
+        out_q: mp.Queue = ctx.Queue()
+
+        def child():
+            while True:
+                got = buf.get()
+                if got is None:
+                    break
+                out_q.put(_run_job(worker, *got))
+
+        procs: list = []
+        n = 0
+
+        def put(item) -> None:
+            nonlocal n
+            if not procs:
+                procs.extend(ctx.Process(target=child) for _ in range(workers))
+                for pr in procs:
+                    pr.start()
+            t0 = time.perf_counter()
+            _put(buf, (n, item), procs)
+            stats.producer_blocked += time.perf_counter() - t0
+            n += 1
+
+        def stop() -> list:
+            for _ in procs:
+                _put(buf, None, procs)  # one stop token per worker
+            received = [_get(out_q, procs) for _ in range(n)]
+            for pr in procs:
+                pr.join()
+            return received
+
+        try:
+            try:
+                produce(put)
+            except BaseException:
+                if any(pr.is_alive() for pr in procs):  # none is once a dead worker was found
+                    stop()
+                raise
+            produce_done = time.perf_counter()
+            received = stop()
+        finally:
+            # end this queue's feeder thread now, so the next fork sees no
+            # thread; with our read end closed it cannot block on a full pipe
+            buf._reader.close()
+            buf.close()
+            buf.join_thread()
+        received.sort(key=lambda got: got[0])
+        _raise_failure(received)
+    stats.first_consume_before_last_produce = any(started < produce_done for *_, started in received)
+    return [(i, out) for i, out, _, _ in received]
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """One producer plus p-1 consumers over a queue of QUEUE_CAPACITY items."""
+    """One producer plus p-1 consumers; at p = 1 the producer consumes
+    each item itself."""
 
     p: int
     mode: str = "process"
 
     def __post_init__(self):
         check_backend(self.mode)
-        if self.p < 2:
-            raise ValueError("pipeline mode needs p >= 2 (one producer, one consumer)")
+        if self.p < 1:
+            raise ValueError("the pipeline needs p >= 1")
 
 
 @dataclass
 class PipelineStats:
-    produced: int = 0
-    consumed: int = 0
     producer_blocked: float = 0.0
     first_consume_before_last_produce: bool = False
 
@@ -237,15 +236,12 @@ def pipeline_run(
     cfg: PipelineConfig,
 ) -> tuple[list, PipelineStats]:
     """Run ``produce(put)`` in the calling thread while p-1 forked
-    consumers take each item it puts; results are (index, value) sorted
-    by index.
-
-    Consumption starts as soon as the first item is queued.  An error
-    raised by the producer, or by ``put`` when a consumer has died,
-    propagates once the consumers are stopped.
+    consumers take each item it puts, or ``put`` consumes it right there
+    at p = 1; results are (index, value) sorted by index.  Consumption
+    starts at the first item.  Errors follow ``_forked``'s rules.
     """
     stats = PipelineStats()
-    return _forked(produce, consumer, cfg.p - 1, QUEUE_CAPACITY, stats), stats
+    return _forked(produce, consumer, cfg.p - 1, stats), stats
 
 
 # -- analytic speedup models ------------------------------------------------

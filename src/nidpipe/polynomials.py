@@ -163,42 +163,33 @@ class PolySystem:
 
     # -- fast stacked evaluation ------------------------------------------
 
-    def _evaluator(self) -> "_StackedEvaluator":
-        ev = self._cache.get("ev")
+    def _stacked(self, name: str, jacobian: bool, moduli: bool) -> "_StackedEvaluator":
+        """The evaluator memoized under ``name``: of the system's rows, or
+        of its Jacobian's entries row-major, with every coefficient
+        replaced by its modulus when ``moduli`` is set."""
+        ev = self._cache.get(name)
         if ev is None:
-            ev = _StackedEvaluator([p.terms for p in self.polys], self.nvars)
-            self._cache["ev"] = ev
+            polys = [poly_diff(p, j) for p in self.polys for j in range(self.nvars)] if jacobian else self.polys
+            rows = [p.terms for p in polys]
+            if moduli:
+                rows = [tuple((e, abs(c)) for e, c in row) for row in rows]
+            ev = self._cache[name] = _StackedEvaluator(rows, self.nvars)
         return ev
+
+    def _evaluator(self) -> "_StackedEvaluator":
+        return self._stacked("ev", jacobian=False, moduli=False)
 
     def _jac_evaluator(self) -> "_StackedEvaluator":
-        ev = self._cache.get("jev")
-        if ev is None:
-            rows = []
-            for p in self.polys:
-                for j in range(self.nvars):
-                    rows.append(poly_diff(p, j).terms)
-            ev = _StackedEvaluator(rows, self.nvars)
-            self._cache["jev"] = ev
-        return ev
+        return self._stacked("jev", jacobian=True, moduli=False)
 
     def _abs_evaluator(self) -> "_StackedEvaluator":
-        ev = self._cache.get("aev")
-        if ev is None:
-            rows = [tuple((e, abs(c)) for e, c in p.terms) for p in self.polys]
-            ev = _StackedEvaluator(rows, self.nvars)
-            self._cache["aev"] = ev
-        return ev
+        return self._stacked("aev", jacobian=False, moduli=True)
 
     def _abs_jac_evaluator(self) -> "_StackedEvaluator":
         """The Jacobian of the system with every coefficient replaced by
         its modulus, row-major like ``_jac_evaluator``: at |x| it bounds
         the size of each Jacobian entry."""
-        ev = self._cache.get("ajev")
-        if ev is None:
-            rows = [tuple((e, abs(c)) for e, c in poly_diff(p, j).terms) for p in self.polys for j in range(self.nvars)]
-            ev = _StackedEvaluator(rows, self.nvars)
-            self._cache["ajev"] = ev
-        return ev
+        return self._stacked("ajev", jacobian=True, moduli=True)
 
 
 class _StackedEvaluator:

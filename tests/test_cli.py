@@ -2,8 +2,8 @@
 
 import pytest
 
-from nidpipe import blackbox
-from nidpipe.cli import EXIT_OK, EXIT_PARSE, main
+from nidpipe import blackbox, cascade
+from nidpipe.cli import EXIT_OK, EXIT_PARSE, EXIT_SOLVE, main
 from nidpipe.systems import cyclic
 
 CIRCLE_AND_LINE = "2 2\nx1^2 + x2^2 - 1;\nx1 - x2;\n"
@@ -77,3 +77,42 @@ def test_environment_variables_set_no_flag(tmp_path, monkeypatch):
     path = tmp_path / "system.txt"
     path.write_text(CIRCLE_AND_LINE)
     assert main(["solve", str(path), "--seed", "1"]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{tmp}"],
+        ["solve", "{tmp}/latin1.txt"],
+        ["solve", "{tmp}/system.txt", "--out", "{tmp}/missing/report.json"],
+        ["solve", "{tmp}/system.txt", "--cell-log", "{tmp}/missing/cells.jsonl"],
+        ["bench", "cyclic", "--n", "4", "--out", "{tmp}/missing/report.json"],
+        ["model", "simulate", "--n", "4", "--F", "2", "--p", "3", "--csv", "{tmp}/missing/schedule.csv"],
+    ],
+    ids=["directory", "not-utf8", "out", "cell-log", "bench-out", "csv"],
+)
+def test_a_path_the_command_cannot_use_ends_with_a_message_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    (tmp_path / "system.txt").write_text(CIRCLE_AND_LINE)
+    (tmp_path / "latin1.txt").write_bytes("2 2\nx1^2 + x2^2 - 1; # \xe9\nx1 - x2;\n".encode("latin-1"))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the solve started")
+
+    monkeypatch.setattr("nidpipe.cli.decompose", no_work)
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == EXIT_PARSE
+    out = capsys.readouterr()
+    assert len(out.err.splitlines()) == 1
+    assert out.out == ""
+
+
+@pytest.mark.parametrize("tasks", ["1", "2"])
+def test_a_cell_job_that_raises_fails_the_solve_with_one_line(capsys, monkeypatch, tasks):
+    def raises(batch, g, supports):
+        raise ValueError("injected cell failure")
+
+    monkeypatch.setattr(cascade, "PATH_CAP", 6)  # full batches to hand on from cyclic-4's 20 paths
+    monkeypatch.setattr(cascade, "solve_cell", raises)
+    assert main(["bench", "cyclic", "--n", "4", "--dim", "1", "--seed", "7", "--tasks", tasks]) == EXIT_SOLVE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("solve failed: ")
+    assert "injected cell failure" in err[0]

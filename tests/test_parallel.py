@@ -14,7 +14,6 @@ from nidpipe import cascade, parallel
 from nidpipe.blackbox import decompose
 from nidpipe.cascade import solve_start_system
 from nidpipe.parallel import (
-    JobFailure,
     PipelineConfig,
     cascade_speedup,
     filter_speedup,
@@ -66,11 +65,9 @@ def test_work_crew_failure_isolated():
             raise RuntimeError("boom")
         return x
 
-    out = work_crew(list(range(6)), 3, worker)
-    assert isinstance(out[3], JobFailure)
-    assert out[3].job_index == 3
-    for i in (0, 1, 2, 4, 5):
-        assert out[i] == i
+    with pytest.raises(RuntimeError, match="job 3 failed: RuntimeError: boom") as failed:
+        work_crew(list(range(6)), 3, worker)
+    assert 'raise RuntimeError("boom")' in str(failed.value.__cause__)  # the job's traceback
 
 
 def test_work_crew_process_mode():
@@ -84,9 +81,8 @@ def test_work_crew_process_mode_failure():
             raise ValueError("nope")
         return -x
 
-    out = work_crew(list(range(5)), 2, worker, mode="process")
-    assert isinstance(out[2], JobFailure)
-    assert out[0] == 0 and out[4] == -4
+    with pytest.raises(RuntimeError, match="job 2 failed: ValueError: nope"):
+        work_crew(list(range(5)), 2, worker, mode="process")
 
 
 def _puts(items):
@@ -103,6 +99,29 @@ def _die_on_one(x):
     if x == 1:
         os._exit(3)
     return x
+
+
+def _raises_on_three(x):
+    if x == 3:
+        raise ValueError("job three broke")
+    return x
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: work_crew(list(range(8)), 1, _raises_on_three),
+        lambda: work_crew(list(range(8)), 3, _raises_on_three),
+        lambda: pipeline_run(_puts(range(8)), _raises_on_three, PipelineConfig(p=1)),
+        lambda: pipeline_run(_puts(range(8)), _raises_on_three, PipelineConfig(p=3)),
+    ],
+    ids=["work_crew-p1", "work_crew-p3", "pipeline_run-p1", "pipeline_run-p3"],
+)
+def test_a_job_that_raises_fails_the_call_and_leaves_nothing_running(run):
+    with pytest.raises(RuntimeError, match="job 3 failed: ValueError: job three broke"):
+        run()
+    assert mp.active_children() == []
+    assert threading.enumerate() == [threading.main_thread()]
 
 
 def test_work_crew_process_mode_dead_worker_raises():
@@ -268,17 +287,19 @@ def test_schedule_csv():
 # -- the real pipeline --------------------------------------------------------
 
 
-def test_pipeline_requires_two_workers():
+def test_pipeline_needs_one_worker_and_runs_in_the_caller_at_one():
     with pytest.raises(ValueError):
-        PipelineConfig(p=1)
+        PipelineConfig(p=0)
+    results, _ = pipeline_run(_puts(range(5)), lambda _: os.getpid(), PipelineConfig(p=1))
+    assert results == [(i, os.getpid()) for i in range(5)]
 
 
 def test_pipeline_run_collects_everything_in_order(monkeypatch):
     monkeypatch.setattr(parallel, "QUEUE_CAPACITY", 4)
     cfg = PipelineConfig(p=3)
-    results, stats = pipeline_run(_puts(range(20)), lambda x: x * 2, cfg)
+    results, _ = pipeline_run(_puts(range(20)), lambda x: x * 2, cfg)
     assert [v for _, v in results] == [2 * x for x in range(20)]
-    assert stats.produced == stats.consumed == 20
+    assert len(results) == 20
 
 
 def test_pipeline_process_mode_overlaps_production_and_consumption():
@@ -344,9 +365,9 @@ def test_dead_consumer_found_after_the_producer_is_done():
 def test_pipeline_process_mode(monkeypatch):
     monkeypatch.setattr(parallel, "QUEUE_CAPACITY", 8)
     cfg = PipelineConfig(p=3, mode="process")
-    results, stats = pipeline_run(_puts(range(15)), lambda x: x + 100, cfg)
+    results, _ = pipeline_run(_puts(range(15)), lambda x: x + 100, cfg)
     assert [v for _, v in results] == [x + 100 for x in range(15)]
-    assert stats.produced == 15
+    assert len(results) == 15
 
 
 @pytest.fixture
@@ -411,7 +432,8 @@ def test_the_start_system_gives_the_same_bits_in_batches_of_any_size(monkeypatch
         batches, cells = [], []
 
         def solve_cell(batch, g, supports):
-            batches.append(batch)
+            if not batches or batches[-1] is not batch:  # at p = 1 put has recorded it
+                batches.append(batch)
             return real_solve_cell(batch, g, supports)
 
         def pipeline_run(produce, consumer, cfg):  # its consumers are forked: see the batches put
@@ -438,22 +460,27 @@ def test_the_start_system_gives_the_same_bits_in_batches_of_any_size(monkeypatch
 @pytest.mark.parametrize("p", [1, 2])
 def test_the_start_system_times_its_cell_search(p, monkeypatch):
     monkeypatch.setattr(cascade, "PATH_CAP", 6)  # full batches to hand on from cyclic-4's 20 paths
+    real_pipeline_run, items = cascade.pipeline_run, []
+
+    def pipeline_run(*args):
+        pairs, stats = real_pipeline_run(*args)
+        items.append(len(pairs))
+        return pairs, stats
+
+    monkeypatch.setattr(cascade, "pipeline_run", pipeline_run)
     cells = []
     _, sols, stats = solve_start_system(embed(cyclic(4), 1, 7).system, 7, p=p, cell_log=cells)
     assert len(sols) == 20
     assert 0.0 < stats.time_first_cell <= stats.time_start_system
     assert 0.0 < stats.time_cell_search <= stats.time_start_system
-    if p == 1:
-        assert stats.pipeline is None
-    else:
-        # one pipeline item per batch of cells that hold PATH_CAP paths;
-        # the cells left waiting at the end are tracked in this process
-        batches, waiting = 0, 0
-        for cell in cells:
-            waiting += cell.volume
-            if waiting >= cascade.PATH_CAP:
-                batches, waiting = batches + 1, 0
-        assert stats.pipeline.produced == stats.pipeline.consumed == batches > 0
+    # one pipeline item per batch of cells that hold PATH_CAP paths; the
+    # cells left waiting at the end are tracked in this process
+    batches, waiting = 0, 0
+    for cell in cells:
+        waiting += cell.volume
+        if waiting >= cascade.PATH_CAP:
+            batches, waiting = batches + 1, 0
+    assert items[-1] == batches > 0  # the accepted lifting's run
     table = Timings(cell_search=stats.time_cell_search, first_cell=stats.time_first_cell).table()
     assert "\n  cell search " in table and "\n  first cell " in table
     assert Timings().table().splitlines()[2].split() == ["first", "cell", "-"]
