@@ -127,8 +127,9 @@ def solve_start_system(
     right there (``solve_cell``).  The cells still waiting when the
     search ends are tracked in the calling process at any p, while the
     consumers finish the queue: a search that never fills a batch forks
-    nothing.  A batch whose tracking raises fails the solve with a
-    RuntimeError (``pipeline_run``).  A tie restarts the search,
+    nothing.  A batch put whose tracking raises fails the solve with
+    ``pipeline_run``'s RuntimeError, the cells left waiting with their
+    own error.  A tie restarts the search,
     counters and waiting cells included, on the next lifting
     (``generic_lifting``); ``cell_log``, when given, receives the cells
     of the accepted lifting.  The paths of all cells end on roots of g, so

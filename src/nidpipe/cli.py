@@ -7,8 +7,9 @@ budget for large instances).  Everything is set through flags.
 
 Exit codes: 0 on success; 2 (``EXIT_PARSE``) for input it cannot take,
 found before any work: a system file it cannot read or parse, a bad
-flag, an output path in a missing directory; 3 (``EXIT_SOLVE``) when the
-solve raises.  Each failure prints one line on stderr, no traceback.
+flag, an output path that is a directory or in a missing one; 3
+(``EXIT_SOLVE``) when the solve raises.  Each failure prints one line
+on stderr, no traceback.
 """
 
 from __future__ import annotations
@@ -104,10 +105,11 @@ def _write_cell_log(path: str, cells: list[MixedCell]) -> None:
             }) + "\n")
 
 
-def _check_output_dir(path: str | None, flag: str) -> None:
-    """Raise ValueError when ``path`` is given and its directory does not exist."""
-    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
-        raise ValueError(f"{flag}: no such directory: {os.path.dirname(path)}")
+def _check_output_path(path: str | None, flag: str) -> None:
+    """Raise ValueError when ``path`` is given but no file can be written
+    there: it is a directory, or its directory does not exist."""
+    if path is not None and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+        raise ValueError(f"{flag}: cannot write a file at {path}")
 
 
 def _rejects_input(system, args) -> bool:
@@ -116,8 +118,8 @@ def _rejects_input(system, args) -> bool:
     try:
         check_top_dimension(system, system.nvars - 1 if args.dim is None else args.dim, "--dim")
         check_tasks(args.tasks, "--tasks")
-        _check_output_dir(args.out, "--out")
-        _check_output_dir(args.cell_log, "--cell-log")
+        _check_output_path(args.out, "--out")
+        _check_output_path(args.cell_log, "--cell-log")
     except ValueError as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return True
@@ -189,7 +191,7 @@ def _run_model(args) -> int:
         res = filter_speedup(ns, ds, args.p)
         _print_speedup(res.t1, res.tp, res.sp, res.zero_work)
     elif args.model == "simulate":
-        _check_output_dir(args.csv, "--csv")
+        _check_output_path(args.csv, "--csv")
         schedule, makespan = simulate_pipeline(args.n, args.F, args.p)
         print(f"makespan = {makespan}")
         if args.csv:

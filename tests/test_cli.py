@@ -86,10 +86,11 @@ def test_environment_variables_set_no_flag(tmp_path, monkeypatch):
         ["solve", "{tmp}/latin1.txt"],
         ["solve", "{tmp}/system.txt", "--out", "{tmp}/missing/report.json"],
         ["solve", "{tmp}/system.txt", "--cell-log", "{tmp}/missing/cells.jsonl"],
+        ["solve", "{tmp}/system.txt", "--out", "{tmp}"],
         ["bench", "cyclic", "--n", "4", "--out", "{tmp}/missing/report.json"],
         ["model", "simulate", "--n", "4", "--F", "2", "--p", "3", "--csv", "{tmp}/missing/schedule.csv"],
     ],
-    ids=["directory", "not-utf8", "out", "cell-log", "bench-out", "csv"],
+    ids=["directory", "not-utf8", "out", "cell-log", "out-directory", "bench-out", "csv"],
 )
 def test_a_path_the_command_cannot_use_ends_with_a_message_before_any_work(tmp_path, capsys, monkeypatch, argv):
     (tmp_path / "system.txt").write_text(CIRCLE_AND_LINE)
