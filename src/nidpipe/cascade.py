@@ -125,11 +125,11 @@ def solve_start_system(
     2-stage pipeline (``pipeline_run``), which forks them at the first
     batch; at p = 1 there is no consumer, and ``put`` tracks the batch
     right there (``solve_cell``).  The cells still waiting when the
-    search ends are tracked in the calling process at any p, while the
-    consumers finish the queue: a search that never fills a batch forks
-    nothing.  A batch put whose tracking raises fails the solve with
-    ``pipeline_run``'s RuntimeError, the cells left waiting with their
-    own error.  A tie restarts the search,
+    search ends are tracked in the calling process at any p, as a crew
+    of one job, while the consumers finish theirs: a search that never
+    fills a batch forks nothing.  A batch whose tracking raises fails the
+    solve with the loop's RuntimeError, whichever batch it is and at any
+    p.  A tie restarts the search,
     counters and waiting cells included, on the next lifting
     (``generic_lifting``); ``cell_log``, when given, receives the cells
     of the accepted lifting.  The paths of all cells end on roots of g, so
@@ -142,6 +142,9 @@ def solve_start_system(
     supports = with_origin(supports_of(emb_system))
     g = random_coefficient_system(supports, emb_system.nvars, seed)
     t0 = time.perf_counter()
+
+    def track_batch(batch: list[MixedCell]) -> list[PathResult]:
+        return solve_cell(batch, g, supports)
 
     def search(lifted) -> tuple[list[MixedCell], list[list[PathResult]]]:
         stats.cells = stats.mixed_volume = 0
@@ -164,7 +167,7 @@ def solve_start_system(
                 waiting.append(cell)
                 if sum(c.volume for c in waiting) >= PATH_CAP:
                     put(waiting)
-                    waiting = []  # not clear(): the pipeline's queue pickles the batch after put returns
+                    waiting = []  # not clear(): the pool pickles the batch after put returns
                 handing += time.perf_counter() - t
 
             t = time.perf_counter()
@@ -173,9 +176,9 @@ def solve_start_system(
             finally:
                 stats.time_cell_search += time.perf_counter() - t - handing
             if waiting:
-                last.append(solve_cell(waiting, g, supports))
+                last.extend(work_crew([waiting], 1, track_batch))
 
-        pairs, _ = pipeline_run(produce, lambda batch: solve_cell(batch, g, supports), PipelineConfig(p=p))
+        pairs, _ = pipeline_run(produce, track_batch, PipelineConfig(p=p))
         return cells, [out for _, out in pairs] + last
 
     (cells, outs), stats.lifting_attempt = generic_lifting(supports, seed, search)

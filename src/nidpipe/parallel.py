@@ -5,8 +5,9 @@ Every crew and pipeline runs on one loop, ``_forked``: the calling
 thread runs the producer, and each result comes back tagged with its
 item's index, so reports stay deterministic.  With no worker (a crew at
 p = 1 or of one job, the pipeline at p = 1) each item runs in the
-calling thread as it is put; otherwise items stream through a bounded
-queue to workers forked at the first item, and an idle worker takes the
+calling thread as it is put; otherwise the first item forks a pool of
+workers (the standard library's ``ProcessPoolExecutor``), at most
+``QUEUE_CAPACITY`` items are in flight, and an idle worker takes the
 next item the moment it finishes one, so load balances dynamically.
 The solver hands a crew a stage's paths in chunks of at most
 ``cascade.PATH_CAP`` paths (``cascade.track_stage``): a stage that fits
@@ -26,14 +27,14 @@ from __future__ import annotations
 
 import heapq
 import multiprocessing as mp
-import queue
+import threading
 import time
 import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-QUEUE_CAPACITY = 64  # items the workers' queue holds before ``put`` blocks
+QUEUE_CAPACITY = 64  # items in flight to forked workers before ``put`` blocks
 
 
 def _run_job(worker, i, item) -> tuple:
@@ -87,43 +88,16 @@ def work_crew(
     return [out for _, out in pairs]
 
 
-_POLL_S = 0.1  # how often a parent waiting on forked workers checks that they live
+def _adopt(worker) -> None:
+    """Pool initializer: keep the crew's worker, inherited through the
+    fork, as the forked process's ``_worker``."""
+    global _worker
+    _worker = worker
 
 
-def _check_alive(procs) -> None:
-    """Raise RuntimeError, after terminating the others, once a worker
-    process has died (nonzero exit code)."""
-    dead = [pr for pr in procs if pr.exitcode not in (None, 0)]
-    if dead:
-        for pr in procs:
-            if pr.is_alive():
-                pr.terminate()
-            pr.join()
-        raise RuntimeError(f"worker process {dead[0].pid} died with exit code {dead[0].exitcode}")
-
-
-def _get(q, procs):
-    """Next item from a result queue, polling the workers while waiting."""
-    while True:
-        try:
-            return q.get(timeout=_POLL_S)
-        except queue.Empty:
-            _check_alive(procs)
-            if all(pr.exitcode is not None for pr in procs):
-                try:  # all exited cleanly: anything they sent is readable now
-                    return q.get(timeout=_POLL_S)
-                except queue.Empty:
-                    raise RuntimeError("worker processes exited with results missing") from None
-
-
-def _put(q, item, procs) -> None:
-    """Put onto a bounded work queue, polling the workers while it is full."""
-    while True:
-        try:
-            q.put(item, timeout=_POLL_S)
-            return
-        except queue.Full:
-            _check_alive(procs)
+def _call(i, item) -> tuple:
+    """One job of a forked pool worker: ``_run_job`` on its crew's worker."""
+    return _run_job(_worker, i, item)
 
 
 def _forked(produce: Callable, worker: Callable, workers: int, stats: PipelineStats) -> list:
@@ -131,17 +105,14 @@ def _forked(produce: Callable, worker: Callable, workers: int, stats: PipelineSt
     item it puts; returns (index, result) pairs sorted by index.
 
     With ``workers`` = 0 each item runs in the calling thread as it is
-    put, and no queue, thread or process is made.  Otherwise the first
-    ``put`` forks the workers, and each item goes through a queue of
-    ``QUEUE_CAPACITY`` slots to the next idle one; ``put`` blocks while
-    the queue is full (that is the back-pressure) and raises
-    RuntimeError once a worker has died.  A job that raises fails the
-    call with one RuntimeError: at once without workers, once they have
-    stopped with them.  An error raised by ``produce`` propagates after
-    the workers have finished what was queued and stopped, so no process
-    or thread outlives the call.  Each job records the ``perf_counter``
-    time it started; on Linux that clock is system-wide, so it compares
-    with the end of production.
+    put.  Otherwise the first ``put`` makes a fork-context process pool
+    whose initializer keeps ``worker`` (inherited: it may be a closure),
+    and ``put`` blocks while ``QUEUE_CAPACITY`` items are in flight.  A
+    job that raises, or a worker process that dies, fails the call with
+    one RuntimeError.  An error raised by ``produce`` propagates once the
+    running jobs end; jobs not yet started are dropped.  No process or
+    thread outlives the call.  Jobs record their start on the
+    ``perf_counter`` clock, which is system-wide on Linux.
     """
     if not workers:
         received: list = []
@@ -153,58 +124,32 @@ def _forked(produce: Callable, worker: Callable, workers: int, stats: PipelineSt
         produce(put)
         produce_done = time.perf_counter()
     else:
-        ctx = mp.get_context("fork")
-        buf: mp.Queue = ctx.Queue(maxsize=QUEUE_CAPACITY)
-        # as in concurrent.futures: a feeder thread still writing to workers
-        # that are gone ends on EPIPE instead of blocking on a full pipe
-        buf._ignore_epipe = True
-        out_q: mp.Queue = ctx.Queue()
-
-        def child():
-            while True:
-                got = buf.get()
-                if got is None:
-                    break
-                out_q.put(_run_job(worker, *got))
-
-        procs: list = []
-        n = 0
+        pool, broken = None, ()  # the pool, and its error for a dead worker, once made
+        futures: list = []
+        slots = threading.BoundedSemaphore(QUEUE_CAPACITY)
 
         def put(item) -> None:
-            nonlocal n
-            if not procs:
-                procs.extend(ctx.Process(target=child) for _ in range(workers))
-                for pr in procs:
-                    pr.start()
-            t0 = time.perf_counter()
-            _put(buf, (n, item), procs)
-            stats.producer_blocked += time.perf_counter() - t0
-            n += 1
+            nonlocal pool, broken
+            if pool is None:  # imported here: a pipeline that is never put to costs nothing
+                from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-        def stop() -> list:
-            for _ in procs:
-                _put(buf, None, procs)  # one stop token per worker
-            received = [_get(out_q, procs) for _ in range(n)]
-            for pr in procs:
-                pr.join()
-            return received
+                pool = ProcessPoolExecutor(workers, mp.get_context("fork"), initializer=_adopt, initargs=(worker,))
+                broken = BrokenProcessPool
+            t0 = time.perf_counter()
+            slots.acquire()
+            stats.producer_blocked += time.perf_counter() - t0
+            futures.append(pool.submit(_call, len(futures), item))
+            futures[-1].add_done_callback(lambda _: slots.release())
 
         try:
-            try:
-                produce(put)
-            except BaseException:
-                if any(pr.is_alive() for pr in procs):  # none is once a dead worker was found
-                    stop()
-                raise
+            produce(put)
             produce_done = time.perf_counter()
-            received = stop()
+            received = [f.result() for f in futures]
+        except broken:
+            raise RuntimeError("a worker process died") from None
         finally:
-            # end this queue's feeder thread now, so the next fork sees no
-            # thread; with our read end closed it cannot block on a full pipe
-            buf._reader.close()
-            buf.close()
-            buf.join_thread()
-        received.sort(key=lambda got: got[0])
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
         _raise_failure(received)
     stats.first_consume_before_last_produce = any(started < produce_done for *_, started in received)
     return [(i, out) for i, out, _, _ in received]

@@ -154,10 +154,6 @@ class PolySystem:
         return len(self.polys)
 
     @property
-    def npolys(self) -> int:
-        return len(self.polys)
-
-    @property
     def is_square(self) -> bool:
         return len(self.polys) == self.nvars
 

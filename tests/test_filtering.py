@@ -192,7 +192,9 @@ def _jump_in_the_continuation(monkeypatch, stick=False):
 
     def crew(chunks, p, worker):
         outs = real_crew(chunks, p, worker)
-        if not jumped:  # the first crew stage is the continuation
+        # the first crew of path indices is the continuation; the start
+        # system's last batch of cells is a crew before it
+        if not jumped and isinstance(chunks[0], np.ndarray):
             # path k of the stage is path k // m of chunk k % m, of m chunks
             m = len(chunks)
             results = [None] * sum(map(len, outs))

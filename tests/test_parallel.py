@@ -126,18 +126,22 @@ def test_a_job_that_raises_fails_the_call_and_leaves_nothing_running(run):
 
 def test_work_crew_process_mode_dead_worker_raises():
     t0 = time.perf_counter()
-    with pytest.raises(RuntimeError, match="exit code 3"):
+    with pytest.raises(RuntimeError, match="died"):
         work_crew(list(range(6)), 2, _die_on_one, mode="process")
     assert time.perf_counter() - t0 < 5.0
+    assert mp.active_children() == []
+    assert threading.enumerate() == [threading.main_thread()]
 
 
 def test_pipeline_process_mode_dead_worker_raises(monkeypatch):
     monkeypatch.setattr(parallel, "QUEUE_CAPACITY", 2)
     cfg = PipelineConfig(p=3, mode="process")
     t0 = time.perf_counter()
-    with pytest.raises(RuntimeError, match="exit code 3"):
+    with pytest.raises(RuntimeError, match="died"):
         pipeline_run(_puts(range(20)), _die_on_one, cfg)
     assert time.perf_counter() - t0 < 5.0
+    assert mp.active_children() == []
+    assert threading.enumerate() == [threading.main_thread()]
 
 
 # -- analytic models ----------------------------------------------------------
@@ -337,6 +341,24 @@ def test_pipeline_producer_error_propagates_and_leaves_nothing_running():
     assert threading.enumerate() == [threading.main_thread()]
 
 
+def test_a_producer_error_drops_the_items_not_yet_started(tmp_path):
+    ran = tmp_path / "ran"
+
+    def consumer(_):
+        with ran.open("ab") as f:
+            f.write(b"x")
+        time.sleep(0.05)
+
+    def producer(put):
+        for i in range(20):
+            put(i)
+        raise RuntimeError("producer died")
+
+    with pytest.raises(RuntimeError, match="producer died"):
+        pipeline_run(producer, consumer, PipelineConfig(p=2))
+    assert ran.stat().st_size < 20
+
+
 def test_dead_consumer_with_a_full_queue_leaves_nothing_running():
     # the one consumer dies on its first item while the queue's pipe is
     # full: the feeder thread writing to it must still end
@@ -345,7 +367,7 @@ def test_dead_consumer_with_a_full_queue_leaves_nothing_running():
             put(bytes(20_000))
 
     t0 = time.perf_counter()
-    with pytest.raises(RuntimeError, match="exit code 3"):
+    with pytest.raises(RuntimeError, match="died"):
         pipeline_run(producer, lambda _: os._exit(3), PipelineConfig(p=2))
     assert time.perf_counter() - t0 < 5.0
     assert mp.active_children() == []
@@ -357,7 +379,7 @@ def test_dead_consumer_found_after_the_producer_is_done():
         put(1)
         time.sleep(1.0)  # the one consumer dies on that item meanwhile
 
-    with pytest.raises(RuntimeError, match="exit code 3"):
+    with pytest.raises(RuntimeError, match="died"):
         pipeline_run(producer, _die_on_one, PipelineConfig(p=2))
     assert mp.active_children() == []
 
@@ -485,3 +507,18 @@ def test_the_start_system_times_its_cell_search(p, monkeypatch):
     assert "\n  cell search " in table and "\n  first cell " in table
     assert Timings().table().splitlines()[2].split() == ["first", "cell", "-"]
 
+
+@pytest.mark.parametrize("cap", [128, 6])
+@pytest.mark.parametrize("p", [1, 2])
+def test_a_raising_cell_job_fails_the_start_system_by_the_loops_rule_in_any_batch(p, cap, monkeypatch):
+    # at a cap of 128 cyclic-4's 20 paths never fill a batch: the cells
+    # left waiting are the only batch, and the caller tracks them
+    def raises(batch, g, supports):
+        raise ValueError("injected cell failure")
+
+    monkeypatch.setattr(cascade, "PATH_CAP", cap)
+    monkeypatch.setattr(cascade, "solve_cell", raises)
+    with pytest.raises(RuntimeError, match=r"job \d+ failed: ValueError: injected cell failure"):
+        solve_start_system(embed(cyclic(4), 1, 7).system, 7, p=p)
+    assert mp.active_children() == []
+    assert threading.enumerate() == [threading.main_thread()]
