@@ -89,8 +89,7 @@ def work_crew(
 
 
 def _adopt(worker) -> None:
-    """Pool initializer: keep the crew's worker, inherited through the
-    fork, as the forked process's ``_worker``."""
+    """Pool initializer: keep the crew's worker, inherited through the fork, as ``_worker``."""
     global _worker
     _worker = worker
 
@@ -108,8 +107,8 @@ def _forked(produce: Callable, worker: Callable, workers: int, stats: PipelineSt
     put.  Otherwise the first ``put`` makes a fork-context process pool
     whose initializer keeps ``worker`` (inherited: it may be a closure),
     and ``put`` blocks while ``QUEUE_CAPACITY`` items are in flight.  A
-    job that raises, or a worker process that dies, fails the call with
-    one RuntimeError.  An error raised by ``produce`` propagates once the
+    job that raises fails the call with one RuntimeError, a worker process
+    that dies with the pool's ``BrokenProcessPool`` (one too).  An error raised by ``produce`` propagates once the
     running jobs end; jobs not yet started are dropped.  No process or
     thread outlives the call.  Jobs record their start on the
     ``perf_counter`` clock, which is system-wide on Linux.
@@ -124,29 +123,30 @@ def _forked(produce: Callable, worker: Callable, workers: int, stats: PipelineSt
         produce(put)
         produce_done = time.perf_counter()
     else:
-        pool, broken = None, ()  # the pool, and its error for a dead worker, once made
+        pool = None
         futures: list = []
         slots = threading.BoundedSemaphore(QUEUE_CAPACITY)
 
         def put(item) -> None:
-            nonlocal pool, broken
+            nonlocal pool
             if pool is None:  # imported here: a pipeline that is never put to costs nothing
-                from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+                from concurrent.futures.process import ProcessPoolExecutor
 
                 pool = ProcessPoolExecutor(workers, mp.get_context("fork"), initializer=_adopt, initargs=(worker,))
-                broken = BrokenProcessPool
             t0 = time.perf_counter()
             slots.acquire()
             stats.producer_blocked += time.perf_counter() - t0
             futures.append(pool.submit(_call, len(futures), item))
             futures[-1].add_done_callback(lambda _: slots.release())
+            if len(futures) == 1:  # that submit forked every worker, and this process never reads the call
+                # queue: its open read end would let the feeder block for good on a full pipe to dead workers
+                # (gh-94777; the pool closes it itself in Python 3.11.7, not in 3.11.2, which requires-python admits)
+                pool._call_queue._reader.close()
 
         try:
             produce(put)
             produce_done = time.perf_counter()
             received = [f.result() for f in futures]
-        except broken:
-            raise RuntimeError("a worker process died") from None
         finally:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)

@@ -126,7 +126,7 @@ def test_a_job_that_raises_fails_the_call_and_leaves_nothing_running(run):
 
 def test_work_crew_process_mode_dead_worker_raises():
     t0 = time.perf_counter()
-    with pytest.raises(RuntimeError, match="died"):
+    with pytest.raises(RuntimeError, match="terminated abruptly"):
         work_crew(list(range(6)), 2, _die_on_one, mode="process")
     assert time.perf_counter() - t0 < 5.0
     assert mp.active_children() == []
@@ -137,7 +137,7 @@ def test_pipeline_process_mode_dead_worker_raises(monkeypatch):
     monkeypatch.setattr(parallel, "QUEUE_CAPACITY", 2)
     cfg = PipelineConfig(p=3, mode="process")
     t0 = time.perf_counter()
-    with pytest.raises(RuntimeError, match="died"):
+    with pytest.raises(RuntimeError, match="terminated abruptly"):
         pipeline_run(_puts(range(20)), _die_on_one, cfg)
     assert time.perf_counter() - t0 < 5.0
     assert mp.active_children() == []
@@ -328,11 +328,11 @@ def test_pipeline_process_mode_overlaps_production_and_consumption():
 
 
 def test_pipeline_producer_error_propagates_and_leaves_nothing_running():
-    # 200 items of 20 KB overfill the queue's pipe: the consumers must
-    # drain it, or the queue's feeder thread would stay blocked on it
+    # each 100 KB item overfills the pool's call-queue pipe: the consumers
+    # must drain it, or the queue's feeder thread would stay blocked on it
     def producer(put):
         for _ in range(200):
-            put(bytes(20_000))
+            put(bytes(100_000))
         raise RuntimeError("producer died")
 
     with pytest.raises(RuntimeError, match="producer died"):
@@ -360,14 +360,15 @@ def test_a_producer_error_drops_the_items_not_yet_started(tmp_path):
 
 
 def test_dead_consumer_with_a_full_queue_leaves_nothing_running():
-    # the one consumer dies on its first item while the queue's pipe is
-    # full: the feeder thread writing to it must still end
+    # the one consumer dies on its first item while the pool's call-queue
+    # pipe is full of the next 100 KB item: the feeder thread writing to
+    # it must still end
     def producer(put):
         for _ in range(200):
-            put(bytes(20_000))
+            put(bytes(100_000))
 
     t0 = time.perf_counter()
-    with pytest.raises(RuntimeError, match="died"):
+    with pytest.raises(RuntimeError, match="terminated abruptly"):
         pipeline_run(producer, lambda _: os._exit(3), PipelineConfig(p=2))
     assert time.perf_counter() - t0 < 5.0
     assert mp.active_children() == []
@@ -379,7 +380,7 @@ def test_dead_consumer_found_after_the_producer_is_done():
         put(1)
         time.sleep(1.0)  # the one consumer dies on that item meanwhile
 
-    with pytest.raises(RuntimeError, match="died"):
+    with pytest.raises(RuntimeError, match="terminated abruptly"):
         pipeline_run(producer, _die_on_one, PipelineConfig(p=2))
     assert mp.active_children() == []
 
